@@ -12,6 +12,7 @@
 #include "frontend/envelope_detector.hpp"
 #include "dsp/noise.hpp"
 #include "lora/chirp.hpp"
+#include "lora/crc.hpp"
 #include "frontend/saw_filter.hpp"
 #include "lora/modulator.hpp"
 #include "gateway/gateway.hpp"
@@ -254,7 +255,23 @@ void BM_PreparedTemplateCorrelate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_PreparedTemplateCorrelate)->Arg(16384)->Arg(65536);
+// 20735 is the packet scanner's window: one 8192-sample block plus
+// 12543 samples of history (the envelope template's length less one).
+BENCHMARK(BM_PreparedTemplateCorrelate)->Arg(16384)->Arg(20735)->Arg(65536);
+
+void BM_Crc16(benchmark::State& state) {
+  // One trace chunk: 16384 float64 IQ samples, the bytes TraceReader
+  // checks per chunk on a v1 trace.
+  std::vector<std::uint8_t> chunk(256 * 1024);
+  dsp::Rng rng(6);
+  for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lora::crc16(chunk));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(chunk.size()));
+}
+BENCHMARK(BM_Crc16);
 
 void BM_PreparedTemplateDecodeStream(benchmark::State& state) {
   // Correlation-mode symbol decode over a clean reference envelope:

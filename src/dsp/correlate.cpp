@@ -39,6 +39,7 @@ double window_energy(std::span<const double> x, std::size_t start, std::size_t l
 // Both-real one-shot correlation: pack signal and reversed template
 // into one complex sequence (z = x + i·t_rev) so a single forward
 // transform yields both spectra, untangled via conjugate symmetry.
+// Any n >= x.size() is exact (see the transform length in correlate.hpp).
 Signal xcorr_real_spectral(std::span<const double> x, std::span<const double> tmpl,
                            std::size_t n) {
   Signal z(n, Complex{});
@@ -53,7 +54,7 @@ Signal xcorr_real_spectral(std::span<const double> x, std::span<const double> tm
   // The correlation spectrum is X·T; compute it bin-pair-symmetrically.
   Signal p(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t kk = (n - k) & (n - 1);
+    const std::size_t kk = (k == 0) ? 0 : n - k;
     const Complex zk = z[k];
     const Complex zc = std::conj(z[kk]);
     const double xr = 0.5 * (zk.real() + zc.real());
@@ -81,7 +82,7 @@ RealSignal cross_correlate(std::span<const double> x, std::span<const double> tm
   if (tmpl.empty()) throw std::invalid_argument("cross_correlate: empty template");
   if (x.size() < tmpl.size()) return {};
   const std::size_t n_valid = x.size() - tmpl.size() + 1;
-  const std::size_t n = next_pow2(x.size() + tmpl.size() - 1);
+  const std::size_t n = next_fast_len(x.size());
   const Signal corr = xcorr_real_spectral(x, tmpl, n);
   RealSignal out(n_valid);
   for (std::size_t i = 0; i < n_valid; ++i) {
@@ -95,7 +96,7 @@ RealSignal cross_correlate_signed(std::span<const double> x,
   if (tmpl.empty()) throw std::invalid_argument("cross_correlate: empty template");
   if (x.size() < tmpl.size()) return {};
   const std::size_t n_valid = x.size() - tmpl.size() + 1;
-  const std::size_t n = next_pow2(x.size() + tmpl.size() - 1);
+  const std::size_t n = next_fast_len(x.size());
   const Signal corr = xcorr_real_spectral(x, tmpl, n);
   RealSignal out(n_valid);
   for (std::size_t i = 0; i < n_valid; ++i) {
@@ -149,7 +150,7 @@ const Signal& PreparedTemplate::spectrum_for(std::size_t n) const {
 
 bool PreparedTemplate::correlate_core(std::span<const double> x) const {
   if (x.size() < t_len_) return false;
-  const std::size_t n = next_pow2(x.size() + t_len_ - 1);
+  const std::size_t n = next_fast_len(x.size());
   const Signal& spec = spectrum_for(n);
   const auto plan = fft_plan(n);
   plan->forward_real(x, work_, fft_scratch_);
@@ -160,7 +161,7 @@ bool PreparedTemplate::correlate_core(std::span<const double> x) const {
 
 bool PreparedTemplate::correlate_core(std::span<const Complex> x) const {
   if (x.size() < t_len_) return false;
-  const std::size_t n = next_pow2(x.size() + t_len_ - 1);
+  const std::size_t n = next_fast_len(x.size());
   const Signal& spec = spectrum_for(n);
   work_.assign(n, Complex{});
   for (std::size_t i = 0; i < x.size(); ++i) work_[i] = x[i];

@@ -8,6 +8,13 @@
 //     spectrum plus the FFT workspace across calls. This is the hot
 //     path for the Monte-Carlo sweeps, where the same reference
 //     template is correlated against thousands of received windows.
+//
+// Transform length: every call returns valid lags only, so it runs one
+// circular transform of next_fast_len(x.size()) points, not the linear
+// length x.size() + t_len - 1. Valid lag i is circular output index
+// i + t_len - 1 < x.size(); a product could only wrap onto it from
+// index i + t_len - 1 + n >= x.size() + t_len - 1, past the end of the
+// linear result, so any n >= x.size() is exact.
 #pragma once
 
 #include <span>
@@ -75,7 +82,9 @@ class PreparedTemplate {
 
  private:
   /// Spectrum of the conj-reversed template at transform length n
-  /// (cached for the most recent n).
+  /// (cached for the most recent n). Each packet scanner owns its
+  /// detector and correlates one window length once running, so one
+  /// slot hits on every steady-state block.
   const Signal& spectrum_for(std::size_t n) const;
 
   /// Product of the transformed input and the template spectrum,

@@ -8,6 +8,7 @@
 namespace saiyan::lora {
 
 /// CRC-16 with polynomial 0x1021, init 0xFFFF, no reflection, no xorout.
+/// Table-driven (slicing-by-8); equal to the bit-serial definition.
 std::uint16_t crc16(std::span<const std::uint8_t> data);
 
 /// Append a big-endian CRC-16 to a byte vector.

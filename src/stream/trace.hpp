@@ -26,7 +26,10 @@
 // decode equivalence becomes tolerance-based rather than bit-exact.
 //
 // `total_samples` is patched by TraceWriter::close(); the chunk CRC is
-// lora::crc16 over the raw (encoded) sample bytes. Chunk boundaries
+// lora::crc16 (CRC-16/CCITT-FALSE) over the raw (encoded) sample
+// bytes. It is computed from slicing-by-8 tables, eight bytes per
+// step; the value is the same as the bit-serial definition, so the
+// format is unchanged and old traces verify as before. Chunk boundaries
 // carry no semantic meaning — they are whatever the recorder pushed —
 // and the streaming demodulator's chunk-size invariance makes replay
 // results independent of them.

@@ -142,6 +142,52 @@ TEST(Crc, KnownVector) {
   EXPECT_EQ(crc16(digits), 0x29B1);
 }
 
+// Bit-serial CRC-16/CCITT-FALSE: the definition the table-driven
+// crc16 must reproduce.
+std::uint16_t crc16_reference(std::span<const std::uint8_t> data) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::uint8_t b : data) {
+    crc ^= static_cast<std::uint16_t>(b) << 8;
+    for (int i = 0; i < 8; ++i) {
+      crc = static_cast<std::uint16_t>((crc & 0x8000) ? (crc << 1) ^ 0x1021
+                                                      : crc << 1);
+    }
+  }
+  return crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::vector<std::uint8_t> out(n);
+  std::uint32_t s = seed;
+  for (std::uint8_t& b : out) {
+    s = s * 1664525u + 1013904223u;  // LCG; the top byte is well mixed
+    b = static_cast<std::uint8_t>(s >> 24);
+  }
+  return out;
+}
+
+TEST(Crc, MatchesBitSerialAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> buf = random_bytes(64 + 8, 7);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + offset, len);
+      ASSERT_EQ(crc16(s), crc16_reference(s))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc, MatchesBitSerialOverOneTraceChunk) {
+  const std::vector<std::uint8_t> chunk = random_bytes(256 * 1024, 11);
+  EXPECT_EQ(crc16(chunk), crc16_reference(chunk));
+}
+
+TEST(Crc, ReferenceKnownVector) {
+  const std::vector<std::uint8_t> digits = {'1', '2', '3', '4', '5',
+                                            '6', '7', '8', '9'};
+  EXPECT_EQ(crc16_reference(digits), 0x29B1);
+}
+
 TEST(Crc, AppendAndStrip) {
   const auto data = test_bytes();
   const auto framed = append_crc(data);

@@ -1,7 +1,10 @@
 // Cross-correlation and spectral estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <vector>
 
 #include "dsp/correlate.hpp"
 #include "dsp/nco.hpp"
@@ -126,6 +129,131 @@ TEST(PreparedTemplate, FindPeakMatchesFreeFunction) {
   EXPECT_EQ(prep_pk.lag, 300u);
   EXPECT_NEAR(prep_pk.value, free_pk.value, 1e-9 * (1.0 + free_pk.value));
   EXPECT_NEAR(prep_pk.normalized, free_pk.normalized, 1e-9);
+}
+
+// Input lengths around the transform-length boundaries: exactly one
+// lag, both sides of a power of two and of a 3·2^k length.
+constexpr std::size_t kEdgeTmplLen = 37;
+const std::size_t kEdgeLengths[] = {kEdgeTmplLen, 255, 256, 257, 768, 769};
+
+// Valid-lag correlation by direct time-domain sums:
+// sum_j x[i + j] · conj(t[j]).
+template <typename T>
+std::vector<T> direct_correlation(const std::vector<T>& x, const std::vector<T>& t) {
+  std::vector<T> out(x.size() - t.size() + 1);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    T acc{};
+    for (std::size_t j = 0; j < t.size(); ++j) {
+      if constexpr (std::is_same_v<T, Complex>) {
+        acc += x[i + j] * std::conj(t[j]);
+      } else {
+        acc += x[i + j] * t[j];
+      }
+    }
+    out[i] = acc;
+  }
+  return out;
+}
+
+// |got - want| <= 1e-9 of the largest |want|, lag by lag.
+template <typename T>
+void expect_close(const RealSignal& got, const std::vector<T>& want, bool magnitude,
+                  std::size_t n) {
+  ASSERT_EQ(got.size(), want.size()) << "n=" << n;
+  double scale = 0.0;
+  for (const T& v : want) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    double w;
+    if constexpr (std::is_same_v<T, Complex>) {
+      w = std::abs(want[i]);
+    } else {
+      w = magnitude ? std::abs(want[i]) : want[i];
+    }
+    ASSERT_NEAR(got[i], w, 1e-9 * scale) << "n=" << n << " lag " << i;
+  }
+}
+
+template <typename T>
+std::size_t direct_peak_lag(const std::vector<T>& direct) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < direct.size(); ++i) {
+    if (std::abs(direct[i]) > std::abs(direct[best])) best = i;
+  }
+  return best;
+}
+
+TEST(Correlate, RealMatchesDirectSumAtTransformEdges) {
+  Rng rng(21);
+  RealSignal tmpl(kEdgeTmplLen);
+  for (double& v : tmpl) v = rng.gaussian();
+  const PreparedTemplate prepared((std::span<const double>(tmpl)));
+  for (std::size_t n : kEdgeLengths) {
+    RealSignal x(n);
+    for (double& v : x) v = rng.gaussian();
+    const std::span<const double> xs(x);
+    const std::span<const double> ts(tmpl);
+    const RealSignal direct = direct_correlation(x, tmpl);
+    expect_close(cross_correlate(xs, ts), direct, true, n);
+    expect_close(cross_correlate_signed(xs, ts), direct, false, n);
+    expect_close(prepared.correlate(xs), direct, true, n);
+    expect_close(prepared.correlate_signed(xs), direct, false, n);
+
+    const std::size_t lag = direct_peak_lag(direct);
+    for (const CorrelationPeak& pk : {find_peak(xs, ts), prepared.find_peak(xs)}) {
+      EXPECT_EQ(pk.lag, lag) << "n=" << n;
+      EXPECT_NEAR(pk.value, std::abs(direct[lag]), 1e-9 * std::abs(direct[lag]));
+    }
+  }
+}
+
+TEST(Correlate, ComplexMatchesDirectSumAtTransformEdges) {
+  Rng rng(22);
+  Signal tmpl(kEdgeTmplLen);
+  for (Complex& v : tmpl) v = Complex(rng.gaussian(), rng.gaussian());
+  const PreparedTemplate prepared((std::span<const Complex>(tmpl)));
+  for (std::size_t n : kEdgeLengths) {
+    Signal x(n);
+    for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
+    const std::span<const Complex> xs(x);
+    const std::span<const Complex> ts(tmpl);
+    const Signal direct = direct_correlation(x, tmpl);
+    expect_close(cross_correlate(xs, ts), direct, true, n);
+    expect_close(prepared.correlate(xs), direct, true, n);
+
+    const std::size_t lag = direct_peak_lag(direct);
+    for (const CorrelationPeak& pk : {find_peak(xs, ts), prepared.find_peak(xs)}) {
+      EXPECT_EQ(pk.lag, lag) << "n=" << n;
+      EXPECT_NEAR(pk.value, std::abs(direct[lag]), 1e-9 * std::abs(direct[lag]));
+    }
+  }
+}
+
+TEST(PreparedTemplate, AlternatingLengthsMatchFreshInstances) {
+  // The template spectrum is cached per transform length; switching
+  // lengths back and forth (and repeating one) must never serve a
+  // stale spectrum.
+  Rng rng(23);
+  RealSignal tmpl(kEdgeTmplLen);
+  for (double& v : tmpl) v = rng.gaussian();
+  Signal ctmpl(kEdgeTmplLen);
+  for (Complex& v : ctmpl) v = Complex(rng.gaussian(), rng.gaussian());
+  const PreparedTemplate shared((std::span<const double>(tmpl)));
+  const PreparedTemplate cshared((std::span<const Complex>(ctmpl)));
+  for (std::size_t n : {300u, 1000u, 300u, 1000u, 2000u, 300u, 1000u, 1000u}) {
+    RealSignal x(n);
+    for (double& v : x) v = rng.gaussian();
+    const PreparedTemplate fresh((std::span<const double>(tmpl)));
+    EXPECT_EQ(shared.correlate_signed(std::span<const double>(x)),
+              fresh.correlate_signed(std::span<const double>(x)))
+        << "n=" << n;
+
+    Signal cx(n);
+    for (Complex& v : cx) v = Complex(rng.gaussian(), rng.gaussian());
+    const PreparedTemplate cfresh((std::span<const Complex>(ctmpl)));
+    EXPECT_EQ(cshared.correlate(std::span<const Complex>(cx)),
+              cfresh.correlate(std::span<const Complex>(cx)))
+        << "n=" << n;
+  }
 }
 
 TEST(PreparedTemplate, ShortSignalAndEmptyTemplate) {

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -728,11 +729,16 @@ TEST_F(GatewayFile, HeartbeatTimeoutCancelsWedgedJobAndDrainReturns) {
 TEST_F(GatewayFile, JobStatusReportsTypedOutcomes) {
   gateway::GatewayConfig cfg = base_config();
   cfg.workers = 1;
-  // Hold job 1 at its first chunk until the main thread has deleted
-  // the trace — job 2 then deterministically opens a missing file.
+  // Job 1's first chunk proves its reader is open; it then holds until
+  // the main thread has deleted the trace. Job 1 keeps reading through
+  // its open descriptor, and job 2 deterministically opens a missing
+  // file. Only job 1 can reach a chunk: job 2 never opens.
+  std::promise<void> job1_open;
+  std::future<void> job1_opened = job1_open.get_future();
   std::atomic<bool> file_removed{false};
   cfg.chunk_hook = [&](const gateway::GatewayConfig::ChunkHookInfo& info) {
     if (info.chunk_index != 0) return;
+    job1_open.set_value();
     while (!file_removed.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -747,8 +753,14 @@ TEST_F(GatewayFile, JobStatusReportsTypedOutcomes) {
   ASSERT_TRUE(second.ok());
   // The second job was validated at enqueue; deleting the file before
   // its worker reaches it forces the mid-flight failure path.
+  // Release the hook even on timeout, so a late job 1 cannot hang the
+  // gateway's shutdown.
+  const std::future_status opened =
+      job1_opened.wait_for(std::chrono::seconds(10));
   std::remove(path_);
   file_removed.store(true);
+  ASSERT_EQ(opened, std::future_status::ready)
+      << "job 1 never reached its first chunk";
   ASSERT_TRUE(gw.drain().ok());
 
   auto s1 = gw.job_status(first.value());
