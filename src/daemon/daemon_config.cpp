@@ -14,10 +14,13 @@ saiyan::Error at(const std::string& path, std::size_t lineno,
   return saiyan::Error{path + ":" + std::to_string(lineno) + ": " + why};
 }
 
+// strtoull/strtod leave `end` pointing into their argument, so the
+// NUL-terminated copy must outlive the `*end` check.
 bool parse_u64(std::string_view v, std::uint64_t& out) {
   if (v.empty()) return false;
+  const std::string s(v);
   char* end = nullptr;
-  const unsigned long long x = std::strtoull(std::string(v).c_str(), &end, 10);
+  const unsigned long long x = std::strtoull(s.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') return false;
   out = x;
   return true;
@@ -25,8 +28,9 @@ bool parse_u64(std::string_view v, std::uint64_t& out) {
 
 bool parse_f64(std::string_view v, double& out) {
   if (v.empty()) return false;
+  const std::string s(v);
   char* end = nullptr;
-  const double x = std::strtod(std::string(v).c_str(), &end);
+  const double x = std::strtod(s.c_str(), &end);
   if (end == nullptr || *end != '\0') return false;
   out = x;
   return true;
@@ -83,14 +87,11 @@ saiyan::Result<DaemonOptions> load_daemon_config(const std::string& path) {
         return at(path, lineno, "subscriber_queue: not an integer");
       }
       opt.gateway.limits.subscriber_queue = static_cast<std::size_t>(u);
-    } else if (key == "sic_shed_queue") {
-      if (!want_u64()) return at(path, lineno, "sic_shed_queue: not an integer");
-      opt.gateway.limits.sic_shed_queue = static_cast<std::size_t>(u);
     } else if (key == "sic_max_rescan_queue") {
       if (!want_u64()) {
         return at(path, lineno, "sic_max_rescan_queue: not an integer");
       }
-      opt.gateway.limits.sic_max_rescan_queue = static_cast<std::size_t>(u);
+      opt.gateway.stream.sic.max_rescan_queue = static_cast<std::size_t>(u);
     } else if (key == "watchdog_poll_ms") {
       if (!want_u64()) {
         return at(path, lineno, "watchdog_poll_ms: not an integer");

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <variant>
 
 #include "gateway/degradation.hpp"
 #include "obs/stage_metrics.hpp"
@@ -46,31 +45,7 @@ struct DemodKey {
   bool from_trace = false;  ///< SaiyanConfig derived from a trace header
   core::Mode mode = core::Mode::kSuper;
   std::size_t payload_symbols = 0;
-  double sample_rate_hz = 0.0;
-  int spreading_factor = 0;
-  double bandwidth_hz = 0.0;
-  int bits_per_symbol = 0;
-  int preamble_symbols = 0;
-  double sync_symbols = 0.0;
-  lora::FecRate fec = lora::FecRate::k4_5;
-
-  static DemodKey make(std::uint64_t gen, bool from_trace,
-                       const lora::PhyParams& phy, core::Mode mode,
-                       std::size_t payload_symbols) {
-    DemodKey k;
-    k.generation = gen;
-    k.from_trace = from_trace;
-    k.mode = mode;
-    k.payload_symbols = payload_symbols;
-    k.sample_rate_hz = phy.sample_rate_hz;
-    k.spreading_factor = phy.spreading_factor;
-    k.bandwidth_hz = phy.bandwidth_hz;
-    k.bits_per_symbol = phy.bits_per_symbol;
-    k.preamble_symbols = phy.preamble_symbols;
-    k.sync_symbols = phy.sync_symbols;
-    k.fec = phy.fec;
-    return k;
-  }
+  lora::PhyParams phy;
 
   bool operator==(const DemodKey&) const = default;
 };
@@ -81,17 +56,13 @@ struct LiveStream {
   bool closed = false;             // guarded by Impl::mu_
 };
 
-struct TraceJob {
-  std::uint64_t job_id = 0;
+/// One unit of worker work: a trace replay of `path`, or a live stream
+/// when `stream` is set.
+struct Job {
+  std::uint64_t id = 0;
   std::string path;
-};
-
-struct StreamJob {
-  std::uint64_t job_id = 0;
   std::shared_ptr<LiveStream> stream;
 };
-
-using Job = std::variant<TraceJob, StreamJob>;
 
 /// Hot per-worker counters: relaxed atomics on their own cache line,
 /// incremented by exactly one worker, read by any snapshotter.
@@ -212,7 +183,7 @@ struct Gateway::Impl {
   std::uint64_t next_sub_ = 1;
   std::atomic<std::size_t> n_subs{0};
 
-  LatencyHistogram latency_;
+  obs::LatencyHistogram latency_;
   /// Shared per-stage pipeline histograms (wait-free multi-writer):
   /// workers record scan/decode/SIC/gap timings via
   /// StreamConfig::stage_metrics, subscriber threads record delivery.
@@ -244,28 +215,40 @@ struct Gateway::Impl {
         job_cfg = cfg;  // pinned: in-flight jobs survive reload untouched
         gen = cfg_gen;
       }
-      const std::uint64_t job_id =
-          std::visit([](const auto& j) { return j.job_id; }, job);
+      const bool live = job.stream != nullptr;
       // Arm the liveness state before the job body runs: clear any
       // cancel left over from the previous job, then publish start /
       // heartbeat so the watchdog ages this job from zero.
       w.cancel.store(false, std::memory_order_relaxed);
       w.cancel_kind.store(0, std::memory_order_relaxed);
-      w.current_job.store(job_id, std::memory_order_relaxed);
-      w.job_is_stream.store(std::holds_alternative<StreamJob>(job),
-                            std::memory_order_relaxed);
+      w.current_job.store(job.id, std::memory_order_relaxed);
+      w.job_is_stream.store(live, std::memory_order_relaxed);
       const std::uint64_t t_start = now_ns();
       w.heartbeat_ns.store(t_start, std::memory_order_relaxed);
       w.job_start_ns.store(t_start, std::memory_order_release);
       // Explicit B/E rather than a ScopedTimer: if the job wedges and a
       // trace is dumped mid-flight, the dangling 'B' shows the open job.
-      obs::trace_begin(std::holds_alternative<StreamJob>(job)
-                           ? "stream_job"
-                           : "trace_job");
-      JobStatus st = std::visit(
-          [&](const auto& j) { return run_job(w, j, *job_cfg, gen); }, job);
-      obs::trace_end(std::holds_alternative<StreamJob>(job) ? "stream_job"
-                                                            : "trace_job");
+      obs::trace_begin(live ? "stream_job" : "trace_job");
+      JobStatus st;
+      if (live) {
+        LiveSource src{*this, w, job.stream};
+        st = run_job(w, src, job.id, *job_cfg, gen);
+      } else if (auto opened =
+                     stream::TraceReader::open(job.path, job_cfg->resync);
+                 opened.ok()) {
+        TraceSource src{std::move(opened).value()};
+        st = run_job(w, src, job.id, *job_cfg, gen);
+      } else {
+        // Validated at enqueue time; the file changed underneath us.
+        st.state = JobState::kFailed;
+        st.message = opened.error().message;
+        st.ingest = opened.error().ingest == stream::IngestError::kNone
+                        ? stream::IngestError::kBadHeader
+                        : opened.error().ingest;
+        w.ingest.count(st.ingest);
+        w.ingest_pub.publish(w.ingest);
+      }
+      obs::trace_end(live ? "stream_job" : "trace_job");
       w.job_start_ns.store(0, std::memory_order_release);
       w.counters.jobs.fetch_add(1, std::memory_order_relaxed);
       if (st.state == JobState::kDone) {
@@ -273,7 +256,7 @@ struct Gateway::Impl {
       } else {
         jobs_failed.fetch_add(1, std::memory_order_relaxed);
       }
-      record_outcome(job_id, std::move(st));
+      record_outcome(job.id, std::move(st));
       {
         std::lock_guard<std::mutex> lk(mu_);
         w.busy = false;
@@ -294,173 +277,111 @@ struct Gateway::Impl {
     return *w.demod;
   }
 
-  /// Abandon a cancelled job: fold in what was counted so far, count
-  /// the cancel, and surface a typed outcome. The worker itself lives
-  /// on; its demodulator is rebuilt/reset before the next job.
-  JobStatus abandon_cancelled(Worker& w, const stream::TraceReader* reader,
-                              stream::StreamingDemodulator& demod) {
-    ++w.ingest.jobs_cancelled;
-    if (reader != nullptr) w.ingest.merge(reader->stats());
-    w.ingest.merge(demod.ingest());
-    w.ingest_pub.publish(w.ingest);
-    JobStatus st;
-    st.state = JobState::kCancelled;
-    st.message = w.cancel_kind.load(std::memory_order_relaxed) == 2
-                     ? "job cancelled: deadline exceeded"
-                     : "job cancelled: watchdog heartbeat timeout";
-    return st;
-  }
+  /// What a job source produced for the next turn of the job loop.
+  enum class Fill {
+    kChunk,      ///< the chunk buffer holds the next samples
+    kEnd,        ///< input exhausted: flush and finish the job
+    kCancelled,  ///< the watchdog fired while the source waited
+    kStopped,    ///< gateway shutdown: abandon the job without a flush
+  };
 
-  /// Per-chunk liveness bookkeeping shared by both job kinds: beat the
-  /// heartbeat, adopt the ladder's current level, publish the rescan
-  /// backlog, and run the test-only chunk hook.
-  void chunk_tick(Worker& w, stream::StreamingDemodulator& demod,
-                  const GatewayConfig& gcfg, std::uint64_t job_id,
-                  std::uint64_t chunk_index) {
-    w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-    w.rescan_backlog.store(demod.rescan_backlog(), std::memory_order_relaxed);
-    if (gcfg.chunk_hook) {
-      GatewayConfig::ChunkHookInfo info;
-      info.worker = w.index;
-      info.job = job_id;
-      info.chunk_index = chunk_index;
-      info.cancel = &w.cancel;
-      gcfg.chunk_hook(info);
+  /// Trace replay. A resync, or a recover-mode EOF that discarded a
+  /// corrupt tail, is a gap the demodulator must realign across.
+  struct TraceSource {
+    static constexpr bool kFromTrace = true;
+    stream::TraceReader reader;
+
+    /// The trace knows what receiver it was recorded for; the gateway's
+    /// stream knobs (thresholds, seeds, SIC policy) come from config.
+    void configure(stream::StreamConfig& sc) const {
+      sc.saiyan =
+          core::SaiyanConfig::make(reader.meta().phy, reader.meta().mode);
+      sc.payload_symbols = reader.meta().payload_symbols;
     }
-  }
-
-  JobStatus run_job(Worker& w, const TraceJob& job, const GatewayConfig& gcfg,
-                    std::uint64_t gen) {
-    auto opened = stream::TraceReader::open(job.path, gcfg.resync);
-    if (!opened.ok()) {
-      // Validated at enqueue time; the file changed underneath us.
-      const stream::IngestError kind =
-          opened.error().ingest == stream::IngestError::kNone
-              ? stream::IngestError::kBadHeader
-              : opened.error().ingest;
-      w.ingest.count(kind);
-      w.ingest_pub.publish(w.ingest);
-      JobStatus st;
-      st.state = JobState::kFailed;
-      st.message = opened.error().message;
-      st.ingest = kind;
-      return st;
-    }
-    stream::TraceReader reader = std::move(opened).value();
-    // The trace knows what receiver it was recorded for; the gateway's
-    // stream knobs (thresholds, seeds, SIC policy) come from config.
-    stream::StreamConfig sc = gcfg.worker_stream_config();
-    sc.saiyan =
-        core::SaiyanConfig::make(reader.meta().phy, reader.meta().mode);
-    sc.payload_symbols = reader.meta().payload_symbols;
-    sc.cancel = &w.cancel;  // watchdog's lever into a wedged push()
-    sc.stage_metrics = &stage_metrics_;
-    sc.link_telemetry = gcfg.link.enabled ? &link_telemetry_ : nullptr;
-    stream::StreamingDemodulator& demod = ensure_demod(
-        w,
-        DemodKey::make(gen, /*from_trace=*/true, reader.meta().phy,
-                       reader.meta().mode, reader.meta().payload_symbols),
-        sc);
-
-    const std::uint64_t truncated_before = demod.truncated_packets();
-    std::uint64_t chunk_index = 0;
-    dsp::Signal chunk;
-    for (;;) {
+    Fill next(stream::StreamingDemodulator& demod, dsp::Signal& chunk) {
       const std::uint64_t skipped_before = reader.stats().bytes_skipped;
       const stream::ChunkStatus st = reader.next_chunk(chunk);
-      if (st == stream::ChunkStatus::kOk ||
-          st == stream::ChunkStatus::kResync) {
-        if (st == stream::ChunkStatus::kResync) {
-          demod.note_gap(reader.last_gap_samples());
-        }
-        demod.set_degradation(
-            degradation_level_.load(std::memory_order_relaxed));
-        const Clock::time_point t0 = Clock::now();
-        std::span<const dsp::Complex> rest(chunk);
-        while (!rest.empty()) {
-          const std::size_t take = std::min(gcfg.chunk_samples, rest.size());
-          demod.push(rest.first(take));
-          if (demod.cancelled()) break;
-          rest = rest.subspan(take);
-        }
-        w.counters.chunks.fetch_add(1, std::memory_order_relaxed);
-        w.counters.samples.fetch_add(chunk.size(), std::memory_order_relaxed);
-        emit_frames(w, demod, gcfg, job.job_id, t0);
-        publish_transient(w, &reader, &demod);
-        chunk_tick(w, demod, gcfg, job.job_id, chunk_index++);
-        if (demod.cancelled() ||
-            w.cancel.load(std::memory_order_relaxed)) {
-          return abandon_cancelled(w, &reader, demod);
-        }
-        if (gcfg.throttle_us != 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(gcfg.throttle_us));
-        }
-        continue;
-      }
-      if (st == stream::ChunkStatus::kEof &&
-          reader.stats().bytes_skipped > skipped_before) {
-        // Recover-mode EOF that discarded a corrupt tail.
+      const bool more = st == stream::ChunkStatus::kOk ||
+                        st == stream::ChunkStatus::kResync;
+      if (st == stream::ChunkStatus::kResync ||
+          (st == stream::ChunkStatus::kEof &&
+           reader.stats().bytes_skipped > skipped_before)) {
         demod.note_gap(reader.last_gap_samples());
       }
-      break;
+      return more ? Fill::kChunk : Fill::kEnd;
     }
-    const Clock::time_point t_flush = Clock::now();
-    demod.finish();
-    emit_frames(w, demod, gcfg, job.job_id, t_flush);
-    w.counters.truncated.fetch_add(demod.truncated_packets() -
-                                       truncated_before,
-                                   std::memory_order_relaxed);
-    w.ingest.merge(reader.stats());
-    w.ingest.merge(demod.ingest());
-    w.ingest_pub.publish(w.ingest);
-    JobStatus done;
-    done.state = JobState::kDone;
-    return done;
-  }
+    void fold(stream::IngestStats& into) const { into.merge(reader.stats()); }
+    void close() {}
+  };
 
-  JobStatus run_job(Worker& w, const StreamJob& job, const GatewayConfig& gcfg,
-                    std::uint64_t gen) {
+  /// Live stream: chunks queued by Gateway::push, handed over under mu_.
+  struct LiveSource {
+    static constexpr bool kFromTrace = false;
+    Impl& im;
+    Worker& w;
+    std::shared_ptr<LiveStream> live;
+
+    void configure(stream::StreamConfig&) const {}
+    Fill next(stream::StreamingDemodulator&, dsp::Signal& chunk) {
+      std::unique_lock<std::mutex> lk(im.mu_);
+      for (;;) {
+        if (im.stop_) return Fill::kStopped;
+        if (w.cancel.load(std::memory_order_relaxed)) return Fill::kCancelled;
+        if (!live->chunks.empty()) {
+          chunk = std::move(live->chunks.front());
+          live->chunks.pop_front();
+          return Fill::kChunk;
+        }
+        if (live->closed) return Fill::kEnd;
+        // Bounded waits so a stream merely idling (no chunks offered)
+        // keeps its heartbeat fresh — the watchdog must distinguish
+        // "waiting for input" from "wedged in a decode".
+        w.cv.wait_for(lk, std::chrono::milliseconds(50));
+        w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+      }
+    }
+    void fold(stream::IngestStats&) const {}
+    /// Retire the stream. After a cancel this tears down a still-open
+    /// stream, so pushers get a typed error instead of feeding a job
+    /// nobody will ever run again.
+    void close() {
+      bool was_open = false;
+      {
+        std::lock_guard<std::mutex> lk(im.mu_);
+        was_open = !live->closed;
+        live->closed = true;
+        im.streams_.erase(live->id);
+      }
+      if (was_open) im.streams_open.fetch_sub(1, std::memory_order_relaxed);
+    }
+  };
+
+  /// The one job loop, for either source: per chunk it adopts the
+  /// ladder's level, pushes the chunk through the worker's warm
+  /// demodulator, delivers frames, beats the heartbeat, runs the chunk
+  /// hook, and honours the watchdog's cancel token.
+  template <typename Source>
+  JobStatus run_job(Worker& w, Source& src, std::uint64_t job_id,
+                    const GatewayConfig& gcfg, std::uint64_t gen) {
     stream::StreamConfig sc = gcfg.worker_stream_config();
+    src.configure(sc);
     sc.cancel = &w.cancel;  // watchdog's lever into a wedged push()
     sc.stage_metrics = &stage_metrics_;
     sc.link_telemetry = gcfg.link.enabled ? &link_telemetry_ : nullptr;
     stream::StreamingDemodulator& demod = ensure_demod(
         w,
-        DemodKey::make(gen, /*from_trace=*/false, sc.saiyan.phy,
-                       sc.saiyan.mode, sc.payload_symbols),
+        DemodKey{gen, Source::kFromTrace, sc.saiyan.mode, sc.payload_symbols,
+                 sc.saiyan.phy},
         sc);
     const std::uint64_t truncated_before = demod.truncated_packets();
-    std::uint64_t chunk_index = 0;
-    bool cancelled = false;
-    for (;;) {
-      dsp::Signal chunk;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        for (;;) {
-          if (stop_) {
-            // Abandoned at shutdown, like any outstanding job.
-            JobStatus st;
-            st.state = JobState::kDone;
-            return st;
-          }
-          if (w.cancel.load(std::memory_order_relaxed)) break;
-          if (job.stream->closed || !job.stream->chunks.empty()) break;
-          // Bounded waits so a stream merely idling (no chunks offered)
-          // keeps its heartbeat fresh — the watchdog must distinguish
-          // "waiting for input" from "wedged in a decode".
-          w.cv.wait_for(lk, std::chrono::milliseconds(50));
-          w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-        }
-        if (w.cancel.load(std::memory_order_relaxed)) {
-          cancelled = true;
-        } else {
-          if (job.stream->chunks.empty()) break;  // closed and drained
-          chunk = std::move(job.stream->chunks.front());
-          job.stream->chunks.pop_front();
-        }
-      }
-      if (!cancelled) {
+    JobStatus st;
+    st.state = JobState::kDone;
+    dsp::Signal chunk;
+    for (std::uint64_t chunk_index = 0;; ++chunk_index) {
+      const Fill fill = src.next(demod, chunk);
+      if (fill == Fill::kStopped) return st;
+      if (fill == Fill::kEnd) break;
+      if (fill == Fill::kChunk) {
         demod.set_degradation(
             degradation_level_.load(std::memory_order_relaxed));
         const Clock::time_point t0 = Clock::now();
@@ -473,26 +394,33 @@ struct Gateway::Impl {
         }
         w.counters.chunks.fetch_add(1, std::memory_order_relaxed);
         w.counters.samples.fetch_add(chunk.size(), std::memory_order_relaxed);
-        emit_frames(w, demod, gcfg, job.job_id, t0);
-        publish_transient(w, nullptr, &demod);
-        chunk_tick(w, demod, gcfg, job.job_id, chunk_index++);
-        cancelled =
-            demod.cancelled() || w.cancel.load(std::memory_order_relaxed);
+        emit_frames(w, demod, gcfg, job_id, t0);
+        // Live view: persistent counters plus this job's so far.
+        stream::IngestStats view = w.ingest;
+        src.fold(view);
+        view.merge(demod.ingest());
+        w.ingest_pub.publish(view);
+        w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+        w.rescan_backlog.store(demod.rescan_backlog(),
+                               std::memory_order_relaxed);
+        if (gcfg.chunk_hook) {
+          gcfg.chunk_hook({w.index, job_id, chunk_index, &w.cancel});
+        }
       }
-      if (cancelled) {
-        // Tear the stream down so pushers get a typed error instead of
-        // feeding a job nobody will ever run again.
-        bool was_open = false;
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          was_open = !job.stream->closed;
-          job.stream->closed = true;
-          streams_.erase(job.stream->id);
-        }
-        if (was_open) {
-          streams_open.fetch_sub(1, std::memory_order_relaxed);
-        }
-        return abandon_cancelled(w, nullptr, demod);
+      if (fill == Fill::kCancelled || demod.cancelled() ||
+          w.cancel.load(std::memory_order_relaxed)) {
+        // Abandon the job with what was counted so far. The worker
+        // lives on; its demodulator is reset before the next job.
+        src.close();
+        ++w.ingest.jobs_cancelled;
+        src.fold(w.ingest);
+        w.ingest.merge(demod.ingest());
+        w.ingest_pub.publish(w.ingest);
+        st.state = JobState::kCancelled;
+        st.message = w.cancel_kind.load(std::memory_order_relaxed) == 2
+                         ? "job cancelled: deadline exceeded"
+                         : "job cancelled: watchdog heartbeat timeout";
+        return st;
       }
       if (gcfg.throttle_us != 0) {
         std::this_thread::sleep_for(
@@ -501,29 +429,15 @@ struct Gateway::Impl {
     }
     const Clock::time_point t_flush = Clock::now();
     demod.finish();
-    emit_frames(w, demod, gcfg, job.job_id, t_flush);
+    emit_frames(w, demod, gcfg, job_id, t_flush);
     w.counters.truncated.fetch_add(demod.truncated_packets() -
                                        truncated_before,
                                    std::memory_order_relaxed);
+    src.fold(w.ingest);
     w.ingest.merge(demod.ingest());
     w.ingest_pub.publish(w.ingest);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      streams_.erase(job.stream->id);
-    }
-    JobStatus done;
-    done.state = JobState::kDone;
-    return done;
-  }
-
-  /// Live view during a job: persistent worker counters plus the
-  /// in-progress reader/demodulator counters (not yet folded in).
-  void publish_transient(Worker& w, const stream::TraceReader* reader,
-                         const stream::StreamingDemodulator* demod) {
-    stream::IngestStats view = w.ingest;
-    if (reader != nullptr) view.merge(reader->stats());
-    if (demod != nullptr) view.merge(demod->ingest());
-    w.ingest_pub.publish(view);
+    src.close();
+    return st;
   }
 
   void emit_frames(Worker& w, stream::StreamingDemodulator& demod,
@@ -648,9 +562,9 @@ struct Gateway::Impl {
   void watchdog_main() {
     obs::set_thread_name("watchdog");
     DegradationLadder ladder(base_cfg.degradation);
-    std::array<std::uint64_t, LatencyHistogram::kBuckets> prev{};
-    std::array<std::uint64_t, LatencyHistogram::kBuckets> cur{};
-    std::array<std::uint64_t, LatencyHistogram::kBuckets> delta{};
+    std::array<std::uint64_t, obs::LatencyHistogram::kBuckets> prev{};
+    std::array<std::uint64_t, obs::LatencyHistogram::kBuckets> cur{};
+    std::array<std::uint64_t, obs::LatencyHistogram::kBuckets> delta{};
     const std::uint64_t hb_ns =
         base_cfg.watchdog.heartbeat_timeout_ms * 1'000'000ull;
     const std::uint64_t dl_ns =
@@ -709,12 +623,12 @@ struct Gateway::Impl {
       }
       if (base_cfg.degradation.enabled) {
         latency_.snapshot_counts(cur);
-        for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+        for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
           delta[i] = cur[i] - prev[i];
         }
         prev = cur;
         const std::uint64_t p99 =
-            LatencyHistogram::quantile_from_counts(delta, 0.99);
+            obs::LatencyHistogram::quantile_from_counts(delta, 0.99);
         window_p99_us_.store(p99, std::memory_order_relaxed);
         if (ladder.update(worst_backlog, p99)) {
           const DegradationLevel lvl = ladder.level();
@@ -810,7 +724,7 @@ saiyan::Result<std::uint64_t> Gateway::enqueue_trace(const std::string& path) {
     std::lock_guard<std::mutex> lk(impl_->mu_);
     job_id = impl_->next_job_++;
     target = impl_->workers_[impl_->rr_++ % impl_->workers_.size()].get();
-    target->jobs.push_back(TraceJob{job_id, path});
+    target->jobs.push_back(Job{job_id, path, nullptr});
   }
   impl_->jobs_enqueued.fetch_add(1, std::memory_order_relaxed);
   target->cv.notify_all();
@@ -827,7 +741,7 @@ StreamId Gateway::open_stream() {
     impl_->streams_.emplace(ls->id, ls);
     job_id = impl_->next_job_++;
     target = impl_->workers_[impl_->rr_++ % impl_->workers_.size()].get();
-    target->jobs.push_back(StreamJob{job_id, ls});
+    target->jobs.push_back(Job{job_id, {}, ls});
   }
   impl_->jobs_enqueued.fetch_add(1, std::memory_order_relaxed);
   impl_->streams_open.fetch_add(1, std::memory_order_relaxed);
@@ -1027,10 +941,11 @@ GatewayStats Gateway::stats() const {
   s.latency_p50_us = std::min(im.latency_.quantile_us(0.50), s.latency_max_us);
   s.latency_p99_us = std::min(im.latency_.quantile_us(0.99), s.latency_max_us);
   im.latency_.snapshot_counts(s.latency_buckets);
-  s.latency_count = LatencyHistogram::total_from_counts(s.latency_buckets);
+  s.latency_count =
+      obs::LatencyHistogram::total_from_counts(s.latency_buckets);
   s.latency_sum_us = im.latency_.sum_us();
   s.latency_saturated =
-      LatencyHistogram::saturated_from_counts(s.latency_buckets);
+      obs::LatencyHistogram::saturated_from_counts(s.latency_buckets);
   s.stages.reserve(obs::kStageCount);
   for (std::size_t i = 0; i < obs::kStageCount; ++i) {
     const auto stage = static_cast<obs::Stage>(i);
@@ -1038,14 +953,16 @@ GatewayStats Gateway::stats() const {
     StageLatencySnapshot st;
     st.stage = obs::to_string(stage);
     h.snapshot_counts(st.buckets);
-    st.count = LatencyHistogram::total_from_counts(st.buckets);
+    st.count = obs::LatencyHistogram::total_from_counts(st.buckets);
     st.sum_us = h.sum_us();
     st.max_us = h.max_us();
     st.p50_us = std::min(
-        LatencyHistogram::quantile_from_counts(st.buckets, 0.50), st.max_us);
+        obs::LatencyHistogram::quantile_from_counts(st.buckets, 0.50),
+        st.max_us);
     st.p99_us = std::min(
-        LatencyHistogram::quantile_from_counts(st.buckets, 0.99), st.max_us);
-    st.saturated = LatencyHistogram::saturated_from_counts(st.buckets);
+        obs::LatencyHistogram::quantile_from_counts(st.buckets, 0.99),
+        st.max_us);
+    st.saturated = obs::LatencyHistogram::saturated_from_counts(st.buckets);
     s.stages.push_back(st);
   }
   s.trace_events_dropped = obs::events_dropped_total();

@@ -34,19 +34,6 @@ saiyan::Result<Unit> GatewayConfig::validate() const {
       stream.sic.redetect_min_score > 1.0) {
     return bad_field("stream.sic.redetect_min_score", "must be in (0, 1]");
   }
-  // Deprecated aliases: both spellings set to different nonzero values
-  // is ambiguous — reject instead of silently picking one.
-  if (stream.sic.shed_queue != 0 && limits.sic_shed_queue != 0 &&
-      stream.sic.shed_queue != limits.sic_shed_queue) {
-    return bad_field("stream.sic.shed_queue",
-                     "deprecated alias conflicts with limits.sic_shed_queue");
-  }
-  if (stream.sic.max_rescan_queue != 0 && limits.sic_max_rescan_queue != 0 &&
-      stream.sic.max_rescan_queue != limits.sic_max_rescan_queue) {
-    return bad_field(
-        "stream.sic.max_rescan_queue",
-        "deprecated alias conflicts with limits.sic_max_rescan_queue");
-  }
   if (workers == 0 || workers > 256) {
     return bad_field("workers", "must be in [1, 256]");
   }
@@ -83,17 +70,6 @@ saiyan::Result<Unit> GatewayConfig::validate() const {
                      "must be in [1, 64] (scrape cardinality bound)");
   }
   return Unit{};
-}
-
-stream::StreamConfig GatewayConfig::worker_stream_config() const {
-  stream::StreamConfig sc = stream;
-  if (limits.sic_shed_queue != 0) {
-    sc.sic.shed_queue = limits.sic_shed_queue;
-  }
-  if (limits.sic_max_rescan_queue != 0) {
-    sc.sic.max_rescan_queue = limits.sic_max_rescan_queue;
-  }
-  return sc;
 }
 
 }  // namespace saiyan::gateway

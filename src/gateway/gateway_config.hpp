@@ -3,7 +3,7 @@
 // Before the facade, driving the library as a gateway meant juggling
 // three config structs (core::SaiyanConfig inside stream::StreamConfig
 // inside whatever the caller invented) plus loose knobs scattered over
-// call sites (chunk size, resync mode, SIC shedding). GatewayConfig
+// call sites (chunk size, resync mode, SIC policy). GatewayConfig
 // aggregates all of it behind one validated struct:
 //
 //   GatewayConfig cfg;
@@ -17,13 +17,10 @@
 // config-file error points at a line, not at a stack trace from
 // whichever layer noticed three calls later.
 //
-// Deprecated aliases (one release): the SIC load-shedding knobs grew
-// up inside sic::SicConfig (stream.sic.shed_queue /
-// stream.sic.max_rescan_queue) but are gateway overload policy, not
-// cancellation policy — their canonical home is now GatewayLimits.
-// The old fields still work: worker_stream_config() folds them in, and
-// validate() rejects a config that sets both spellings to different
-// values instead of silently picking one.
+// Overload has one policy: the degradation ladder (`degradation`)
+// sheds SIC and decode work when the rescan backlog or the windowed
+// p99 runs hot. `stream.sic.max_rescan_queue` is the one hard safety
+// cap on the rescan queue under it, and `limits` bounds delivery.
 #pragma once
 
 #include <atomic>
@@ -38,20 +35,13 @@
 
 namespace saiyan::gateway {
 
-/// Gateway-level overload policy: every bound the serving path applies
-/// when the offered load exceeds what it can absorb.
+/// Delivery bounds of the serving path. SIC overload is the
+/// degradation ladder's job (see DegradationConfig).
 struct GatewayLimits {
   /// Frames buffered per subscriber before new frames are dropped for
   /// that subscriber (IngestStats::frames_dropped_subscriber). A slow
   /// consumer sheds its own frames; it never stalls a worker.
   std::size_t subscriber_queue = 256;
-  /// Canonical home of stream.sic.shed_queue (deprecated alias): skip
-  /// SIC cancellation when the rescan backlog reaches this depth.
-  /// 0 = never shed.
-  std::size_t sic_shed_queue = 0;
-  /// Canonical home of stream.sic.max_rescan_queue (deprecated alias):
-  /// hard cap on queued rescan regions. 0 = unbounded.
-  std::size_t sic_max_rescan_queue = 0;
 };
 
 /// Watchdog: liveness supervision of the worker pool. A worker beats a
@@ -160,9 +150,8 @@ struct GatewayConfig {
   /// bad field by its dotted path.
   saiyan::Result<Unit> validate() const;
 
-  /// The per-worker stream config with the deprecated SIC-shedding
-  /// aliases folded into their canonical GatewayLimits values.
-  stream::StreamConfig worker_stream_config() const;
+  /// The stream config every worker's demodulator starts from.
+  stream::StreamConfig worker_stream_config() const { return stream; }
 };
 
 }  // namespace saiyan::gateway

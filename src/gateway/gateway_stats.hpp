@@ -35,11 +35,6 @@
 
 namespace saiyan::gateway {
 
-/// Log2-bucketed wait-free latency histogram, promoted to src/obs/ so
-/// the per-stage pipeline timers and the Prometheus exporter can share
-/// it. The alias keeps the historical gateway-side name alive.
-using LatencyHistogram = obs::LatencyHistogram;
-
 /// Single-writer seqlock publishing a composite stats block to
 /// concurrent snapshot readers without making the writer wait.
 template <typename T>

@@ -36,6 +36,8 @@ struct PhyParams {
   /// Throws std::invalid_argument when outside the supported envelope.
   void validate() const;
 
+  bool operator==(const PhyParams&) const = default;
+
   /// Number of chips (frequency bins) per symbol: 2^SF.
   std::uint32_t chips() const { return 1u << spreading_factor; }
 

@@ -61,14 +61,6 @@ struct SicConfig {
   /// can sit at the batch detector's operating point rather than the
   /// streaming scanner's.
   double redetect_min_score = 0.5;
-  /// Load shedding (the gateway's overload mode): when the rescan
-  /// backlog in the streaming demodulator reaches `shed_queue`, newly
-  /// decoded frames skip the cancel+rescan stage entirely — their SIC
-  /// work is shed and counted in IngestStats::sic_shed — until the
-  /// backlog drains below the threshold. Collision pileups then cost
-  /// bounded work per decoded frame instead of compounding. 0 = never
-  /// shed (pay full SIC cost regardless of pressure).
-  std::size_t shed_queue = 0;
   /// Hard cap on queued rescan regions: at the cap the oldest region
   /// is evicted (IngestStats::rescans_dropped) to admit the new one,
   /// bounding the queue's memory and the ring retention it implies.

@@ -54,8 +54,8 @@ struct IngestStats {
   std::uint64_t gaps = 0;            ///< upstream discontinuities reported
   std::uint64_t gap_samples = 0;     ///< samples zero-filled across gaps
   std::uint64_t spans_dropped = 0;   ///< pending frames abandoned at a gap
-  std::uint64_t sic_shed = 0;        ///< cancellations skipped under backlog
-  std::uint64_t rescans_dropped = 0; ///< rescan regions evicted (queue cap)
+  std::uint64_t sic_shed = 0;        ///< cancellations shed by the ladder
+  std::uint64_t rescans_dropped = 0; ///< rescan regions evicted or shed
   std::uint64_t rescans_expired = 0; ///< rescan regions aged off the ring
   /// Whole confirmed spans discarded undecoded by the degradation
   /// ladder's last rung (gateway overload, not input damage).

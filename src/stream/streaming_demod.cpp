@@ -298,19 +298,11 @@ void StreamingDemodulator::decode_span(const PacketSpan& span) {
     if (span.sic_depth > 0) ++collisions_resolved_;
     const std::size_t eff_depth = effective_sic_depth();
     if (span.sic_depth < eff_depth) {
-      // Pressure-based load shedding: under a rescan backlog the
-      // cancel+rescan stage is the work that compounds (each cancel
-      // can queue further rescans), so it is the work we shed. The
-      // frame itself is already decoded and delivered.
-      const std::size_t backlog = rescans_.size() - rescan_head_;
-      if (cfg_.sic.shed_queue != 0 && backlog >= cfg_.sic.shed_queue) {
-        ++ingest_.sic_shed;
-      } else {
-        cancel_frame(span);
-      }
+      cancel_frame(span);
     } else if (span.sic_depth < cfg_.sic.depth) {
       // The degradation ladder capped the chain below its configured
-      // depth — a shed cancellation, same counter as backlog shedding.
+      // depth: a shed cancellation. The frame itself is already
+      // decoded and delivered.
       ++ingest_.sic_shed;
     }
   }

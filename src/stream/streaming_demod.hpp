@@ -86,9 +86,10 @@ struct StreamConfig {
   /// absolute stream, so this also bounds detection latency.
   std::size_t block_samples = 0;
   /// Successive-interference-cancellation policy for overlapping
-  /// frames (depth 0 = off; see sic/collision_resolver.hpp). The
-  /// shed_queue / max_rescan_queue fields are the demodulator's
-  /// overload policy for the rescan backlog.
+  /// frames (depth 0 = off; see sic/collision_resolver.hpp). Under
+  /// overload the gateway's degradation ladder sheds this work through
+  /// set_degradation(); sic.max_rescan_queue is the hard safety cap on
+  /// the rescan backlog.
   sic::SicConfig sic;
   /// Derive per-packet decode seeds from the frame's absolute sample
   /// offset instead of its decode index. Decode results then do not

@@ -28,6 +28,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lora/modulator.hpp"
 #include "sim/capture.hpp"
@@ -555,21 +557,97 @@ sim::CaptureConfig collision_pairs_cfg(std::size_t pairs) {
   return cfg;
 }
 
-TEST_F(FaultFile, SicShedsCancellationsUnderBacklog) {
+/// (packet_start, symbols) of every frame a demodulator decoded.
+using FrameKeys =
+    std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>>;
+
+FrameKeys frame_keys(const stream::StreamingDemodulator& demod) {
+  FrameKeys out;
+  for (const stream::DecodedPacket& p : demod.packets()) {
+    const auto syms = demod.symbols(p);
+    out.emplace_back(p.packet_start,
+                     std::vector<std::uint32_t>(syms.begin(), syms.end()));
+  }
+  return out;
+}
+
+// The degradation ladder is the only SIC overload policy. Each rung
+// sheds its own work inside the demodulator, driven here directly
+// through one warm demodulator the way a gateway worker reuses it.
+TEST(SicDegradation, LadderRungsShedTheirWorkAtTheDemodulator) {
   const sim::CaptureConfig cfg = collision_pairs_cfg(2);
   const sim::Capture cap = sim::generate_capture(cfg);
   ASSERT_EQ(cap.collision_groups, 2u);
-  sim::write_capture(cap, cfg, path_);
+  stream::StreamConfig sc;
+  sc.saiyan = cfg.saiyan;
+  sc.payload_symbols = cfg.payload_symbols;
+  sc.sic.depth = 2;
+  constexpr std::size_t kChunk = 4096;
 
-  sim::ReplayConfig rc;
-  rc.sic.depth = 2;
-  rc.sic.shed_queue = 1;  // any backlog at all sheds the cancel stage
-  const sim::ReplayStats s = sim::replay_trace(path_, rc);
-  // The buried frame is revealed by the first cancellation and decoded
-  // — only its own (pointless) cancel+rescan is shed.
-  EXPECT_GE(s.matched, 3u);
-  EXPECT_GE(s.ingest.sic_shed, 1u);
-  EXPECT_FALSE(s.ingest.clean());
+  stream::StreamingDemodulator undegraded(sc);
+  undegraded.push(cap.samples);
+  undegraded.finish();
+  const FrameKeys reference = frame_keys(undegraded);
+  // Both collisions resolve: the buried frame is found on a residual.
+  ASSERT_GE(reference.size(), 3u);
+  ASSERT_GE(undegraded.collisions_resolved(), 1u);
+  ASSERT_GE(undegraded.frames_cancelled(), 1u);
+  EXPECT_EQ(undegraded.ingest().sic_shed, 0u);
+
+  stream::StreamingDemodulator demod(sc);
+  auto run = [&](std::uint8_t level) {
+    demod.reset();
+    demod.clear_packets();
+    demod.set_degradation(level);
+    const std::span<const dsp::Complex> all(cap.samples);
+    for (std::size_t off = 0; off < all.size(); off += kChunk) {
+      demod.push(all.subspan(off, std::min(kChunk, all.size() - off)));
+    }
+    demod.finish();
+  };
+
+  // Rung 1: chains stop after one cancellation. A frame revealed on a
+  // residual still decodes, but its own cancel is shed.
+  run(1);
+  EXPECT_GE(demod.packets().size(), 3u);
+  EXPECT_GE(demod.frames_cancelled(), 1u);
+  for (const stream::DecodedPacket& p : demod.packets()) {
+    EXPECT_LE(p.sic_depth, 1u) << "at " << p.packet_start;
+  }
+  EXPECT_GE(demod.ingest().sic_shed, 1u);
+
+  // Rung 2: no cancellation runs at all; every cancel is shed.
+  run(2);
+  EXPECT_EQ(demod.frames_cancelled(), 0u);
+  EXPECT_GE(demod.packets().size(), 1u);
+  EXPECT_GE(demod.ingest().sic_shed, 1u);
+
+  // Rung 3: complete spans are discarded undecoded.
+  run(3);
+  EXPECT_TRUE(demod.packets().empty());
+  EXPECT_GE(demod.ingest().spans_shed, 1u);
+
+  // Level 0 is the undegraded decode, bit for bit.
+  run(0);
+  EXPECT_EQ(frame_keys(demod), reference);
+  EXPECT_EQ(demod.ingest().sic_shed, 0u);
+  EXPECT_EQ(demod.ingest().spans_shed, 0u);
+
+  // Raising the level to 2 while rescans are queued drops the backlog.
+  demod.reset();
+  demod.clear_packets();
+  const std::span<const dsp::Complex> all(cap.samples);
+  bool raised = false;
+  for (std::size_t off = 0; off < all.size(); off += kChunk) {
+    demod.push(all.subspan(off, std::min(kChunk, all.size() - off)));
+    if (!raised && demod.rescan_backlog() > 0) {
+      demod.set_degradation(2);
+      raised = true;
+    }
+  }
+  demod.finish();
+  ASSERT_TRUE(raised) << "no rescan was ever queued between chunks";
+  EXPECT_GE(demod.ingest().rescans_dropped, 1u);
 }
 
 TEST_F(FaultFile, SicRescanQueueCapEvictsOldest) {

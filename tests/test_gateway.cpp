@@ -189,36 +189,6 @@ TEST(GatewayConfigValidate, ReportsFirstBadFieldByPath) {
   EXPECT_TRUE(base_config().validate().ok());
 }
 
-TEST(GatewayConfigValidate, DeprecatedAliasConflictIsRejected) {
-  gateway::GatewayConfig cfg = base_config();
-  cfg.stream.sic.shed_queue = 4;   // deprecated spelling
-  cfg.limits.sic_shed_queue = 8;   // canonical spelling, different value
-  auto v = cfg.validate();
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.message().find("stream.sic.shed_queue"), std::string::npos);
-
-  // Agreeing values are fine; so is either spelling alone.
-  cfg.limits.sic_shed_queue = 4;
-  EXPECT_TRUE(cfg.validate().ok());
-  cfg.stream.sic.shed_queue = 0;
-  cfg.limits.sic_shed_queue = 8;
-  EXPECT_TRUE(cfg.validate().ok());
-}
-
-TEST(GatewayConfigValidate, AliasFoldsIntoWorkerStreamConfig) {
-  gateway::GatewayConfig cfg = base_config();
-  cfg.limits.sic_shed_queue = 5;
-  cfg.limits.sic_max_rescan_queue = 9;
-  const stream::StreamConfig sc = cfg.worker_stream_config();
-  EXPECT_EQ(sc.sic.shed_queue, 5u);
-  EXPECT_EQ(sc.sic.max_rescan_queue, 9u);
-
-  // Old spelling still honored when the canonical knob is unset.
-  gateway::GatewayConfig legacy = base_config();
-  legacy.stream.sic.shed_queue = 3;
-  EXPECT_EQ(legacy.worker_stream_config().sic.shed_queue, 3u);
-}
-
 // ------------------------------------------------------ TraceReader::open
 
 TEST(TraceReaderOpen, ClassifiesFailures) {
@@ -314,6 +284,26 @@ TEST(DaemonConfig, ParsesAndValidates) {
   auto range = daemon::load_daemon_config(path);
   ASSERT_FALSE(range.ok());
   EXPECT_NE(range.message().find("workers"), std::string::npos);
+
+  // The rescan-queue cap is the one SIC bound a config can set.
+  {
+    std::ofstream out(path);
+    out << "sic_max_rescan_queue 9\n";
+  }
+  auto cap = daemon::load_daemon_config(path);
+  ASSERT_TRUE(cap.ok()) << cap.message();
+  EXPECT_EQ(cap.value().gateway.stream.sic.max_rescan_queue, 9u);
+
+  // Overload shedding is the degradation ladder's; the old shed knob
+  // is an unknown key.
+  {
+    std::ofstream out(path);
+    out << "workers 2\nsic_shed_queue 1\n";
+  }
+  auto shed = daemon::load_daemon_config(path);
+  ASSERT_FALSE(shed.ok());
+  EXPECT_NE(shed.message().find(":2:"), std::string::npos) << shed.message();
+  EXPECT_NE(shed.message().find("sic_shed_queue"), std::string::npos);
   std::remove(path);
 }
 
@@ -604,7 +594,7 @@ TEST(GatewayLinks, RegistryTracksTagsEndToEnd) {
 }
 
 TEST(GatewayStatsPrimitives, LatencyHistogramQuantiles) {
-  gateway::LatencyHistogram h;
+  obs::LatencyHistogram h;
   for (int i = 0; i < 98; ++i) h.record(100);   // bucket [64, 127]
   h.record(100000);
   h.record(200000);
@@ -724,6 +714,63 @@ TEST_F(GatewayFile, JobDeadlineCancelsWedgedJobAndDrainReturns) {
 
 TEST_F(GatewayFile, HeartbeatTimeoutCancelsWedgedJobAndDrainReturns) {
   watchdog_trip(path_, /*via_deadline=*/false);
+}
+
+// A live-stream job has its own teardown: a watchdog cancel must
+// retire the stream, not just end the job.
+TEST_F(GatewayFile, HeartbeatTimeoutTearsDownWedgedLiveStream) {
+  gateway::GatewayConfig cfg = base_config();
+  cfg.workers = 1;
+  cfg.watchdog.poll_ms = 10;
+  cfg.watchdog.heartbeat_timeout_ms = 1500;
+  // The stream job wedges in its first chunk hook until the heartbeat
+  // cancel fires. The trace job queued behind it on the one worker
+  // reaches its own first hook only after the stream job has been
+  // torn down and its outcome recorded.
+  constexpr std::uint64_t kNoVictim = ~0ull;
+  std::atomic<std::uint64_t> victim{kNoVictim};
+  std::promise<void> next_job;
+  std::future<void> next_job_started = next_job.get_future();
+  cfg.chunk_hook = [&](const gateway::GatewayConfig::ChunkHookInfo& info) {
+    if (info.chunk_index != 0) return;
+    std::uint64_t claimed = kNoVictim;
+    if (victim.compare_exchange_strong(claimed, info.job)) {
+      while (!info.cancel->load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    } else {
+      next_job.set_value();
+    }
+  };
+  auto created = gateway::Gateway::create(cfg);
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+
+  const std::span<const dsp::Complex> samples(capture().samples);
+  const gateway::StreamId sid = gw.open_stream();
+  ASSERT_TRUE(gw.push(sid, samples.first(10000)).ok());
+  ASSERT_TRUE(gw.enqueue_trace(path_).ok());
+  ASSERT_EQ(next_job_started.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the job behind the wedged stream never started";
+
+  auto vs = gw.job_status(victim.load());
+  ASSERT_TRUE(vs.ok()) << vs.message();
+  EXPECT_EQ(vs.value().state, gateway::JobState::kCancelled);
+  EXPECT_NE(vs.value().message.find("heartbeat"), std::string::npos)
+      << vs.value().message;
+  auto late = gw.push(sid, samples.first(1));
+  ASSERT_FALSE(late.ok()) << "push to a cancelled stream must fail";
+  EXPECT_NE(late.message().find("closed stream"), std::string::npos)
+      << late.message();
+  EXPECT_EQ(gw.stats().streams_open, 0u);
+
+  ASSERT_TRUE(gw.drain().ok());
+  const gateway::GatewayStats st = gw.stats();
+  EXPECT_EQ(st.watchdog_cancels, 1u);
+  EXPECT_EQ(st.jobs_failed, 1u);
+  EXPECT_EQ(st.jobs_done, 1u);
+  EXPECT_EQ(st.ingest.jobs_cancelled, 1u);
 }
 
 TEST_F(GatewayFile, JobStatusReportsTypedOutcomes) {

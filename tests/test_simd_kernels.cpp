@@ -28,6 +28,12 @@ std::vector<std::size_t> test_lengths() {
   return n;
 }
 
+/// Bytewise equality. An empty buffer's data() may be null, and
+/// memcmp must not be handed a null pointer even for zero bytes.
+bool same_bytes(const void* a, const void* b, std::size_t bytes) {
+  return bytes == 0 || std::memcmp(a, b, bytes) == 0;
+}
+
 /// Misalignment offsets (in doubles) applied to every buffer: the
 /// kernels use unaligned loads, so results must not depend on the
 /// allocation's 32-byte phase.
@@ -66,8 +72,8 @@ void expect_dispatch_identical(std::size_t n, std::size_t off, Fn&& fn) {
   fn(a.data() + off, b.data() + off, out_scalar.data() + off, n);
   simd::set_isa(simd::Isa::kAvx2);
   fn(a.data() + off, b.data() + off, out_avx2.data() + off, n);
-  ASSERT_EQ(0, std::memcmp(out_scalar.data(), out_avx2.data(),
-                           out_scalar.size() * sizeof(double)))
+  ASSERT_TRUE(same_bytes(out_scalar.data(), out_avx2.data(),
+                         out_scalar.size() * sizeof(double)))
       << "n=" << n << " off=" << off;
 }
 
@@ -96,7 +102,7 @@ TEST(SimdKernels, SquareLawBitIdentical) {
       simd::square_law(x.data() + off, n, 0.37, ys.data());
       simd::set_isa(simd::Isa::kAvx2);
       simd::square_law(x.data() + off, n, 0.37, yv.data());
-      ASSERT_EQ(0, std::memcmp(ys.data(), yv.data(), n * sizeof(double)))
+      ASSERT_TRUE(same_bytes(ys.data(), yv.data(), n * sizeof(double)))
           << "n=" << n << " off=" << off;
     }
   }
@@ -114,7 +120,7 @@ TEST(SimdKernels, SquareLawMixedBitIdentical) {
       simd::square_law_mixed(x.data() + off, g.data() + off, n, 1.7, ys.data());
       simd::set_isa(simd::Isa::kAvx2);
       simd::square_law_mixed(x.data() + off, g.data() + off, n, 1.7, yv.data());
-      ASSERT_EQ(0, std::memcmp(ys.data(), yv.data(), n * sizeof(double)))
+      ASSERT_TRUE(same_bytes(ys.data(), yv.data(), n * sizeof(double)))
           << "n=" << n << " off=" << off;
     }
   }
@@ -146,8 +152,8 @@ void expect_fused_identical(std::size_t n, std::size_t off, Fn&& fn) {
   fn(x.data() + off, out_scalar.data() + off, n, rng_s);
   simd::set_isa(simd::Isa::kAvx2);
   fn(x.data() + off, out_avx2.data() + off, n, rng_v);
-  ASSERT_EQ(0, std::memcmp(out_scalar.data(), out_avx2.data(),
-                           out_scalar.size() * sizeof(double)))
+  ASSERT_TRUE(same_bytes(out_scalar.data(), out_avx2.data(),
+                         out_scalar.size() * sizeof(double)))
       << "n=" << n << " off=" << off;
   ASSERT_EQ(rng_s.engine()(), rng_v.engine()()) << "n=" << n << " off=" << off;
 }
@@ -204,7 +210,7 @@ TEST(SimdKernels, LnaSquareLawBitIdentical) {
         simd::set_isa(simd::Isa::kAvx2);
         simd::lna_square_law(x.data() + off, mixed ? gm.data() + off : nullptr,
                              n, 10.0, 3e-9, 0.8, yv.data(), rv);
-        ASSERT_EQ(0, std::memcmp(ys.data(), yv.data(), n * sizeof(double)))
+        ASSERT_TRUE(same_bytes(ys.data(), yv.data(), n * sizeof(double)))
             << "n=" << n << " off=" << off << " mixed=" << mixed;
         ASSERT_EQ(rs.engine()(), rv.engine()());
       }
@@ -293,8 +299,8 @@ TEST(SimdKernels, ComplexScaledSubtractBitIdentical) {
       simd::complex_scaled_subtract(x.data() + off, n, a, b, y0.data() + off);
       simd::set_isa(simd::Isa::kAvx2);
       simd::complex_scaled_subtract(x.data() + off, n, a, b, y1.data() + off);
-      ASSERT_EQ(0, std::memcmp(y0.data(), y1.data(),
-                               y0.size() * sizeof(Complex)))
+      ASSERT_TRUE(same_bytes(y0.data(), y1.data(),
+                             y0.size() * sizeof(Complex)))
           << "n=" << n;
     }
   }
@@ -374,7 +380,7 @@ TEST(SimdKernels, ComplexScaleTableBitIdentical) {
       simd::complex_scale_table(xs.data() + off, g.data() + off, n);
       simd::set_isa(simd::Isa::kAvx2);
       simd::complex_scale_table(xv.data() + off, g.data() + off, n);
-      ASSERT_EQ(0, std::memcmp(xs.data(), xv.data(), xs.size() * sizeof(Complex)))
+      ASSERT_TRUE(same_bytes(xs.data(), xv.data(), xs.size() * sizeof(Complex)))
           << "n=" << n << " off=" << off;
     }
   }
@@ -424,7 +430,7 @@ TEST(SimdFillGaussian, MatchesRepeatedScalarDraws) {
     Rng batch(42 + n);
     std::vector<double> got(n, 0.0);
     simd::fill_gaussian(batch, got.data(), n);
-    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)))
+    ASSERT_TRUE(same_bytes(want.data(), got.data(), n * sizeof(double)))
         << "n=" << n;
     // The engines must also end in the same state.
     EXPECT_EQ(seq.engine()(), batch.engine()());
