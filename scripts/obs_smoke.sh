@@ -16,7 +16,10 @@
 #      counts summing to frames_decoded, `links` must list the
 #      registry, `links --json` must round-trip through json.tool, and
 #      sort/limit options must apply (bad options are a clean error);
-#   7. after drain + SIGTERM the --trace-out file must be a loadable
+#   7. the metric inventory: every stats key and Prometheus family a
+#      scrape carries is a row of the docs/OBSERVABILITY.md table, and
+#      every row shows up in the drained scrape;
+#   8. after drain + SIGTERM the --trace-out file must be a loadable
 #      timeline too.
 #
 # Usage: obs_smoke.sh <saiyand> <saiyand-control>
@@ -265,7 +268,57 @@ if "$CONTROL" --socket "$SOCK" links --sort bogus 2>/dev/null; then
   echo "links --sort bogus should be a daemon-reported error"; exit 1
 fi
 
-# --- 7. stop; check --trace-out ----------------------------------------
+# --- 7. metric inventory: scrapes and the docs table agree -------------
+# Worker and stage indices are normalised to the table's <N> / <name>.
+INVENTORY="$(cd "$(dirname "$0")/.." && pwd)/docs/OBSERVABILITY.md"
+"$CONTROL" --socket "$SOCK" stats >"$WORK/stats_drained.txt"
+"$PY" - "$INVENTORY" "$WORK/stats_drained.txt" "$WORK/metrics.prom" \
+  "$WORK/metrics_drained.prom" <<'EOF'
+import re, sys
+
+doc, stats_path, mid_prom, drained_prom = sys.argv[1:]
+keys, families, in_table = set(), set(), False
+for line in open(doc):
+    if line.startswith('| stats key | Prometheus series |'):
+        in_table = True
+        continue
+    if not in_table:
+        continue
+    if not line.startswith('|'):
+        break
+    cells = [c.strip().strip('`') for c in line.strip().strip('|').split('|')]
+    if set(cells[0]) <= {'-'}:
+        continue  # header separator
+    if cells[0] != '—':
+        keys.add(cells[0])
+    if cells[1] != '—':
+        families.add(cells[1].split('{', 1)[0])
+assert keys and families, f'no inventory table in {doc}'
+
+def norm(key):
+    key = re.sub(r'^worker\.\d+\.', 'worker.<N>.', key)
+    return re.sub(r'^stage\.[a-z_]+\.', 'stage.<name>.', key)
+
+def prom_families(path):
+    return {line.split()[2] for line in open(path)
+            if line.startswith('# TYPE ')}
+
+scraped = {norm(line.split(' ', 1)[0]) for line in open(stats_path)
+           if line.strip()}
+assert not scraped - keys, \
+    f'stats keys missing from {doc}: {sorted(scraped - keys)}'
+# noise_floor_dbm is left out of stats until the floor is valid.
+stale = keys - scraped - {'noise_floor_dbm'}
+assert not stale, f'{doc} rows with no stats key: {sorted(stale)}'
+for path in (mid_prom, drained_prom):
+    missing = prom_families(path) - families
+    assert not missing, f'families missing from {doc}: {sorted(missing)}'
+stale = families - prom_families(drained_prom)
+assert not stale, f'{doc} rows with no family: {sorted(stale)}'
+print(f'inventory ok: {len(keys)} stats keys, {len(families)} families')
+EOF
+
+# --- 8. stop; check --trace-out ----------------------------------------
 kill -TERM "$DAEMON_PID"
 for _ in $(seq 1 100); do
   kill -0 "$DAEMON_PID" 2>/dev/null || break
@@ -281,4 +334,4 @@ DAEMON_PID=
 "$PY" -m json.tool "$WORK/timeline.json" >/dev/null \
   || { echo "--trace-out file is not valid JSON"; exit 1; }
 
-echo "obs_smoke: metrics + dump_trace + stats --json + links + --trace-out all valid"
+echo "obs_smoke: metrics + dump_trace + stats --json + links + inventory + --trace-out all valid"

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "gateway/degradation.hpp"
+#include "obs/seqlock.hpp"
 #include "obs/stage_metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "stream/streaming_demod.hpp"
@@ -111,7 +112,7 @@ struct Gateway::Impl {
     bool busy = false;     // guarded by Impl::mu_
     std::condition_variable cv;
     WorkerCounters counters;
-    StatsCell<stream::IngestStats> ingest_pub;
+    obs::Seqlock<stream::IngestStats> ingest_pub;
     stream::IngestStats ingest;  // worker-private accumulator
     std::unique_ptr<stream::StreamingDemodulator> demod;
     DemodKey demod_key;

@@ -1,113 +1,8 @@
 #include "gateway/gateway_stats.hpp"
 
-#include <algorithm>
 #include <charconv>
-#include <cstdio>
 
 namespace saiyan::gateway {
-
-namespace {
-
-void line(std::string& out, const char* key, std::uint64_t v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %llu\n", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void line(std::string& out, const char* key, double v) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s %.3f\n", key, v);
-  out += buf;
-}
-
-}  // namespace
-
-std::string GatewayStats::to_text() const {
-  std::string out;
-  out.reserve(1024 + 128 * per_worker.size());
-  line(out, "uptime_s", uptime_s);
-  line(out, "workers", static_cast<std::uint64_t>(workers));
-  line(out, "subscribers", static_cast<std::uint64_t>(subscribers));
-  line(out, "jobs_enqueued", jobs_enqueued);
-  line(out, "jobs_done", jobs_done);
-  line(out, "jobs_failed", jobs_failed);
-  line(out, "streams_open", streams_open);
-  line(out, "config_reloads", config_reloads);
-  line(out, "frames_decoded", frames_decoded);
-  line(out, "symbols_decoded", symbols_decoded);
-  line(out, "truncated_frames", truncated_frames);
-  line(out, "samples_consumed", samples_consumed);
-  line(out, "chunks_ingested", chunks_ingested);
-  line(out, "markers_expected", markers_expected);
-  line(out, "frames_per_sec", frames_per_sec);
-  line(out, "msamples_per_sec", msamples_per_sec);
-  line(out, "latency_p50_us", latency_p50_us);
-  line(out, "latency_p99_us", latency_p99_us);
-  line(out, "latency_max_us", latency_max_us);
-  line(out, "latency_count", latency_count);
-  line(out, "latency_sum_us", latency_sum_us);
-  line(out, "latency_saturated", latency_saturated);
-  for (const StageLatencySnapshot& st : stages) {
-    char key[96];
-    std::snprintf(key, sizeof(key), "stage.%s.count", st.stage);
-    line(out, key, st.count);
-    std::snprintf(key, sizeof(key), "stage.%s.sum_us", st.stage);
-    line(out, key, st.sum_us);
-    std::snprintf(key, sizeof(key), "stage.%s.p50_us", st.stage);
-    line(out, key, st.p50_us);
-    std::snprintf(key, sizeof(key), "stage.%s.p99_us", st.stage);
-    line(out, key, st.p99_us);
-    std::snprintf(key, sizeof(key), "stage.%s.max_us", st.stage);
-    line(out, key, st.max_us);
-    std::snprintf(key, sizeof(key), "stage.%s.saturated", st.stage);
-    line(out, key, st.saturated);
-  }
-  line(out, "links_tracked", static_cast<std::uint64_t>(links.links.size()));
-  line(out, "link_frames_total", links.frames_total);
-  line(out, "link_evictions", links.evictions);
-  if (links.noise_floor_valid) {
-    line(out, "noise_floor_dbm", links.noise_floor_dbm);
-  }
-  line(out, "trace_events_dropped", trace_events_dropped);
-  line(out, "watchdog_cancels", watchdog_cancels);
-  line(out, "deadline_cancels", deadline_cancels);
-  line(out, "degradation_level", static_cast<std::uint64_t>(degradation_level));
-  line(out, "degradation_transitions", degradation_transitions);
-  line(out, "ingest.chunks_ok", ingest.chunks_ok);
-  line(out, "ingest.chunks_corrupt", ingest.chunks_corrupt);
-  line(out, "ingest.resyncs", ingest.resyncs);
-  line(out, "ingest.bytes_skipped", ingest.bytes_skipped);
-  line(out, "ingest.samples_lost", ingest.samples_lost);
-  line(out, "ingest.gaps", ingest.gaps);
-  line(out, "ingest.gap_samples", ingest.gap_samples);
-  line(out, "ingest.spans_dropped", ingest.spans_dropped);
-  line(out, "ingest.sic_shed", ingest.sic_shed);
-  line(out, "ingest.rescans_dropped", ingest.rescans_dropped);
-  line(out, "ingest.rescans_expired", ingest.rescans_expired);
-  line(out, "ingest.spans_shed", ingest.spans_shed);
-  line(out, "ingest.frames_dropped_subscriber",
-       ingest.frames_dropped_subscriber);
-  line(out, "ingest.jobs_cancelled", ingest.jobs_cancelled);
-  line(out, "ingest.total_errors", ingest.total_errors());
-  for (std::size_t i = 0; i < per_worker.size(); ++i) {
-    const WorkerSnapshot& w = per_worker[i];
-    char key[64];
-    std::snprintf(key, sizeof(key), "worker.%zu.frames", i);
-    line(out, key, w.frames);
-    std::snprintf(key, sizeof(key), "worker.%zu.symbols", i);
-    line(out, key, w.symbols);
-    std::snprintf(key, sizeof(key), "worker.%zu.samples", i);
-    line(out, key, w.samples);
-    std::snprintf(key, sizeof(key), "worker.%zu.chunks", i);
-    line(out, key, w.chunks);
-    std::snprintf(key, sizeof(key), "worker.%zu.jobs", i);
-    line(out, key, w.jobs);
-    std::snprintf(key, sizeof(key), "worker.%zu.truncated", i);
-    line(out, key, w.truncated);
-  }
-  return out;
-}
 
 saiyan::Result<LinkQuery> parse_link_query(std::string_view text) {
   LinkQuery q;
@@ -159,120 +54,6 @@ saiyan::Result<LinkQuery> parse_link_query(std::string_view text) {
     }
   }
   return q;
-}
-
-std::string links_to_text(const obs::LinkRegistrySnapshot& snap,
-                          const LinkQuery& q) {
-  std::vector<const obs::LinkSnapshot*> order;
-  order.reserve(snap.links.size());
-  for (const obs::LinkSnapshot& l : snap.links) order.push_back(&l);
-  const auto tag_lt = [](const obs::LinkSnapshot* a,
-                         const obs::LinkSnapshot* b) {
-    return a->tag_id != b->tag_id ? a->tag_id < b->tag_id
-                                  : a->channel < b->channel;
-  };
-  switch (q.sort) {
-    case LinkQuery::Sort::kFrames:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](const obs::LinkSnapshot* a,
-                           const obs::LinkSnapshot* b) {
-                         return a->frames != b->frames ? a->frames > b->frames
-                                                       : tag_lt(a, b);
-                       });
-      break;
-    case LinkQuery::Sort::kSnr:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](const obs::LinkSnapshot* a,
-                           const obs::LinkSnapshot* b) {
-                         return a->ewma_snr_db != b->ewma_snr_db
-                                    ? a->ewma_snr_db < b->ewma_snr_db
-                                    : tag_lt(a, b);
-                       });
-      break;
-    case LinkQuery::Sort::kLastSeen:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](const obs::LinkSnapshot* a,
-                           const obs::LinkSnapshot* b) {
-                         return a->last_seen_us != b->last_seen_us
-                                    ? a->last_seen_us > b->last_seen_us
-                                    : tag_lt(a, b);
-                       });
-      break;
-    case LinkQuery::Sort::kTag:
-      std::stable_sort(order.begin(), order.end(), tag_lt);
-      break;
-  }
-  if (q.top != 0 && order.size() > q.top) order.resize(q.top);
-
-  std::string out;
-  out.reserve(256 + 320 * order.size());
-  line(out, "links_tracked", static_cast<std::uint64_t>(snap.links.size()));
-  line(out, "links_listed", static_cast<std::uint64_t>(order.size()));
-  line(out, "link_capacity", static_cast<std::uint64_t>(snap.capacity));
-  line(out, "link_evictions", snap.evictions);
-  line(out, "frames_total", snap.frames_total);
-  if (snap.noise_floor_valid) {
-    line(out, "noise_floor_dbm", snap.noise_floor_dbm);
-  }
-  for (const obs::LinkSnapshot* l : order) {
-    char key[96];
-    const unsigned long t = static_cast<unsigned long>(l->tag_id);
-    const unsigned long c = static_cast<unsigned long>(l->channel);
-    const auto field = [&](const char* name) {
-      std::snprintf(key, sizeof(key), "link.%lu.%lu.%s", t, c, name);
-      return key;
-    };
-    line(out, field("frames"), l->frames);
-    line(out, field("collided"), l->collided_frames);
-    line(out, field("sic_rescued"), l->sic_rescued);
-    line(out, field("lost"), l->lost_frames);
-    line(out, field("snr_db"), l->ewma_snr_db);
-    line(out, field("cfo_hz"), l->ewma_cfo_hz);
-    line(out, field("timing"), l->ewma_timing);
-    line(out, field("margin"), l->ewma_margin);
-    line(out, field("latency_us"), l->ewma_latency_us);
-    line(out, field("last_snr_db"), l->last_snr_db);
-    line(out, field("last_seen_us"), l->last_seen_us);
-    line(out, field("last_packet_start"), l->last_packet_start);
-  }
-  return out;
-}
-
-std::string GatewayHealth::to_text() const {
-  std::string out;
-  out.reserve(512 + 192 * workers.size());
-  line(out, "uptime_s", uptime_s);
-  line(out, "config_generation", config_generation);
-  line(out, "degradation_level",
-       static_cast<std::uint64_t>(degradation_level));
-  out += "degradation_name ";
-  out += degradation_name;
-  out += '\n';
-  line(out, "degradation_transitions", degradation_transitions);
-  line(out, "watchdog_cancels", watchdog_cancels);
-  line(out, "deadline_cancels", deadline_cancels);
-  line(out, "jobs_cancelled", jobs_cancelled);
-  line(out, "rescan_backlog", rescan_backlog);
-  line(out, "window_p99_us", window_p99_us);
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const WorkerHealth& w = workers[i];
-    char key[64];
-    std::snprintf(key, sizeof(key), "worker.%zu.busy", i);
-    line(out, key, static_cast<std::uint64_t>(w.busy ? 1 : 0));
-    std::snprintf(key, sizeof(key), "worker.%zu.job", i);
-    line(out, key, w.job);
-    std::snprintf(key, sizeof(key), "worker.%zu.job_age_ms", i);
-    line(out, key, w.job_age_ms);
-    std::snprintf(key, sizeof(key), "worker.%zu.heartbeat_age_ms", i);
-    line(out, key, w.heartbeat_age_ms);
-    std::snprintf(key, sizeof(key), "worker.%zu.cancels", i);
-    line(out, key, w.cancels);
-    std::snprintf(key, sizeof(key), "worker.%zu.rescan_backlog", i);
-    line(out, key, w.rescan_backlog);
-    std::snprintf(key, sizeof(key), "worker.%zu.jobs_completed", i);
-    line(out, key, w.jobs_completed);
-  }
-  return out;
 }
 
 }  // namespace saiyan::gateway

@@ -8,11 +8,12 @@
 //     per-worker relaxed atomics, padded to their own cache line —
 //     a worker increments without synchronizing with anyone;
 //   * the composite IngestStats block (too wide for one atomic) is
-//     published through a per-worker seqlock: the worker bumps a
-//     version counter around its update, the snapshot thread retries
-//     the copy until it reads a stable even version. Writers never
+//     published through a per-worker obs::Seqlock: writers never
 //     wait; readers retry, which only matters while a worker is
 //     mid-publish.
+//
+// The `key value` renderers declared here are defined, with the
+// Prometheus exposition, in gateway_metrics.cpp.
 //
 // Latency is tracked as a log2 histogram over microseconds (see
 // obs/latency_histogram.hpp, where the histogram moved when every
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,35 +34,6 @@
 #include "stream/ingest_stats.hpp"
 
 namespace saiyan::gateway {
-
-/// Single-writer seqlock publishing a composite stats block to
-/// concurrent snapshot readers without making the writer wait.
-template <typename T>
-class StatsCell {
- public:
-  /// Worker side (one writer): publish a new value.
-  void publish(const T& value) {
-    seq_.fetch_add(1, std::memory_order_relaxed);        // odd: in flux
-    std::atomic_thread_fence(std::memory_order_release);
-    data_ = value;
-    seq_.fetch_add(1, std::memory_order_release);        // even: stable
-  }
-
-  /// Snapshot side: retry until a stable copy is read.
-  T read() const {
-    for (;;) {
-      const std::uint32_t before = seq_.load(std::memory_order_acquire);
-      if (before & 1) continue;
-      T copy = data_;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == before) return copy;
-    }
-  }
-
- private:
-  std::atomic<std::uint32_t> seq_{0};
-  T data_{};
-};
 
 /// One pipeline stage's latency distribution as seen in a snapshot
 /// (source: the shared obs::StageMetrics every worker records into).
@@ -102,7 +73,7 @@ struct GatewayStats {
 
   std::uint64_t jobs_enqueued = 0;
   std::uint64_t jobs_done = 0;
-  std::uint64_t jobs_failed = 0;   ///< trace open/parse failures
+  std::uint64_t jobs_failed = 0;   ///< jobs that did not finish kDone
   std::uint64_t streams_open = 0;  ///< live push-streams not yet closed
   std::uint64_t config_reloads = 0;
 
@@ -162,7 +133,7 @@ struct GatewayStats {
   std::size_t link_top_k = 10;
 
   /// Serialize as `key value` lines — the control protocol's stats
-  /// payload (documented in docs/GATEWAY.md).
+  /// payload (inventory in docs/OBSERVABILITY.md).
   std::string to_text() const;
 };
 

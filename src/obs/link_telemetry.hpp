@@ -12,16 +12,17 @@
 // latency. The gateway folds each diag into a LinkTelemetry registry
 // keyed by decoded tag id × channel.
 //
-// Concurrency model (the GatewayStats seqlock discipline, per entry):
+// Concurrency model (one obs::Seqlock per entry, as for the gateway's
+// per-worker IngestStats):
 //
 //   * Writers (worker threads recording frames) serialize on one
 //     mutex — frame rate is thousands per second, far below
-//     contention range — and publish each entry mutation through a
-//     per-entry seqlock (odd seq -> mutate -> even seq).
+//     contention range — update the slot's writer-private window and
+//     publish it through the slot's seqlock.
 //   * Readers (stats scrapes, the `links` control op) never take the
-//     mutex: snapshot() walks the slot array and retries any entry
-//     whose sequence was odd or moved mid-copy. Readers never block
-//     writers; a torn window is never reported.
+//     mutex: snapshot() reads each slot's seqlock, which retries a
+//     copy that raced a publish. Readers never block writers; a torn
+//     window is never reported.
 //
 // The registry is bounded: `capacity` slots, least-recently-seen
 // eviction with an eviction counter, so a tag-id fuzzing flood cannot
@@ -41,6 +42,8 @@
 #include <cstdint>
 #include <mutex>
 #include <vector>
+
+#include "obs/seqlock.hpp"
 
 namespace saiyan::obs {
 
@@ -123,7 +126,7 @@ class LinkTelemetry {
   bool noise_floor_valid() const;
 
   /// Copy every live link without blocking writers (per-entry seqlock
-  /// retry). Allocates the result vector; not for the per-frame path.
+  /// read). Allocates the result vector; not for the per-frame path.
   LinkRegistrySnapshot snapshot() const;
 
   std::uint64_t evictions() const {
@@ -149,31 +152,18 @@ class LinkTelemetry {
   static constexpr double kNoFloorDbm = -200.0;
 
  private:
-  /// The seqlock-protected payload of one slot (plain copyable data).
+  /// One slot's window: the published link view plus the writer's
+  /// sequence-gap state.
   struct Window {
+    LinkSnapshot link;
     bool used = false;
-    std::uint32_t tag_id = 0;
-    std::uint32_t channel = 0;
-    std::uint64_t frames = 0;
-    std::uint64_t collided_frames = 0;
-    std::uint64_t sic_rescued = 0;
-    std::uint64_t lost_frames = 0;
-    double ewma_snr_db = 0.0;
-    double ewma_cfo_hz = 0.0;
-    double ewma_timing = 0.0;
-    double ewma_margin = 0.0;
-    double ewma_latency_us = 0.0;
-    double last_snr_db = 0.0;
-    double last_cfo_hz = 0.0;
-    std::uint64_t last_seen_us = 0;
-    std::uint64_t last_packet_start = 0;
     std::uint32_t last_seq = 0;
     bool has_seq = false;
   };
 
   struct Slot {
-    std::atomic<std::uint32_t> seq{0};  ///< odd while the writer mutates
-    Window w;
+    Window w;               ///< writer-private working copy (mu_ held)
+    Seqlock<Window> pub;    ///< what snapshot() reads
     std::uint64_t lru = 0;  ///< writer-private recency stamp
   };
 

@@ -193,7 +193,9 @@ void write_capture(const Capture& capture, const CaptureConfig& cfg,
     writer.write_chunk(rest.first(take));
     rest = rest.subspan(take);
   }
-  writer.close();
+  if (auto fin = writer.finish(); !fin.ok()) {
+    throw std::runtime_error(fin.message());
+  }
 }
 
 ReplayStats score_replay(const stream::StreamingDemodulator& demod,

@@ -14,10 +14,14 @@
 // One struct serves both layers: TraceReader fills the trace-side
 // counters, StreamingDemodulator the stream-side ones, and
 // sim::replay_trace merges the two views into its ReplayStats.
+// kIngestCounters names each event counter once, for merge() and for
+// the gateway's stats text and Prometheus samples.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace saiyan::stream {
 
@@ -99,24 +103,42 @@ struct IngestStats {
   }
 
   /// Fold another layer's (or shard's) counters into this one.
-  void merge(const IngestStats& other) {
-    chunks_ok += other.chunks_ok;
-    chunks_corrupt += other.chunks_corrupt;
-    resyncs += other.resyncs;
-    bytes_skipped += other.bytes_skipped;
-    samples_lost += other.samples_lost;
-    gaps += other.gaps;
-    gap_samples += other.gap_samples;
-    spans_dropped += other.spans_dropped;
-    sic_shed += other.sic_shed;
-    rescans_dropped += other.rescans_dropped;
-    rescans_expired += other.rescans_expired;
-    spans_shed += other.spans_shed;
-    frames_dropped_subscriber += other.frames_dropped_subscriber;
-    jobs_cancelled += other.jobs_cancelled;
-    for (std::size_t i = 0; i < errors.size(); ++i) errors[i] += other.errors[i];
-    if (other.last_error != IngestError::kNone) last_error = other.last_error;
-  }
+  void merge(const IngestStats& other);
 };
+
+/// One event counter: its stats/Prometheus name and its field.
+struct IngestCounter {
+  const char* name;
+  std::uint64_t IngestStats::*field;
+};
+
+/// Every IngestStats event counter, in declaration order.
+inline constexpr IngestCounter kIngestCounters[] = {
+    {"chunks_ok", &IngestStats::chunks_ok},
+    {"chunks_corrupt", &IngestStats::chunks_corrupt},
+    {"resyncs", &IngestStats::resyncs},
+    {"bytes_skipped", &IngestStats::bytes_skipped},
+    {"samples_lost", &IngestStats::samples_lost},
+    {"gaps", &IngestStats::gaps},
+    {"gap_samples", &IngestStats::gap_samples},
+    {"spans_dropped", &IngestStats::spans_dropped},
+    {"sic_shed", &IngestStats::sic_shed},
+    {"rescans_dropped", &IngestStats::rescans_dropped},
+    {"rescans_expired", &IngestStats::rescans_expired},
+    {"spans_shed", &IngestStats::spans_shed},
+    {"frames_dropped_subscriber", &IngestStats::frames_dropped_subscriber},
+    {"jobs_cancelled", &IngestStats::jobs_cancelled},
+};
+static_assert(std::size(kIngestCounters) * sizeof(std::uint64_t) ==
+                  offsetof(IngestStats, errors),
+              "kIngestCounters must list every IngestStats event counter");
+
+inline void IngestStats::merge(const IngestStats& other) {
+  for (const IngestCounter& c : kIngestCounters) {
+    this->*c.field += other.*c.field;
+  }
+  for (std::size_t i = 0; i < errors.size(); ++i) errors[i] += other.errors[i];
+  if (other.last_error != IngestError::kNone) last_error = other.last_error;
+}
 
 }  // namespace saiyan::stream

@@ -54,6 +54,17 @@ const char* to_string(IngestError err) {
   return "invalid";
 }
 
+void record_first_error(std::string& error, std::string_view what) noexcept {
+  if (!error.empty()) return;
+  try {
+    error = what;
+  } catch (...) {
+    // Small-string storage: the one-char marker needs no allocation.
+    error.clear();
+    error += '!';
+  }
+}
+
 TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta,
                          const std::vector<TraceMarker>& markers) {
   out_.open(path, std::ios::binary | std::ios::trunc);
@@ -76,7 +87,7 @@ TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta,
   put(out_, static_cast<std::uint32_t>(meta.phy.fec));
   put(out_, static_cast<std::uint32_t>(meta.payload_symbols));
   total_samples_pos_ = out_.tellp();
-  put(out_, std::uint64_t{0});  // total_samples, patched by close()
+  put(out_, std::uint64_t{0});  // total_samples, patched by finish()
   // Enforce the reader's sanity bounds at write time so a writer can
   // never produce a trace its own reader rejects as malformed.
   if (markers.size() > kMaxMarkers) {
@@ -98,9 +109,9 @@ TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta,
 }
 
 TraceWriter::~TraceWriter() {
-  // A destructor must not throw; the failure (a truncated trace) is
-  // still recorded for anyone holding last_error() through a wrapper.
-  try_close();
+  // A destructor must not throw; a caller that needs the outcome
+  // calls finish() first.
+  close_();
 }
 
 void TraceWriter::write_chunk(std::span<const dsp::Complex> samples) {
@@ -130,8 +141,8 @@ void TraceWriter::write_chunk(std::span<const dsp::Complex> samples) {
   out_.write(reinterpret_cast<const char*>(bytes),
              static_cast<std::streamsize>(n_bytes));
   if (!out_) {
-    last_error_ = "TraceWriter: chunk write failed";
-    throw std::runtime_error(last_error_);
+    record_first_error(last_error_, "TraceWriter: chunk write failed");
+    throw std::runtime_error("TraceWriter: chunk write failed");
   }
   total_ += samples.size();
 }
@@ -139,52 +150,32 @@ void TraceWriter::write_chunk(std::span<const dsp::Complex> samples) {
 bool TraceWriter::flush() noexcept {
   if (closed_) return last_error_.empty();
   out_.flush();
-  if (!out_ && last_error_.empty()) {
-    try {
-      last_error_ = "TraceWriter: flush failed";
-    } catch (...) {
-      last_error_.clear();
-      last_error_ += '!';
-    }
-  }
+  if (!out_) record_first_error(last_error_, "TraceWriter: flush failed");
   return last_error_.empty();
 }
 
-void TraceWriter::close() {
-  if (!try_close()) throw std::runtime_error(last_error_);
-}
-
 saiyan::Result<Unit> TraceWriter::finish() {
-  if (try_close()) return Unit{};
+  if (close_()) return Unit{};
   return fail(last_error_);
 }
 
-bool TraceWriter::try_close() noexcept {
+bool TraceWriter::close_() noexcept {
   // Idempotent: only the first call touches the stream; every later
-  // call (finish() after try_close(), the destructor after either)
-  // reports the first call's outcome.
+  // call (a second finish(), the destructor after finish()) reports
+  // the first call's outcome.
   if (closed_) return last_error_.empty();
   closed_ = true;
-  // Sticky: a write_chunk failure already describes the root cause and
-  // has left the stream in a failed state — the close path's seek and
-  // flush will fail too, and must not overwrite that first error.
-  const bool had_error = !last_error_.empty();
   out_.seekp(total_samples_pos_);
   put(out_, total_);
   out_.flush();
   const bool flushed = static_cast<bool>(out_);
   out_.close();
-  if ((!flushed || !out_) && !had_error) {
-    // Record instead of throwing: the destructor lands here, and a
-    // failed flush means the file is truncated/unpatched on disk.
-    try {
-      last_error_ = "TraceWriter: close failed (trace truncated)";
-    } catch (...) {
-      // Allocation failure storing the message; the one-char fallback
-      // (small-string storage, no allocation) still flags the error.
-      last_error_.clear();
-      last_error_ += '!';
-    }
+  // Record instead of throwing: the destructor lands here, and a
+  // failed flush means the file is truncated/unpatched on disk. After
+  // a failed chunk write this fails too; the chunk error stays first.
+  if (!flushed || !out_) {
+    record_first_error(last_error_,
+                       "TraceWriter: close failed (trace truncated)");
   }
   return last_error_.empty();
 }

@@ -94,6 +94,11 @@ struct TraceMeta {
   bool float32_samples = false;
 };
 
+/// Keep the first I/O failure: store `what` in `error` unless it
+/// already holds one. An allocation failure stores the one-char marker
+/// "!" instead of throwing.
+void record_first_error(std::string& error, std::string_view what) noexcept;
+
 class TraceWriter {
  public:
   /// Creates/truncates `path` and writes the header + markers.
@@ -110,45 +115,28 @@ class TraceWriter {
 
   /// Push buffered bytes to the OS (durability policies that fsync per
   /// chunk need the stream flushed first). Returns false on I/O
-  /// failure with the description sticky in last_error(); a no-op
-  /// after close.
+  /// failure, which stays sticky for finish(); a no-op after close.
   bool flush() noexcept;
 
-  /// Patch total_samples into the header and flush. Idempotent;
-  /// throws on I/O failure (the destructor closes via try_close()
-  /// instead, recording any failure in last_error()).
-  void close();
-
-  /// Result-returning close — the unified public-boundary convention.
-  /// Idempotent: the first call performs the flush+close, every later
-  /// call reports the first call's outcome; an earlier write_chunk
-  /// failure stays sticky in the Error (and in last_error()) instead
-  /// of being overwritten by the close path.
+  /// Patch total_samples into the header, flush and close. Idempotent:
+  /// later calls report the first call's outcome, and the Error is the
+  /// *first* I/O failure (write_chunk, flush or close). The destructor
+  /// closes the same way without reporting; call finish() to detect a
+  /// truncated write.
   saiyan::Result<Unit> finish();
-
-  /// Nothrow close for destructor paths. Returns false on I/O failure,
-  /// with the description recorded in last_error(). Same idempotence
-  /// and stickiness as finish(); prefer finish() at call sites — this
-  /// bool form survives one release as a thin alias.
-  bool try_close() noexcept;
-
-  /// Description of the *first* I/O failure ("" when every write and
-  /// the close succeeded) — sticky across write_chunk, flush and
-  /// close. A caller that lets the destructor close cannot observe a
-  /// flush failure there — call finish()/close() explicitly to detect
-  /// a truncated write.
-  const std::string& last_error() const { return last_error_; }
 
   std::uint64_t samples_written() const { return total_; }
 
  private:
+  bool close_() noexcept;  // finish() without the Error; false on failure
+
   std::ofstream out_;
   std::streampos total_samples_pos_;
   std::uint64_t total_ = 0;
   bool closed_ = false;
   bool float32_ = false;           // version 2 sample encoding
   std::vector<float> f32_scratch_;  // reusable chunk conversion buffer
-  std::string last_error_;
+  std::string last_error_;          // first I/O failure; "" when none
 };
 
 enum class ChunkStatus {

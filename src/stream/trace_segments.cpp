@@ -92,7 +92,7 @@ SegmentedTraceWriter::SegmentedTraceWriter(
   open_segment();
 }
 
-SegmentedTraceWriter::~SegmentedTraceWriter() { try_close(); }
+SegmentedTraceWriter::~SegmentedTraceWriter() { close_(); }
 
 void SegmentedTraceWriter::open_segment() {
   const std::string tmp = dir_ + "/" + segment_name(seg_index_) + ".tmp";
@@ -101,16 +101,6 @@ void SegmentedTraceWriter::open_segment() {
   writer_.emplace(tmp, meta_,
                   seg_index_ == 0 ? markers_ : std::vector<TraceMarker>{});
   seg_samples_ = 0;
-}
-
-void SegmentedTraceWriter::record_error(const char* what) noexcept {
-  if (!last_error_.empty()) return;
-  try {
-    last_error_ = std::string("SegmentedTraceWriter: ") + what;
-  } catch (...) {
-    last_error_.clear();
-    last_error_ += '!';
-  }
 }
 
 void SegmentedTraceWriter::write_chunk(std::span<const dsp::Complex> samples) {
@@ -137,10 +127,9 @@ void SegmentedTraceWriter::write_chunk(std::span<const dsp::Complex> samples) {
   }
   try {
     writer_->write_chunk(samples);
-  } catch (...) {
-    if (last_error_.empty() && !writer_->last_error().empty()) {
-      last_error_ = writer_->last_error();
-    }
+  } catch (const std::runtime_error& e) {
+    // I/O failure; bad arguments throw logic errors instead.
+    record_first_error(last_error_, e.what());
     throw;
   }
   seg_samples_ += samples.size();
@@ -148,7 +137,8 @@ void SegmentedTraceWriter::write_chunk(std::span<const dsp::Complex> samples) {
   if (policy_.fsync == FsyncPolicy::kEveryChunk) {
     const std::string tmp = dir_ + "/" + segment_name(seg_index_) + ".tmp";
     if (!writer_->flush() || !fsync_path(tmp.c_str(), /*directory=*/false)) {
-      record_error("per-chunk fsync failed");
+      record_first_error(last_error_,
+                         "SegmentedTraceWriter: per-chunk fsync failed");
       throw std::runtime_error(last_error_);
     }
   }
@@ -158,30 +148,33 @@ bool SegmentedTraceWriter::seal_segment() noexcept {
   if (!writer_) return last_error_.empty();
   const std::string tmp = dir_ + "/" + segment_name(seg_index_) + ".tmp";
   const std::string fin = dir_ + "/" + segment_name(seg_index_);
-  const bool closed_ok = writer_->try_close();
-  if (!closed_ok && last_error_.empty()) {
-    try {
-      last_error_ = writer_->last_error();
-    } catch (...) {
-      last_error_ += '!';
-    }
+  bool closed_ok = false;
+  try {
+    const saiyan::Result<Unit> closed = writer_->finish();
+    closed_ok = closed.ok();
+    if (!closed_ok) record_first_error(last_error_, closed.message());
+  } catch (...) {  // allocating the Error
+    record_first_error(last_error_,
+                       "SegmentedTraceWriter: segment close failed");
   }
   writer_.reset();
   if (!closed_ok) return false;
   if (policy_.fsync != FsyncPolicy::kNone &&
       !fsync_path(tmp.c_str(), /*directory=*/false)) {
-    record_error("fsync before seal failed");
+    record_first_error(last_error_,
+                       "SegmentedTraceWriter: fsync before seal failed");
     return false;
   }
   std::error_code ec;
   fs::rename(tmp, fin, ec);  // atomic within the directory
   if (ec) {
-    record_error("seal rename failed");
+    record_first_error(last_error_, "SegmentedTraceWriter: seal rename failed");
     return false;
   }
   if (policy_.fsync != FsyncPolicy::kNone &&
       !fsync_path(dir_.c_str(), /*directory=*/true)) {
-    record_error("directory fsync after seal failed");
+    record_first_error(
+        last_error_, "SegmentedTraceWriter: directory fsync after seal failed");
     return false;
   }
   ++sealed_;
@@ -189,11 +182,11 @@ bool SegmentedTraceWriter::seal_segment() noexcept {
 }
 
 saiyan::Result<Unit> SegmentedTraceWriter::finish() {
-  if (try_close()) return Unit{};
+  if (close_()) return Unit{};
   return fail(last_error_);
 }
 
-bool SegmentedTraceWriter::try_close() noexcept {
+bool SegmentedTraceWriter::close_() noexcept {
   if (closed_) return last_error_.empty();
   closed_ = true;
   return seal_segment();

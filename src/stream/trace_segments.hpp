@@ -81,11 +81,10 @@ class SegmentedTraceWriter {
   void write_chunk(std::span<const dsp::Complex> samples);
 
   /// Seal the active tail. Idempotent, sticky-error — the segmented
-  /// analogue of TraceWriter::finish().
+  /// analogue of TraceWriter::finish(). The destructor seals the same
+  /// way without reporting.
   saiyan::Result<Unit> finish();
-  bool try_close() noexcept;
 
-  const std::string& last_error() const { return last_error_; }
   std::uint64_t samples_written() const { return total_; }
   std::size_t segments_sealed() const { return sealed_; }
   const std::string& dir() const { return dir_; }
@@ -96,7 +95,7 @@ class SegmentedTraceWriter {
  private:
   void open_segment();
   bool seal_segment() noexcept;
-  void record_error(const char* what) noexcept;
+  bool close_() noexcept;  // finish() without the Error
 
   std::string dir_;
   TraceMeta meta_;

@@ -114,7 +114,8 @@ TEST_F(SegmentDir, RoundTripIsBitExactAcrossRotation) {
       written.insert(written.end(), s.begin(), s.end());
       w.write_chunk(s);
     }
-    ASSERT_TRUE(w.finish().ok()) << w.last_error();
+    const auto fin = w.finish();
+    ASSERT_TRUE(fin.ok()) << fin.message();
     EXPECT_EQ(w.samples_written(), written.size());
     // 7 chunks at 50 samples, rotation at >=100: segments of 2/2/2/1
     // chunks, all sealed by finish().
@@ -145,7 +146,8 @@ TEST_F(SegmentDir, TimeBasedRotationIsDeterministic) {
   policy.segment_seconds = 100e-6;
   stream::SegmentedTraceWriter w(dir_, meta(), {}, policy);
   for (int c = 0; c < 8; ++c) w.write_chunk(ramp(200, 0));
-  ASSERT_TRUE(w.finish().ok()) << w.last_error();
+  const auto fin = w.finish();
+  ASSERT_TRUE(fin.ok()) << fin.message();
   // Rotation fires at chunk boundaries once >= 400 samples: 2 chunks
   // per segment, 8 chunks -> 4 sealed segments. Wall clock never
   // enters the decision.
@@ -163,7 +165,8 @@ TEST_F(SegmentDir, FsyncPoliciesProduceIdenticalSealedBytes) {
     policy.fsync = p;
     stream::SegmentedTraceWriter w(dir_, meta(), markers(), policy);
     for (int c = 0; c < 5; ++c) w.write_chunk(ramp(50, 50u * c));
-    ASSERT_TRUE(w.finish().ok()) << w.last_error();
+    const auto fin = w.finish();
+    ASSERT_TRUE(fin.ok()) << fin.message();
     std::string all;
     for (std::uint64_t i = 0; i < w.segments_sealed(); ++i) {
       all += fault::read_file(
@@ -195,7 +198,8 @@ TEST_F(SegmentDir, MergeProducesOnePlainServableTrace) {
       written.insert(written.end(), s.begin(), s.end());
       w.write_chunk(s);
     }
-    ASSERT_TRUE(w.finish().ok()) << w.last_error();
+    const auto fin = w.finish();
+    ASSERT_TRUE(fin.ok()) << fin.message();
   }
   const std::string out_path = dir_ + ".merged.sytrc";
   auto merged = stream::merge_segments(dir_, out_path);
@@ -233,7 +237,8 @@ TEST_F(SegmentDir, TornTailSalvagesValidPrefixAtEveryByteOffset) {
       sealed_samples.insert(sealed_samples.end(), s.begin(), s.end());
       w.write_chunk(s);
     }
-    ASSERT_TRUE(w.finish().ok()) << w.last_error();
+    const auto fin = w.finish();
+    ASSERT_TRUE(fin.ok()) << fin.message();
     ASSERT_EQ(w.segments_sealed(), 2u);
   }
 

@@ -272,7 +272,7 @@ void truncation_sweep(bool float32) {
       samples[i] = dsp::Complex(static_cast<double>(i), -1.0);
     }
     for (int c = 0; c < 3; ++c) writer.write_chunk(samples);
-    writer.close();
+    ASSERT_TRUE(writer.finish().ok());
   }
   const std::string bytes = fault::read_file(path);
   std::remove(path);
@@ -679,12 +679,15 @@ TEST(TraceWriterErrors, CloseFailureIsRecordedNotThrown) {
       writer.write_chunk(samples);
     } catch (const std::runtime_error&) {
       // An eager flush may surface the failure here already — also
-      // acceptable; last_error must be set either way.
+      // acceptable; finish must report an error either way.
     }
-    EXPECT_FALSE(writer.try_close());
-    EXPECT_FALSE(writer.last_error().empty());
-    // try_close is idempotent and keeps reporting the failure.
-    EXPECT_FALSE(writer.try_close());
+    auto first = writer.finish();
+    ASSERT_FALSE(first.ok());
+    EXPECT_FALSE(first.message().empty());
+    // finish is idempotent and keeps reporting the failure.
+    auto again = writer.finish();
+    EXPECT_FALSE(again.ok());
+    EXPECT_EQ(again.message(), first.message());
   } catch (const std::runtime_error&) {
     // Header write already failed — equally a clean, reported failure.
   }
@@ -697,13 +700,14 @@ TEST_F(FaultFile, CleanCloseLeavesNoError) {
   stream::TraceWriter writer(path_, meta);
   dsp::Signal samples(16, dsp::Complex(1.0, 0.0));
   writer.write_chunk(samples);
-  EXPECT_TRUE(writer.try_close());
-  EXPECT_TRUE(writer.last_error().empty());
-  EXPECT_TRUE(writer.try_close());  // idempotent success
+  auto first = writer.finish();
+  EXPECT_TRUE(first.ok()) << first.message();
+  EXPECT_TRUE(first.message().empty());
+  EXPECT_TRUE(writer.finish().ok());  // idempotent success
 }
 
 // Regression: the close path used to re-run the header patch on a
-// second try_close() call and could overwrite a write_chunk failure
+// second close call and could overwrite a write_chunk failure
 // message with its own — the first error must stay sticky across
 // flush and close, and close must happen exactly once.
 TEST(TraceWriterErrors, WriteFailureStaysStickyAcrossClose) {
@@ -717,23 +721,23 @@ TEST(TraceWriterErrors, WriteFailureStaysStickyAcrossClose) {
     stream::TraceWriter writer("/dev/full", meta);
     dsp::Signal samples(16, dsp::Complex(1.0, 0.0));
     bool chunk_failed = false;
+    std::string first;
     try {
       writer.write_chunk(samples);
       // Push until the stream error surfaces (buffering may defer it).
       for (int i = 0; i < 64 && !chunk_failed; ++i) writer.write_chunk(samples);
-    } catch (const std::runtime_error&) {
+    } catch (const std::runtime_error& e) {
       chunk_failed = true;
+      first = e.what();
     }
     if (!chunk_failed) GTEST_SKIP() << "/dev/full absorbed the writes";
-    const std::string first = writer.last_error();
     ASSERT_NE(first.find("chunk write failed"), std::string::npos) << first;
-    EXPECT_FALSE(writer.try_close());
-    EXPECT_EQ(writer.last_error(), first) << "close overwrote the first error";
-    EXPECT_FALSE(writer.try_close());  // double-call stays idempotent
-    EXPECT_EQ(writer.last_error(), first);
     auto r = writer.finish();
     ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.message(), first);
+    EXPECT_EQ(r.message(), first) << "close overwrote the first error";
+    auto again = writer.finish();  // double-call stays idempotent
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.message(), first);
   } catch (const std::runtime_error&) {
     // Header write already failed — equally a clean, reported failure.
   }
@@ -752,7 +756,7 @@ TEST_F(FaultFile, FinishReportsCleanCloseOnce) {
   ASSERT_TRUE(first.ok()) << first.message();
   auto second = writer.finish();
   EXPECT_TRUE(second.ok());
-  EXPECT_TRUE(writer.last_error().empty());
+  EXPECT_TRUE(second.message().empty());
 
   auto reader = stream::TraceReader::open(path_);
   ASSERT_TRUE(reader.ok()) << reader.message();

@@ -26,6 +26,7 @@
 #include "gateway/degradation.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/gateway_metrics.hpp"
+#include "obs/seqlock.hpp"
 #include "sim/capture.hpp"
 #include "stream/streaming_demod.hpp"
 #include "stream/trace.hpp"
@@ -945,7 +946,7 @@ TEST_F(GatewayFile, HealthSnapshotCarriesTheDocumentedKeys) {
 }
 
 TEST(GatewayStatsPrimitives, StatsCellPublishesCoherentSnapshots) {
-  gateway::StatsCell<stream::IngestStats> cell;
+  obs::Seqlock<stream::IngestStats> cell;
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     stream::IngestStats s;

@@ -14,9 +14,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -27,6 +31,7 @@
 #include "obs/stage_metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "sim/capture.hpp"
+#include "stream/ingest_stats.hpp"
 #include "stream/streaming_demod.hpp"
 
 namespace saiyan {
@@ -427,6 +432,173 @@ TEST(Prometheus, GatewayStatsExport) {
     char* end = nullptr;
     std::strtod(value.c_str(), &end);
     EXPECT_EQ(end, value.c_str() + value.size()) << line;
+  }
+}
+
+// A snapshot with every scalar distinct and nonzero: 2 workers, 2
+// stages, 4 links against a top-K of 2, a valid noise floor and every
+// ingest error class counted. A getter wired to the wrong field, or a
+// field dropped from one renderer, changes the rendered lines.
+gateway::GatewayStats full_stats() {
+  gateway::GatewayStats s;
+  s.uptime_s = 12.5;
+  s.workers = 2;
+  s.subscribers = 3;
+  s.jobs_enqueued = 101;
+  s.jobs_done = 102;
+  s.jobs_failed = 103;
+  s.streams_open = 104;
+  s.config_reloads = 105;
+  s.frames_decoded = 106;
+  s.symbols_decoded = 107;
+  s.truncated_frames = 108;
+  s.samples_consumed = 109;
+  s.chunks_ingested = 110;
+  s.markers_expected = 111;
+  s.frames_per_sec = 7.25;
+  s.msamples_per_sec = 1.125;
+  s.latency_p50_us = 112;
+  s.latency_p99_us = 113;
+  s.latency_max_us = 114;
+  s.latency_buckets[6] = 20;
+  s.latency_buckets[7] = 95;
+  s.latency_buckets[obs::LatencyHistogram::kBuckets - 1] = 1;
+  s.latency_count = 116;
+  s.latency_sum_us = 117;
+  s.latency_saturated = 118;
+  const char* names[] = {"scan", "decode"};
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    gateway::StageLatencySnapshot st;
+    st.stage = names[i];
+    st.count = 201 + 10 * i;
+    st.sum_us = 202 + 10 * i;
+    st.p50_us = 203 + 10 * i;
+    st.p99_us = 204 + 10 * i;
+    st.max_us = 205 + 10 * i;
+    st.saturated = 206 + 10 * i;
+    st.buckets[3 + i] = 207 + 10 * i;
+    st.buckets[obs::LatencyHistogram::kBuckets - 1] = 208 + 10 * i;
+    s.stages.push_back(st);
+  }
+  s.trace_events_dropped = 119;
+  s.watchdog_cancels = 120;
+  s.deadline_cancels = 121;
+  s.degradation_level = 2;
+  s.degradation_transitions = 122;
+  std::uint64_t v = 301;
+  for (std::uint64_t* f :
+       {&s.ingest.chunks_ok, &s.ingest.chunks_corrupt, &s.ingest.resyncs,
+        &s.ingest.bytes_skipped, &s.ingest.samples_lost, &s.ingest.gaps,
+        &s.ingest.gap_samples, &s.ingest.spans_dropped, &s.ingest.sic_shed,
+        &s.ingest.rescans_dropped, &s.ingest.rescans_expired,
+        &s.ingest.spans_shed, &s.ingest.frames_dropped_subscriber,
+        &s.ingest.jobs_cancelled}) {
+    *f = v++;
+  }
+  for (std::size_t i = 1; i < s.ingest.errors.size(); ++i) {
+    s.ingest.errors[i] = 400 + i;
+  }
+  s.ingest.last_error = stream::IngestError::kChunkCrc;
+  s.per_worker.resize(2);
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    gateway::WorkerSnapshot& w = s.per_worker[i];
+    w.frames = 501 + 10 * i;
+    w.symbols = 502 + 10 * i;
+    w.samples = 503 + 10 * i;
+    w.chunks = 504 + 10 * i;
+    w.jobs = 505 + 10 * i;
+    w.truncated = 506 + 10 * i;
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    obs::LinkSnapshot l;
+    l.tag_id = 7 + i;
+    l.channel = i % 2;
+    l.frames = 40 - 3 * i;
+    l.ewma_snr_db = 10.5 + i;
+    s.links.links.push_back(l);
+  }
+  s.links.frames_total = 123;
+  s.links.evictions = 124;
+  s.links.capacity = 125;
+  s.links.noise_floor_dbm = -97.5;
+  s.links.noise_floor_valid = true;
+  s.link_top_k = 2;
+  return s;
+}
+
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    out.push_back(text.substr(pos, eol - pos));
+    pos = eol + 1;
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::string read_golden(const char* name) {
+  const std::string path = std::string(SAIYAN_TEST_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "cannot open " << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// The stats text and the Prometheus exposition of one fully populated
+// snapshot, pinned line for line (order-insensitive). The goldens hold
+// sorted lines; a renamed key, a changed help string or a value read
+// from the wrong field shows up as a differing line.
+TEST(Prometheus, GatewayStatsRendersGoldenTextAndExposition) {
+  const gateway::GatewayStats s = full_stats();
+  for (const auto& [name, rendered] :
+       {std::pair<const char*, std::string>{"gateway_stats.txt", s.to_text()},
+        {"gateway_stats.prom", gateway::to_prometheus(s)}}) {
+    const std::vector<std::string> got = sorted_lines(rendered);
+    const std::vector<std::string> want = sorted_lines(read_golden(name));
+    EXPECT_EQ(got, want) << name;
+  }
+
+  // Before the first idle span the text omits the floor and the
+  // exposition reports the -200 sentinel.
+  gateway::GatewayStats cold = s;
+  cold.links.noise_floor_valid = false;
+  EXPECT_EQ(cold.to_text().find("noise_floor_dbm"), std::string::npos);
+  const std::string prom = gateway::to_prometheus(cold);
+  EXPECT_NE(prom.find("\nsaiyan_noise_floor_db -200\n"), std::string::npos);
+  EXPECT_NE(prom.find("\nsaiyan_noise_floor_valid 0\n"), std::string::npos);
+}
+
+// Each kIngestCounters row, set alone, is summed by merge() into its
+// own field only, and renders under its own name in the stats text
+// and the exposition.
+TEST(Prometheus, EveryIngestCounterRendersUnderItsOwnName) {
+  for (std::size_t i = 0; i < std::size(stream::kIngestCounters); ++i) {
+    const stream::IngestCounter& c = stream::kIngestCounters[i];
+    const std::uint64_t v = 1000 + i;
+    gateway::GatewayStats s;
+    s.ingest.*c.field = v;
+    stream::IngestStats merged;
+    merged.merge(s.ingest);
+    merged.merge(s.ingest);
+    for (const stream::IngestCounter& o : stream::kIngestCounters) {
+      EXPECT_EQ(merged.*o.field, &o == &c ? 2 * v : 0)
+          << c.name << "/" << o.name;
+    }
+    const std::string text = s.to_text();
+    EXPECT_NE(text.find("\ningest." + std::string(c.name) + " " +
+                        std::to_string(v) + "\n"),
+              std::string::npos)
+        << c.name;
+    const std::string prom = gateway::to_prometheus(s);
+    EXPECT_NE(prom.find("\nsaiyan_ingest_events_total{kind=\"" +
+                        std::string(c.name) + "\"} " + std::to_string(v) +
+                        "\n"),
+              std::string::npos)
+        << c.name;
   }
 }
 
