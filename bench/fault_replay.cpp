@@ -27,7 +27,7 @@ constexpr const char* kTracePath = "bench_fault_replay.sytrc";
 double timed_replay(sim::ReplayStats& stats) {
   sim::ReplayConfig rc;
   rc.resync = true;
-  rc.seed_by_offset = true;
+  rc.stream.seed_by_offset = true;
   const auto t0 = std::chrono::steady_clock::now();
   stats = sim::replay_trace(kTracePath, rc);
   return std::chrono::duration<double>(

@@ -3,16 +3,20 @@
 #
 #   1. saiyand --record writes a deterministic multi-tag trace with
 #      ground-truth markers;
-#   2. saiyand serves it, throttled so the replay is still in flight
-#      when the signal lands;
+#   2. saiyand serves it from a --config file whose `workers` differs
+#      from --workers, throttled so the replay is still in flight when
+#      the signal lands;
 #   3. saiyand-control polls `stats` over the control socket;
-#   4. a SIGHUP mid-replay swaps the config — in-flight jobs must keep
+#   4. a SIGHUP mid-replay re-reads the file and re-applies the flags
+#      over it, so the reload is accepted — in-flight jobs must keep
 #      decoding (zero dropped frames);
 #   5. the script waits until frames_decoded == markers_expected, then
 #      drains and SIGTERMs.
 #
-# Any lost frame, failed job, dead daemon, or wedged socket fails the
-# script. Usage: gateway_smoke.sh <saiyand> <saiyand-control>
+# Before serving, a negative numeric flag must exit 2 naming the flag.
+# Any lost frame, failed job, dead daemon, rejected reload, or wedged
+# socket fails the script.
+# Usage: gateway_smoke.sh <saiyand> <saiyand-control>
 set -euo pipefail
 
 SAIYAND=${1:?usage: gateway_smoke.sh <saiyand> <saiyand-control>}
@@ -33,12 +37,32 @@ stat_value() {  # stat_value <key> <stats-text>
   awk -v k="$1" '$1 == k { print $2; found = 1 } END { exit !found }' <<<"$2"
 }
 
+# --- 0. numeric flags are strict --------------------------------------
+# The address-space cap makes a regression that reaches an allocation
+# sized by a wrapped value fail fast instead of eating the host. ASan
+# and TSan reserve terabytes of shadow address space and cannot start
+# under a cap, so their builds run uncapped.
+VMEM_CAP=1500000
+if grep -qaE '__(a|t)san_init' "$SAIYAND"; then VMEM_CAP=unlimited; fi
+expect_flag_rejected() {  # expect_flag_rejected <flag> <saiyand args...>
+  local flag=$1 rc=0
+  shift
+  (ulimit -v "$VMEM_CAP"; exec "$SAIYAND" "$@") >/dev/null 2>"$WORK/flag.err" || rc=$?
+  if [[ $rc -ne 2 ]] || ! grep -q -- "$flag" "$WORK/flag.err"; then
+    echo "$*: expected exit 2 naming $flag, got exit $rc"; cat "$WORK/flag.err"; exit 1
+  fi
+}
+expect_flag_rejected --workers --workers -3 --oneshot --socket "$WORK/neg.sock"
+expect_flag_rejected --tags --record "$WORK/neg.sytrc" --tags -1
+
 # --- 1. record ---------------------------------------------------------
 "$SAIYAND" --record "$TRACE" --tags 3 --packets 4 --payload-symbols 16
 
 # --- 2. serve, throttled so SIGHUP lands mid-replay --------------------
-"$SAIYAND" --trace "$TRACE" --socket "$SOCK" --workers 2 \
-  --throttle-us 3000 >"$WORK/daemon.out" 2>"$WORK/daemon.err" &
+# The flags apply after the file, at start and on reload.
+printf 'workers 1\nthrottle_us 0\n' >"$WORK/saiyand.conf"
+"$SAIYAND" --config "$WORK/saiyand.conf" --trace "$TRACE" --socket "$SOCK" \
+  --workers 2 --throttle-us 3000 >"$WORK/daemon.out" 2>"$WORK/daemon.err" &
 DAEMON_PID=$!
 
 # --- 3. wait for the control socket ------------------------------------
@@ -77,7 +101,9 @@ done
 # --- 6. assertions ------------------------------------------------------
 [[ $DECODED -eq $EXPECTED ]] || { echo "decoded $DECODED != expected $EXPECTED"; exit 1; }
 RELOADS=$(stat_value config_reloads "$STATS")
-[[ $RELOADS -ge 1 ]] || { echo "SIGHUP reload not recorded"; exit 1; }
+[[ $RELOADS -ge 1 ]] || { echo "SIGHUP reload not recorded"; cat "$WORK/daemon.err"; exit 1; }
+WORKERS=$(stat_value workers "$STATS")
+[[ $WORKERS -eq 2 ]] || { echo "--workers 2 lost to the file: $WORKERS workers"; exit 1; }
 FAILED=$(stat_value jobs_failed "$STATS")
 [[ $FAILED -eq 0 ]] || { echo "$FAILED jobs failed"; exit 1; }
 DROPPED=$(stat_value ingest.spans_dropped "$STATS")

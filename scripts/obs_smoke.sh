@@ -121,7 +121,7 @@ assert types.get('saiyan_stage_latency_microseconds') == 'histogram'
 
 # Link telescope families: declared with the right types, the frames
 # family always has its tag="other" aggregate (never sample-less), and
-# per-link series respect the top-K cardinality bound (default 10,
+# per-link series respect the top-K cardinality bound (K = 10,
 # plus the "other" bucket).
 assert types.get('saiyan_links_tracked') == 'gauge'
 assert types.get('saiyan_link_evictions_total') == 'counter'

@@ -1,221 +1,177 @@
 #include "daemon/daemon_config.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
-#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 namespace saiyan::daemon {
 
 namespace {
 
-saiyan::Error at(const std::string& path, std::size_t lineno,
-                 const std::string& why) {
-  return saiyan::Error{path + ":" + std::to_string(lineno) + ": " + why};
+// What the rows write into. PHY rows set `phy`/`mode`, which rebuild
+// stream.saiyan through SaiyanConfig::make once every setting is in.
+struct Target {
+  DaemonOptions opt;
+  lora::PhyParams phy = opt.gateway.stream.saiyan.phy;
+  core::Mode mode = opt.gateway.stream.saiyan.mode;
+};
+
+// A row's field; its type is the value kind. Unsigned integers (the
+// three types size_t, uint32_t and uint64_t map to on any ABI, plus
+// the PHY's int fields) take a strict decimal within the field's
+// range, bool takes 0 or 1, double takes a number, a string or the
+// trace list takes the text, and Mode takes a mode name.
+using Field = std::variant<unsigned*, unsigned long*, unsigned long long*,
+                           int*, bool*, double*, std::string*,
+                           std::vector<std::string>*, core::Mode*>;
+
+struct Row {
+  std::string_view key;
+  Field field;
+  bool phy = false;
+};
+
+std::array<Row, 29> key_table(Target& t) {
+  gateway::GatewayConfig& g = t.opt.gateway;
+  return {{
+      {"socket", &t.opt.socket_path},
+      {"trace", &t.opt.traces},
+      {"workers", &g.workers},
+      {"chunk_samples", &g.chunk_samples},
+      {"throttle_us", &g.throttle_us},
+      {"resync", &g.resync},
+      {"subscriber_queue", &g.limits.subscriber_queue},
+      {"sic_max_rescan_queue", &g.stream.sic.max_rescan_queue},
+      {"watchdog_poll_ms", &g.watchdog.poll_ms},
+      {"watchdog_heartbeat_timeout_ms", &g.watchdog.heartbeat_timeout_ms},
+      {"watchdog_job_deadline_ms", &g.watchdog.job_deadline_ms},
+      {"degradation", &g.degradation.enabled},
+      {"degradation_backlog_high", &g.degradation.backlog_high},
+      {"degradation_backlog_low", &g.degradation.backlog_low},
+      {"degradation_p99_high_us", &g.degradation.p99_high_us},
+      {"degradation_p99_low_us", &g.degradation.p99_low_us},
+      {"degradation_escalate_after", &g.degradation.escalate_after},
+      {"degradation_deescalate_after", &g.degradation.deescalate_after},
+      {"sic_depth", &g.stream.sic.depth},
+      {"min_score", &g.stream.min_score},
+      {"payload_symbols", &g.stream.payload_symbols},
+      {"seed", &g.stream.seed},
+      {"seed_by_offset", &g.stream.seed_by_offset},
+      {"sf", &t.phy.spreading_factor, true},
+      {"bandwidth_hz", &t.phy.bandwidth_hz, true},
+      {"sample_rate_hz", &t.phy.sample_rate_hz, true},
+      {"bits_per_symbol", &t.phy.bits_per_symbol, true},
+      {"preamble_symbols", &t.phy.preamble_symbols, true},
+      {"mode", &t.mode, true},
+  }};
 }
 
-// strtoull/strtod leave `end` pointing into their argument, so the
-// NUL-terminated copy must outlive the `*end` check.
-bool parse_u64(std::string_view v, std::uint64_t& out) {
-  if (v.empty()) return false;
-  const std::string s(v);
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  out = x;
-  return true;
-}
-
-bool parse_f64(std::string_view v, double& out) {
-  if (v.empty()) return false;
-  const std::string s(v);
-  char* end = nullptr;
-  const double x = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  out = x;
-  return true;
+// Parse `value` into `field`; returns the complaint, or "" when it took.
+std::string assign(const Field& field, std::string_view value) {
+  return std::visit(
+      [value](auto* f) -> std::string {
+        using T = std::remove_pointer_t<decltype(f)>;
+        std::uint64_t u = 0;
+        if constexpr (std::is_same_v<T, bool>) {
+          if (!parse_unsigned(value, u) || u > 1) return "expected 0 or 1";
+          *f = u != 0;
+        } else if constexpr (std::is_integral_v<T>) {
+          constexpr auto kMax = std::numeric_limits<T>::max();
+          if (!parse_unsigned(value, u) || u > std::uint64_t{kMax}) {
+            return "expected an unsigned integer <= " + std::to_string(kMax);
+          }
+          *f = static_cast<T>(u);
+        } else if constexpr (std::is_same_v<T, double>) {
+          const char* end = value.data() + value.size();
+          const auto [ptr, ec] = std::from_chars(value.data(), end, *f);
+          if (ec != std::errc{} || ptr != end) return "not a number";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          *f = value;
+        } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+          f->emplace_back(value);
+        } else {
+          for (const core::Mode m : {core::Mode::kVanilla,
+                                     core::Mode::kFrequencyShifting,
+                                     core::Mode::kSuper}) {
+            if (value == core::mode_name(m)) {
+              *f = m;
+              return {};
+            }
+          }
+          return "expected vanilla, freq-shifting, or super";
+        }
+        return {};
+      },
+      field);
 }
 
 }  // namespace
 
-saiyan::Result<DaemonOptions> load_daemon_config(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return fail("cannot open config file: " + path);
-  DaemonOptions opt;
-  opt.config_path = path;
-  lora::PhyParams phy = opt.gateway.stream.saiyan.phy;
-  core::Mode mode = opt.gateway.stream.saiyan.mode;
-  bool phy_touched = false;
+bool parse_unsigned(std::string_view text, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
-  std::string raw;
-  std::size_t lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    std::string_view sv(raw);
-    if (const auto hash = sv.find('#'); hash != std::string_view::npos) {
-      sv = sv.substr(0, hash);
-    }
-    std::istringstream ls{std::string(sv)};
-    std::string key, value, extra;
-    if (!(ls >> key)) continue;  // blank / comment-only line
-    if (!(ls >> value)) return at(path, lineno, "key '" + key + "' has no value");
-    if (ls >> extra) return at(path, lineno, "trailing token '" + extra + "'");
-
-    std::uint64_t u = 0;
-    double f = 0.0;
-    auto want_u64 = [&]() -> bool { return parse_u64(value, u); };
-    auto want_f64 = [&]() -> bool { return parse_f64(value, f); };
-
-    if (key == "socket") {
-      opt.socket_path = value;
-    } else if (key == "trace") {
-      opt.traces.push_back(value);
-    } else if (key == "workers") {
-      if (!want_u64()) return at(path, lineno, "workers: not an integer");
-      opt.gateway.workers = static_cast<std::size_t>(u);
-    } else if (key == "chunk_samples") {
-      if (!want_u64()) return at(path, lineno, "chunk_samples: not an integer");
-      opt.gateway.chunk_samples = static_cast<std::size_t>(u);
-    } else if (key == "throttle_us") {
-      if (!want_u64()) return at(path, lineno, "throttle_us: not an integer");
-      opt.gateway.throttle_us = u;
-    } else if (key == "resync") {
-      if (!want_u64() || u > 1) return at(path, lineno, "resync: expected 0 or 1");
-      opt.gateway.resync = u != 0;
-    } else if (key == "subscriber_queue") {
-      if (!want_u64()) {
-        return at(path, lineno, "subscriber_queue: not an integer");
+saiyan::Result<DaemonOptions> load_daemon_config(
+    const std::string& path, const std::vector<Setting>& overrides) {
+  std::vector<Setting> settings;
+  if (!path.empty()) {
+    std::ifstream in(path);
+    if (!in) return fail("cannot open config file: " + path);
+    std::string raw;
+    std::size_t lineno = 0;
+    while (std::getline(in, raw)) {
+      ++lineno;
+      std::istringstream ls(raw.substr(0, raw.find('#')));
+      const std::string origin = path + ":" + std::to_string(lineno);
+      std::string key, value, extra;
+      if (!(ls >> key)) continue;  // blank / comment-only line
+      if (!(ls >> value)) {
+        return fail(origin + ": key '" + key + "' has no value");
       }
-      opt.gateway.limits.subscriber_queue = static_cast<std::size_t>(u);
-    } else if (key == "sic_max_rescan_queue") {
-      if (!want_u64()) {
-        return at(path, lineno, "sic_max_rescan_queue: not an integer");
+      if (ls >> extra) {
+        return fail(origin + ": trailing token '" + extra + "'");
       }
-      opt.gateway.stream.sic.max_rescan_queue = static_cast<std::size_t>(u);
-    } else if (key == "watchdog_poll_ms") {
-      if (!want_u64()) {
-        return at(path, lineno, "watchdog_poll_ms: not an integer");
-      }
-      opt.gateway.watchdog.poll_ms = u;
-    } else if (key == "watchdog_heartbeat_timeout_ms") {
-      if (!want_u64()) {
-        return at(path, lineno,
-                  "watchdog_heartbeat_timeout_ms: not an integer");
-      }
-      opt.gateway.watchdog.heartbeat_timeout_ms = u;
-    } else if (key == "watchdog_job_deadline_ms") {
-      if (!want_u64()) {
-        return at(path, lineno, "watchdog_job_deadline_ms: not an integer");
-      }
-      opt.gateway.watchdog.job_deadline_ms = u;
-    } else if (key == "degradation") {
-      if (!want_u64() || u > 1) {
-        return at(path, lineno, "degradation: expected 0 or 1");
-      }
-      opt.gateway.degradation.enabled = u != 0;
-    } else if (key == "degradation_backlog_high") {
-      if (!want_u64()) {
-        return at(path, lineno, "degradation_backlog_high: not an integer");
-      }
-      opt.gateway.degradation.backlog_high = static_cast<std::size_t>(u);
-    } else if (key == "degradation_backlog_low") {
-      if (!want_u64()) {
-        return at(path, lineno, "degradation_backlog_low: not an integer");
-      }
-      opt.gateway.degradation.backlog_low = static_cast<std::size_t>(u);
-    } else if (key == "degradation_p99_high_us") {
-      if (!want_u64()) {
-        return at(path, lineno, "degradation_p99_high_us: not an integer");
-      }
-      opt.gateway.degradation.p99_high_us = u;
-    } else if (key == "degradation_p99_low_us") {
-      if (!want_u64()) {
-        return at(path, lineno, "degradation_p99_low_us: not an integer");
-      }
-      opt.gateway.degradation.p99_low_us = u;
-    } else if (key == "degradation_escalate_after") {
-      if (!want_u64()) {
-        return at(path, lineno, "degradation_escalate_after: not an integer");
-      }
-      opt.gateway.degradation.escalate_after = static_cast<std::uint32_t>(u);
-    } else if (key == "degradation_deescalate_after") {
-      if (!want_u64()) {
-        return at(path, lineno,
-                  "degradation_deescalate_after: not an integer");
-      }
-      opt.gateway.degradation.deescalate_after =
-          static_cast<std::uint32_t>(u);
-    } else if (key == "sic_depth") {
-      if (!want_u64()) return at(path, lineno, "sic_depth: not an integer");
-      opt.gateway.stream.sic.depth = static_cast<std::size_t>(u);
-    } else if (key == "min_score") {
-      if (!want_f64()) return at(path, lineno, "min_score: not a number");
-      opt.gateway.stream.min_score = f;
-    } else if (key == "payload_symbols") {
-      if (!want_u64()) {
-        return at(path, lineno, "payload_symbols: not an integer");
-      }
-      opt.gateway.stream.payload_symbols = static_cast<std::size_t>(u);
-    } else if (key == "seed") {
-      if (!want_u64()) return at(path, lineno, "seed: not an integer");
-      opt.gateway.stream.seed = u;
-    } else if (key == "seed_by_offset") {
-      if (!want_u64() || u > 1) {
-        return at(path, lineno, "seed_by_offset: expected 0 or 1");
-      }
-      opt.gateway.stream.seed_by_offset = u != 0;
-    } else if (key == "sf") {
-      if (!want_u64()) return at(path, lineno, "sf: not an integer");
-      phy.spreading_factor = static_cast<int>(u);
-      phy_touched = true;
-    } else if (key == "bandwidth_hz") {
-      if (!want_f64()) return at(path, lineno, "bandwidth_hz: not a number");
-      phy.bandwidth_hz = f;
-      phy_touched = true;
-    } else if (key == "sample_rate_hz") {
-      if (!want_f64()) return at(path, lineno, "sample_rate_hz: not a number");
-      phy.sample_rate_hz = f;
-      phy_touched = true;
-    } else if (key == "bits_per_symbol") {
-      if (!want_u64()) {
-        return at(path, lineno, "bits_per_symbol: not an integer");
-      }
-      phy.bits_per_symbol = static_cast<int>(u);
-      phy_touched = true;
-    } else if (key == "preamble_symbols") {
-      if (!want_u64()) {
-        return at(path, lineno, "preamble_symbols: not an integer");
-      }
-      phy.preamble_symbols = static_cast<int>(u);
-      phy_touched = true;
-    } else if (key == "mode") {
-      if (value == "vanilla") {
-        mode = core::Mode::kVanilla;
-      } else if (value == "freq-shifting") {
-        mode = core::Mode::kFrequencyShifting;
-      } else if (value == "super") {
-        mode = core::Mode::kSuper;
-      } else {
-        return at(path, lineno,
-                  "mode: expected vanilla, freq-shifting, or super");
-      }
-      phy_touched = true;
-    } else {
-      return at(path, lineno, "unknown key '" + key + "'");
+      settings.push_back({origin, key, value});
     }
   }
+  settings.insert(settings.end(), overrides.begin(), overrides.end());
 
-  if (phy_touched) {
+  Target t;
+  const auto rows = key_table(t);
+  const std::string* phy_origin = nullptr;
+  for (const Setting& s : settings) {
+    const auto row = std::find_if(rows.begin(), rows.end(), [&](const Row& r) {
+      return r.key == s.key;
+    });
+    if (row == rows.end()) {
+      return fail(s.origin + ": unknown key '" + s.key + "'");
+    }
+    if (const std::string why = assign(row->field, s.value); !why.empty()) {
+      return fail(s.origin + ": " + s.key + ": " + why);
+    }
+    if (row->phy) phy_origin = &s.origin;
+  }
+
+  if (phy_origin != nullptr) {
     try {
-      opt.gateway.stream.saiyan = core::SaiyanConfig::make(phy, mode);
+      t.opt.gateway.stream.saiyan = core::SaiyanConfig::make(t.phy, t.mode);
     } catch (const std::exception& err) {
-      return fail(path + ": " + err.what());
+      return fail(*phy_origin + ": " + err.what());
     }
   }
-  if (auto v = opt.gateway.validate(); !v.ok()) {
-    return fail(path + ": " + v.message());
+  if (auto v = t.opt.gateway.validate(); !v.ok()) {
+    return fail((path.empty() ? std::string("flags") : path) + ": " +
+                v.message());
   }
-  return opt;
+  return std::move(t.opt);
 }
 
 }  // namespace saiyan::daemon

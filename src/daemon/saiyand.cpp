@@ -3,10 +3,10 @@
 // Serve mode (default): build a gateway::Gateway from a config file
 // and/or flags, enqueue any --trace files, and serve until SIGTERM.
 // A unix control socket answers saiyand-control (stats / reload /
-// drain). SIGHUP re-reads --config and swaps the serving config; jobs
-// already running finish under the config they started with, so a
-// reload never drops an in-flight span. SIGTERM/SIGINT drain queued
-// work, print final stats, and exit 0.
+// drain). SIGHUP re-reads --config, re-applies the serve flags over it
+// and swaps the serving config; jobs already running finish under the
+// config they started with, so a reload never drops an in-flight span.
+// SIGTERM/SIGINT drain queued work, print final stats, and exit 0.
 //
 // Record mode (--record OUT): synthesize a deterministic multi-tag
 // capture with the simulator and write it as a trace — the
@@ -28,6 +28,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +36,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "daemon/control_server.hpp"
@@ -76,7 +79,8 @@ void usage(FILE* out) {
       "recover: saiyand --recover DIR [--recover-out OUT.trace]\n"
       "\n"
       "  --config FILE      key/value config (see docs/GATEWAY.md);\n"
-      "                     re-read and applied on SIGHUP\n"
+      "                     re-read and applied on SIGHUP. The serve\n"
+      "                     flags are config keys and apply after it\n"
       "  --socket PATH      control socket (default /tmp/saiyand.sock)\n"
       "  --trace FILE       enqueue a trace replay job (repeatable)\n"
       "  --oneshot          drain queued jobs, print stats, exit\n"
@@ -186,17 +190,23 @@ int run_recover(const std::string& dir, const std::string& out_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  DaemonOptions opt;
   bool oneshot = false;
   bool print_frames = false;
   RecordOptions rec;
   std::string recover_dir;
   std::string recover_out;
   std::string trace_out;
-  std::vector<std::string> cli_traces;
-  // CLI overrides are applied after --config so flags win.
-  long cli_workers = -1, cli_chunk = -1, cli_throttle = -1;
-  std::string cli_socket;
+  std::string config_path;
+  // Serve flags are config keys, applied after --config at start and
+  // on every reload.
+  std::vector<saiyan::daemon::Setting> flag_settings;
+  constexpr std::pair<std::string_view, const char*> kServeFlags[] = {
+      {"--socket", "socket"},
+      {"--trace", "trace"},
+      {"--workers", "workers"},
+      {"--chunk-samples", "chunk_samples"},
+      {"--throttle-us", "throttle_us"},
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -207,26 +217,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--help" || arg == "-h") {
+    auto next_unsigned = [&]() -> std::uint64_t {
+      const char* v = next();
+      std::uint64_t u = 0;
+      if (!saiyan::daemon::parse_unsigned(v, u)) {
+        std::fprintf(stderr, "saiyand: %s: expected an unsigned integer, "
+                     "got '%s'\n", arg.c_str(), v);
+        std::exit(2);
+      }
+      return u;
+    };
+    const auto serve = std::find_if(
+        std::begin(kServeFlags), std::end(kServeFlags),
+        [&](const auto& f) { return f.first == arg; });
+    if (serve != std::end(kServeFlags)) {
+      flag_settings.push_back({arg, serve->second, next()});
+    } else if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
     } else if (arg == "--config") {
-      auto loaded = saiyan::daemon::load_daemon_config(next());
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "saiyand: %s\n", loaded.message().c_str());
-        return 2;
-      }
-      opt = loaded.value();
-    } else if (arg == "--socket") {
-      cli_socket = next();
-    } else if (arg == "--trace") {
-      cli_traces.emplace_back(next());
-    } else if (arg == "--workers") {
-      cli_workers = std::atol(next());
-    } else if (arg == "--chunk-samples") {
-      cli_chunk = std::atol(next());
-    } else if (arg == "--throttle-us") {
-      cli_throttle = std::atol(next());
+      config_path = next();
     } else if (arg == "--oneshot") {
       oneshot = true;
     } else if (arg == "--print-frames") {
@@ -236,17 +246,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--record") {
       rec.out_path = next();
     } else if (arg == "--tags") {
-      rec.tags = static_cast<std::size_t>(std::atol(next()));
+      rec.tags = next_unsigned();
     } else if (arg == "--packets") {
-      rec.packets = static_cast<std::size_t>(std::atol(next()));
+      rec.packets = next_unsigned();
     } else if (arg == "--payload-symbols") {
-      rec.payload_symbols = static_cast<std::size_t>(std::atol(next()));
+      rec.payload_symbols = next_unsigned();
     } else if (arg == "--seed") {
-      rec.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      rec.seed = next_unsigned();
     } else if (arg == "--float32") {
       rec.float32 = true;
     } else if (arg == "--segment-samples") {
-      rec.segment_samples = static_cast<std::uint64_t>(std::atoll(next()));
+      rec.segment_samples = next_unsigned();
     } else if (arg == "--fsync") {
       const std::string mode = next();
       if (mode == "none") {
@@ -260,7 +270,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--record-throttle-us") {
-      rec.throttle_us = static_cast<std::uint64_t>(std::atoll(next()));
+      rec.throttle_us = next_unsigned();
     } else if (arg == "--recover") {
       recover_dir = next();
     } else if (arg == "--recover-out") {
@@ -279,17 +289,15 @@ int main(int argc, char** argv) {
     return run_record(rec);
   }
 
-  if (!cli_socket.empty()) opt.socket_path = cli_socket;
-  for (std::string& t : cli_traces) opt.traces.push_back(std::move(t));
-  if (cli_workers >= 0) {
-    opt.gateway.workers = static_cast<std::size_t>(cli_workers);
+  auto load = [&]() {
+    return saiyan::daemon::load_daemon_config(config_path, flag_settings);
+  };
+  auto loaded = load();
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "saiyand: %s\n", loaded.message().c_str());
+    return 2;
   }
-  if (cli_chunk >= 0) {
-    opt.gateway.chunk_samples = static_cast<std::size_t>(cli_chunk);
-  }
-  if (cli_throttle >= 0) {
-    opt.gateway.throttle_us = static_cast<std::uint64_t>(cli_throttle);
-  }
+  DaemonOptions opt = std::move(loaded).value();
   // Watchdog cancels and ladder transitions are operational events;
   // surface them in the daemon log.
   opt.gateway.on_event = [](const std::string& msg) {
@@ -350,26 +358,19 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(job.value()), path.c_str());
   }
 
-  // Reload shared by SIGHUP and the control socket: re-read the config
-  // file when one was given, otherwise re-apply the current config
-  // (still bumps config_reloads so operators see the signal landed).
-  // The two callers run on different threads (signal loop vs control
-  // server) and both read-modify-write opt.gateway — serialize them,
-  // or a SIGHUP racing a `reload` op is a data race on the config.
+  // Reload shared by SIGHUP and the control socket: re-read --config
+  // (if given) and re-apply the flags, exactly as at start. Serving
+  // identity (socket, worker pool, startup traces) is fixed at start;
+  // only the gateway serving config is swapped. The two callers run on
+  // different threads (signal loop vs control server); serialize them
+  // so the later file read is the one that lands.
   std::mutex reload_mu;
   auto do_reload = [&]() -> saiyan::Result<saiyan::Unit> {
     std::lock_guard<std::mutex> lk(reload_mu);
-    if (!opt.config_path.empty()) {
-      auto loaded = saiyan::daemon::load_daemon_config(opt.config_path);
-      if (!loaded.ok()) return loaded.error();
-      // Serving identity (socket, worker pool) is fixed at start; only
-      // the gateway serving config is swappable.
-      loaded.value().gateway.on_event = opt.gateway.on_event;
-      auto r = gw->reload(loaded.value().gateway);
-      if (r.ok()) opt.gateway = loaded.value().gateway;
-      return r;
-    }
-    return gw->reload(opt.gateway);
+    auto reloaded = load();
+    if (!reloaded.ok()) return reloaded.error();
+    reloaded.value().gateway.on_event = opt.gateway.on_event;
+    return gw->reload(reloaded.value().gateway);
   };
 
   auto server = saiyan::daemon::ControlServer::start(

@@ -495,9 +495,6 @@ struct Gateway::Impl {
           d.has_seq = true;
         }
         link_telemetry_.record_frame(d);
-        // Optional timeline marker so a Perfetto view can align SNR
-        // dips with stage latency spikes.
-        if (gcfg.link.trace_frames) obs::trace_instant("frame_diag");
       }
       deliver(w, fr);
     }
@@ -968,7 +965,6 @@ GatewayStats Gateway::stats() const {
   }
   s.trace_events_dropped = obs::events_dropped_total();
   s.links = im.link_telemetry_.snapshot();
-  s.link_top_k = im.base_cfg.link.prom_top_k;
   return s;
 }
 

@@ -30,10 +30,6 @@ saiyan::Result<Unit> GatewayConfig::validate() const {
   if (stream.sic.depth > 16) {
     return bad_field("stream.sic.depth", "must be <= 16");
   }
-  if (!(stream.sic.redetect_min_score > 0.0) ||
-      stream.sic.redetect_min_score > 1.0) {
-    return bad_field("stream.sic.redetect_min_score", "must be in (0, 1]");
-  }
   if (workers == 0 || workers > 256) {
     return bad_field("workers", "must be in [1, 256]");
   }
@@ -64,10 +60,6 @@ saiyan::Result<Unit> GatewayConfig::validate() const {
   }
   if (link.capacity == 0 || link.capacity > (1u << 20)) {
     return bad_field("link.capacity", "must be in [1, 1048576]");
-  }
-  if (link.prom_top_k == 0 || link.prom_top_k > 64) {
-    return bad_field("link.prom_top_k",
-                     "must be in [1, 64] (scrape cardinality bound)");
   }
   return Unit{};
 }

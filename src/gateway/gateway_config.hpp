@@ -75,17 +75,10 @@ struct LinkTelemetryConfig {
   /// Max simultaneously tracked links (tag × channel); the
   /// least-recently-seen link is evicted beyond this.
   std::size_t capacity = 256;
-  /// Links exported as labeled Prometheus series, by frame count;
-  /// the rest aggregate into a tag="other" bucket so scrape
-  /// cardinality stays bounded.
-  std::size_t prom_top_k = 10;
   /// Payload symbol 1 is a per-link wrapping sequence counter: infer
   /// lost frames from gaps. Off unless the deployment's tags actually
   /// encode one (sim captures do with CaptureConfig::link_headers).
   bool sequence_symbol = false;
-  /// Emit a per-frame instant marker into the trace-event ring so
-  /// Perfetto timelines align SNR dips with stage latency spikes.
-  bool trace_frames = false;
 
   bool operator==(const LinkTelemetryConfig&) const = default;
 };
@@ -102,7 +95,8 @@ struct GatewayConfig {
   /// results are bit-identical at any worker count.
   std::size_t workers = 1;
 
-  /// Trace-read / socket-ingest granularity in samples.
+  /// Slice size in samples of each demodulator push. The demodulator
+  /// is chunk-size invariant, so this changes no frame.
   std::size_t chunk_samples = 16384;
 
   /// Read traces in skip-and-resync mode and feed recovered gaps to

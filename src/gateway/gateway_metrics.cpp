@@ -322,7 +322,7 @@ std::string to_prometheus(const GatewayStats& s) {
   }
   prom_rows<W>(w, kWorkerFields, s.per_worker, labels);
 
-  // Link telescope. Per-link series are capped at link.prom_top_k
+  // Link telescope. Per-link series are capped at the link_top_k
   // busiest links (scrape cardinality bound); everything past the cap
   // folds into tag="other" so frame totals still sum correctly.
   const std::vector<const obs::LinkSnapshot*> busiest =

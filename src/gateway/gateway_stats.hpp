@@ -128,8 +128,9 @@ struct GatewayStats {
   /// Link telescope summary (full per-link windows live behind the
   /// `links` control op / Gateway::links()).
   obs::LinkRegistrySnapshot links;
-  /// Labeled-series budget the Prometheus exporter applies to `links`
-  /// (GatewayConfig::link.prom_top_k).
+  /// Labeled-series budget the Prometheus exporter applies to `links`:
+  /// the busiest links get their own series, the rest aggregate into
+  /// a tag="other" bucket so scrape cardinality stays bounded.
   std::size_t link_top_k = 10;
 
   /// Serialize as `key value` lines — the control protocol's stats

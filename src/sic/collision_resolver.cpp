@@ -9,6 +9,12 @@ namespace saiyan::sic {
 
 namespace {
 
+// Confirmation threshold for a preamble re-detected on a cancelled
+// residual. The residual is mostly a clean (weaker) frame, so this can
+// sit at the batch detector's operating point rather than the
+// streaming scanner's.
+constexpr double kRedetectMinScore = 0.5;
+
 // Rescans run the same vanilla front end as the streaming scanner:
 // re-detection needs only timing, and the vanilla envelope is cheaper
 // and noise-free deterministic.
@@ -32,7 +38,7 @@ double CollisionResolver::cancel(std::span<dsp::Complex> region,
                                  std::size_t frame_off,
                                  std::span<const std::uint32_t> symbols) {
   remod_.frame_into(symbols, tx_);
-  const std::ptrdiff_t radius = static_cast<std::ptrdiff_t>(cfg_.align_radius);
+  const std::ptrdiff_t radius = static_cast<std::ptrdiff_t>(kAlignRadius);
   const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(frame_off);
   // Detection is only sample-accurate to ~±2; pick the alignment the
   // amplitude-only fit explains best, then fit amplitude + DC offset
@@ -70,7 +76,7 @@ std::optional<RescanHit> CollisionResolver::rescan(
   if (region.size() < preamble_samples()) return std::nullopt;
   chain_.reference_envelope_into(region, ws_);
   const std::optional<core::PreambleTiming> t = detector_.detect_envelope_ws(
-      ws_.env, scratch_, cfg_.redetect_min_score);
+      ws_.env, scratch_, kRedetectMinScore);
   if (!t.has_value()) return std::nullopt;
   RescanHit hit;
   hit.offset = t->payload_start - preamble_samples();

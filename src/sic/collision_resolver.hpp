@@ -47,20 +47,16 @@
 
 namespace saiyan::sic {
 
+/// ± sample search around the detected frame offset for the
+/// least-squares fit (detection is sample-accurate to ~±2).
+inline constexpr std::size_t kAlignRadius = 2;
+
 struct SicConfig {
   /// Maximum cancellation depth per collision chain: a frame decoded
   /// at depth d is cancelled and its span rescanned only while
   /// d < depth, so depth 1 resolves two-frame collisions, depth 2
   /// three-way pileups, and 0 disables SIC entirely.
   std::size_t depth = 0;
-  /// ± sample search around the detected frame offset for the
-  /// least-squares fit (detection is sample-accurate to ~±2).
-  std::size_t align_radius = 2;
-  /// Confirmation threshold for a preamble re-detected on a cancelled
-  /// residual. The residual is mostly a clean (weaker) frame, so this
-  /// can sit at the batch detector's operating point rather than the
-  /// streaming scanner's.
-  double redetect_min_score = 0.5;
   /// Hard cap on queued rescan regions: at the cap the oldest region
   /// is evicted (IngestStats::rescans_dropped) to admit the new one,
   /// bounding the queue's memory and the ring retention it implies.
@@ -83,7 +79,7 @@ class CollisionResolver {
 
   /// Reconstruct the frame carrying `symbols`, least-squares fit it
   /// against `region` (whose sample `frame_off` is the frame's
-  /// detected first sample; the region should carry align_radius
+  /// detected first sample; the region should carry kAlignRadius
   /// padding when available) and subtract it in place. Returns the
   /// fitted |amplitude|.
   double cancel(std::span<dsp::Complex> region, std::size_t frame_off,

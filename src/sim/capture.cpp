@@ -259,14 +259,9 @@ ReplayStats score_replay(const stream::StreamingDemodulator& demod,
 
 ReplayStats replay_trace(const std::string& path, const ReplayConfig& cfg) {
   stream::TraceReader reader(path, cfg.resync);
-  stream::StreamConfig sc;
+  stream::StreamConfig sc = cfg.stream;
   sc.saiyan = core::SaiyanConfig::make(reader.meta().phy, reader.meta().mode);
   sc.payload_symbols = reader.meta().payload_symbols;
-  sc.seed = cfg.seed;
-  sc.min_score = cfg.min_score;
-  sc.block_samples = cfg.block_samples;
-  sc.sic = cfg.sic;
-  sc.seed_by_offset = cfg.seed_by_offset;
   stream::StreamingDemodulator demod(sc);
 
   dsp::Signal chunk;
@@ -280,12 +275,7 @@ ReplayStats replay_trace(const std::string& path, const ReplayConfig& cfg) {
       if (st == stream::ChunkStatus::kResync) {
         demod.note_gap(reader.last_gap_samples());
       }
-      std::span<const dsp::Complex> rest(chunk);
-      while (!rest.empty()) {
-        const std::size_t take = std::min(cfg.chunk_samples, rest.size());
-        demod.push(rest.first(take));
-        rest = rest.subspan(take);
-      }
+      demod.push(chunk);
       continue;
     }
     // kEof, or (strict mode) a corrupted chunk wedging the replay. A

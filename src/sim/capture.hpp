@@ -121,19 +121,14 @@ ReplayStats score_replay(const stream::StreamingDemodulator& demod,
                          std::size_t tolerance_samples);
 
 struct ReplayConfig {
-  std::size_t chunk_samples = 16384;  ///< read/push granularity
-  std::uint64_t seed = 1;             ///< per-packet decode stream root
-  double min_score = 0.6;
-  std::size_t block_samples = 0;
-  sic::SicConfig sic;                 ///< collision resolution (depth 0 = off)
+  /// Demodulator settings. `saiyan` and `payload_symbols` come from the
+  /// trace header and are overwritten; set `seed_by_offset` to make a
+  /// faulted replay bit-comparable to a clean one frame by frame.
+  stream::StreamConfig stream;
   /// Impairment tolerance: read the trace in skip-and-resync mode and
   /// feed every recovered gap to StreamingDemodulator::note_gap so the
   /// replay survives corrupt chunks instead of stopping at the first.
   bool resync = false;
-  /// Offset-keyed decode seeds (see stream::StreamConfig): decode
-  /// results become independent of upstream losses, so a faulted
-  /// replay is bit-comparable to a clean one frame by frame.
-  bool seed_by_offset = false;
 };
 
 /// Read a trace file and replay it end to end. The receiver is

@@ -12,10 +12,9 @@ namespace {
 // symbol spacing whose scores climb toward the true peak, so the
 // refractory must be strictly longer than one symbol: each higher
 // sidelobe then arrives before the previous one can confirm, and the
-// candidate walks up to the true alignment. The default derives 1.25
-// symbols from the detector's own PHY, so it holds for any
-// preamble/sync configuration.
-std::size_t default_refractory(const core::PreambleDetector& detector) {
+// candidate walks up to the true alignment. 1.25 symbols of the
+// detector's own PHY holds for any preamble/sync configuration.
+std::size_t refractory_samples(const core::PreambleDetector& detector) {
   const std::size_t spsym =
       detector.chain().config().phy.samples_per_symbol();
   return spsym + spsym / 4;
@@ -24,12 +23,12 @@ std::size_t default_refractory(const core::PreambleDetector& detector) {
 }  // namespace
 
 PacketScanner::PacketScanner(const core::PreambleDetector& detector,
-                             double min_score, std::size_t refractory)
+                             double min_score)
     : det_(detector),
       min_score_(min_score),
       tmpl_len_(detector.envelope_template_zero_mean().size()),
       tmpl_energy_(detector.envelope_correlator().energy()),
-      refractory_(refractory == 0 ? default_refractory(detector) : refractory) {}
+      refractory_(refractory_samples(detector)) {}
 
 void PacketScanner::reset() {
   env_.clear();

@@ -58,13 +58,13 @@ struct PacketSpan {
 class PacketScanner {
  public:
   /// `detector` must outlive the scanner and not be shared with other
-  /// workers (its correlator workspace is mutable).
-  /// `refractory` is the confirmation lag in samples; it must be
-  /// strictly longer than one symbol so the symbol-spaced sidelobes of
-  /// the preamble's own autocorrelation cannot confirm before the true
-  /// peak (0 = 1.25 symbols derived from the detector's PHY).
+  /// workers (its correlator workspace is mutable). A candidate
+  /// confirms after a refractory lag of 1.25 symbols of the detector's
+  /// PHY: strictly longer than one symbol, so the symbol-spaced
+  /// sidelobes of the preamble's own autocorrelation cannot confirm
+  /// before the true peak.
   explicit PacketScanner(const core::PreambleDetector& detector,
-                         double min_score = 0.6, std::size_t refractory = 0);
+                         double min_score = 0.6);
 
   /// Feed the next envelope block (consecutive blocks tile the
   /// absolute stream). Confirmed spans are appended to `out`; returns

@@ -53,7 +53,9 @@ StreamingDemodulator::StreamingDemodulator(const StreamConfig& cfg)
   const std::size_t spsym = cfg_.saiyan.phy.samples_per_symbol();
   preamble_len_ = scanner_.template_size();
   frame_len_ = preamble_len_ + cfg_.payload_symbols * spsym;
-  block_ = cfg_.block_samples != 0 ? cfg_.block_samples : 8 * spsym;
+  // Scan blocks are eight symbols. Blocks tile the absolute stream, so
+  // this also bounds detection latency.
+  block_ = 8 * spsym;
   // Retention bound: a frame decodes at the first block boundary after
   // its last sample, so the ring must reach back frame + one block
   // from the write head; the extra preamble length is slack for
@@ -387,7 +389,7 @@ void StreamingDemodulator::cancel_frame(const PacketSpan& span) {
   // Copy the frame span (with alignment padding where available) out
   // of the residual ring, subtract the reconstructed waveform, write
   // the residual back.
-  const std::uint64_t radius = sic_->config().align_radius;
+  const std::uint64_t radius = sic::kAlignRadius;
   const std::uint64_t lo =
       std::max(span.packet_start >= radius ? span.packet_start - radius : 0,
                residual_.begin());

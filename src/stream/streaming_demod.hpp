@@ -82,9 +82,6 @@ struct StreamConfig {
   std::size_t payload_symbols = 32;  ///< frame length is known a priori
   std::uint64_t seed = 1;            ///< per-packet decode stream root
   double min_score = 0.6;            ///< scanner confirmation threshold
-  /// Scan block size in samples (0 = eight symbols). Blocks tile the
-  /// absolute stream, so this also bounds detection latency.
-  std::size_t block_samples = 0;
   /// Successive-interference-cancellation policy for overlapping
   /// frames (depth 0 = off; see sic/collision_resolver.hpp). Under
   /// overload the gateway's degradation ladder sheds this work through

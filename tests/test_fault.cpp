@@ -76,7 +76,7 @@ const sim::Capture& two_frame_capture() {
 sim::ReplayConfig recover_cfg() {
   sim::ReplayConfig rc;
   rc.resync = true;
-  rc.seed_by_offset = true;
+  rc.stream.seed_by_offset = true;
   return rc;
 }
 
@@ -656,8 +656,8 @@ TEST_F(FaultFile, SicRescanQueueCapEvictsOldest) {
   sim::write_capture(cap, cfg, path_);
 
   sim::ReplayConfig rc;
-  rc.sic.depth = 2;
-  rc.sic.max_rescan_queue = 1;
+  rc.stream.sic.depth = 2;
+  rc.stream.sic.max_rescan_queue = 1;
   const sim::ReplayStats s = sim::replay_trace(path_, rc);
   EXPECT_GE(s.matched, 3u);
   EXPECT_GE(s.ingest.rescans_dropped, 1u);

@@ -308,6 +308,130 @@ TEST(DaemonConfig, ParsesAndValidates) {
   std::remove(path);
 }
 
+std::string write_conf(const std::string& body) {
+  const std::string path =
+      "saiyan_gw_rows_" + std::to_string(::getpid()) + ".conf";
+  std::ofstream(path) << body;
+  return path;
+}
+
+// One line per key-table row, each with a non-default value.
+TEST(DaemonConfig, EveryKeyLandsInItsField) {
+  const std::string path = write_conf(
+      "socket /tmp/rows.sock\n"
+      "trace r.sytrc\n"
+      "workers 3\n"
+      "chunk_samples 2048\n"
+      "throttle_us 7\n"
+      "resync 0\n"
+      "subscriber_queue 17\n"
+      "sic_max_rescan_queue 5\n"
+      "watchdog_poll_ms 11\n"
+      "watchdog_heartbeat_timeout_ms 1234\n"
+      "watchdog_job_deadline_ms 4321\n"
+      "degradation 1\n"
+      "degradation_backlog_high 40\n"
+      "degradation_backlog_low 12\n"
+      "degradation_p99_high_us 900\n"
+      "degradation_p99_low_us 300\n"
+      "degradation_escalate_after 4\n"
+      "degradation_deescalate_after 6\n"
+      "sic_depth 2\n"
+      "min_score 0.7\n"
+      "payload_symbols 24\n"
+      "seed 99\n"
+      "seed_by_offset 1\n"
+      "sf 8\n"
+      "bandwidth_hz 250e3\n"
+      "sample_rate_hz 2e6\n"
+      "bits_per_symbol 3\n"
+      "preamble_symbols 8\n"
+      "mode vanilla\n");
+  auto loaded = daemon::load_daemon_config(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.message();
+  const daemon::DaemonOptions& o = loaded.value();
+  const gateway::GatewayConfig& g = o.gateway;
+  EXPECT_EQ(o.socket_path, "/tmp/rows.sock");
+  EXPECT_EQ(o.traces, std::vector<std::string>{"r.sytrc"});
+  EXPECT_EQ(g.workers, 3u);
+  EXPECT_EQ(g.chunk_samples, 2048u);
+  EXPECT_EQ(g.throttle_us, 7u);
+  EXPECT_FALSE(g.resync);
+  EXPECT_EQ(g.limits.subscriber_queue, 17u);
+  EXPECT_EQ(g.stream.sic.max_rescan_queue, 5u);
+  EXPECT_EQ(g.watchdog.poll_ms, 11u);
+  EXPECT_EQ(g.watchdog.heartbeat_timeout_ms, 1234u);
+  EXPECT_EQ(g.watchdog.job_deadline_ms, 4321u);
+  EXPECT_TRUE(g.degradation.enabled);
+  EXPECT_EQ(g.degradation.backlog_high, 40u);
+  EXPECT_EQ(g.degradation.backlog_low, 12u);
+  EXPECT_EQ(g.degradation.p99_high_us, 900u);
+  EXPECT_EQ(g.degradation.p99_low_us, 300u);
+  EXPECT_EQ(g.degradation.escalate_after, 4u);
+  EXPECT_EQ(g.degradation.deescalate_after, 6u);
+  EXPECT_EQ(g.stream.sic.depth, 2u);
+  EXPECT_EQ(g.stream.min_score, 0.7);
+  EXPECT_EQ(g.stream.payload_symbols, 24u);
+  EXPECT_EQ(g.stream.seed, 99u);
+  EXPECT_TRUE(g.stream.seed_by_offset);
+  // PHY keys rebuild stream.saiyan through SaiyanConfig::make.
+  lora::PhyParams want;
+  want.spreading_factor = 8;
+  want.bandwidth_hz = 250e3;
+  want.sample_rate_hz = 2e6;
+  want.bits_per_symbol = 3;
+  want.preamble_symbols = 8;
+  EXPECT_EQ(g.stream.saiyan.phy, want);
+  EXPECT_EQ(g.stream.saiyan.mode, core::Mode::kVanilla);
+  EXPECT_EQ(g.stream.saiyan.envelope.sample_rate_hz, 2e6);
+}
+
+TEST(DaemonConfig, RejectsNegativeJunkAndOutOfRangeValuesByLine) {
+  for (const char* line : {"workers -3", "workers 2x", "workers +2",
+                           "throttle_us 18446744073709551616",
+                           "degradation_escalate_after 4294967296",
+                           "sf 2147483648", "resync 2", "min_score 0.5.1",
+                           "mode turbo"}) {
+    const std::string path = write_conf(std::string("# bad\n") + line + "\n");
+    auto r = daemon::load_daemon_config(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_NE(r.message().find(path + ":2:"), std::string::npos)
+        << r.message();
+  }
+}
+
+// Serve flags are settings applied after the file: at start and on
+// every reload, which loads the same file and flags again.
+TEST(DaemonConfig, FlagsApplyAfterTheFile) {
+  const std::string path = write_conf("workers 1\nthrottle_us 5\n");
+  const std::vector<daemon::Setting> flags = {
+      {"--workers", "workers", "2"}, {"--throttle-us", "throttle_us", "300"}};
+  auto start = daemon::load_daemon_config(path, flags);
+  auto reload = daemon::load_daemon_config(path, flags);
+  ASSERT_TRUE(start.ok()) << start.message();
+  ASSERT_TRUE(reload.ok()) << reload.message();
+  EXPECT_EQ(start.value().gateway.workers, 2u);
+  EXPECT_EQ(start.value().gateway.throttle_us, 300u);
+  EXPECT_EQ(reload.value().gateway.workers, 2u);
+  EXPECT_EQ(reload.value().gateway.throttle_us, 300u);
+
+  auto bad = daemon::load_daemon_config(
+      path, {{"--workers", "workers", "-3"}});
+  std::remove(path.c_str());
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.message().find("--workers"), std::string::npos)
+      << bad.message();
+
+  // No file: the flags apply over the defaults.
+  auto bare = daemon::load_daemon_config("", flags);
+  ASSERT_TRUE(bare.ok()) << bare.message();
+  EXPECT_EQ(bare.value().gateway.workers, 2u);
+  EXPECT_EQ(bare.value().gateway.chunk_samples,
+            gateway::GatewayConfig{}.chunk_samples);
+}
+
 // ----------------------------------------------------------------- gateway
 
 TEST(GatewayCreate, RejectsBadConfigWithFieldPath) {
