@@ -51,6 +51,25 @@ void BM_Fft(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft)->Arg(1024)->Arg(16384)->Arg(49152)->Arg(65536);
 
+// Real-signal round trip on the half-length path: R2C (bins 0..n/2)
+// then the raw C2R, at the scanner's 24576 and the rescan's 65536.
+void BM_FftReal(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto plan = dsp::fft_plan(n);
+  dsp::Rng rng(1);
+  dsp::RealSignal x(n), y;
+  for (auto& v : x) v = rng.gaussian();
+  dsp::Signal spec, scratch;
+  for (auto _ : state) {
+    plan->forward_real_half(x, spec, scratch);
+    plan->inverse_real_raw(spec, y, scratch);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_FftReal)->Arg(24576)->Arg(65536);
+
 // ---------------------------------------------------- per-sample kernels
 // The runtime-dispatched SIMD passes (dsp/simd.hpp). range(0) selects
 // the ISA: 0 = dispatched (native), 1 = forced scalar, so the JSON
@@ -256,8 +275,13 @@ void BM_PreparedTemplateCorrelate(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 // 20735 is the packet scanner's window: one 8192-sample block plus
-// 12543 samples of history (the envelope template's length less one).
-BENCHMARK(BM_PreparedTemplateCorrelate)->Arg(16384)->Arg(20735)->Arg(65536);
+// 12543 samples of history (the envelope template's length less one);
+// 57600 is the SIC rescan's window (65536-point transform).
+BENCHMARK(BM_PreparedTemplateCorrelate)
+    ->Arg(16384)
+    ->Arg(20735)
+    ->Arg(57600)
+    ->Arg(65536);
 
 void BM_Crc16(benchmark::State& state) {
   // One trace chunk: 16384 float64 IQ samples, the bytes TraceReader

@@ -1,5 +1,6 @@
 #include "dsp/correlate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -36,39 +37,6 @@ double window_energy(std::span<const double> x, std::size_t start, std::size_t l
   return acc;
 }
 
-// Both-real one-shot correlation: pack signal and reversed template
-// into one complex sequence (z = x + i·t_rev) so a single forward
-// transform yields both spectra, untangled via conjugate symmetry.
-// Any n >= x.size() is exact (see the transform length in correlate.hpp).
-Signal xcorr_real_spectral(std::span<const double> x, std::span<const double> tmpl,
-                           std::size_t n) {
-  Signal z(n, Complex{});
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = Complex(x[i], 0.0);
-  for (std::size_t i = 0; i < tmpl.size(); ++i) {
-    z[i] = Complex(z[i].real(), tmpl[tmpl.size() - 1 - i]);
-  }
-  const auto plan = fft_plan(n);
-  plan->forward(z);
-  // Z[k] = X[k] + i·T[k] with x, t real:
-  //   X[k] = (Z[k] + conj(Z[n-k]))/2,  T[k] = -i·(Z[k] - conj(Z[n-k]))/2.
-  // The correlation spectrum is X·T; compute it bin-pair-symmetrically.
-  Signal p(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t kk = (k == 0) ? 0 : n - k;
-    const Complex zk = z[k];
-    const Complex zc = std::conj(z[kk]);
-    const double xr = 0.5 * (zk.real() + zc.real());
-    const double xi = 0.5 * (zk.imag() + zc.imag());
-    const double dr = 0.5 * (zk.real() - zc.real());
-    const double di = 0.5 * (zk.imag() - zc.imag());
-    const double tr = di;   // T[k] = -i·d = (di, -dr)
-    const double ti = -dr;
-    p[k] = Complex(xr * tr - xi * ti, xr * ti + xi * tr);
-  }
-  plan->inverse(p);
-  return p;
-}
-
 }  // namespace
 
 RealSignal cross_correlate(std::span<const Complex> x, std::span<const Complex> tmpl) {
@@ -81,28 +49,16 @@ RealSignal cross_correlate(std::span<const Complex> x, std::span<const Complex> 
 RealSignal cross_correlate(std::span<const double> x, std::span<const double> tmpl) {
   if (tmpl.empty()) throw std::invalid_argument("cross_correlate: empty template");
   if (x.size() < tmpl.size()) return {};
-  const std::size_t n_valid = x.size() - tmpl.size() + 1;
-  const std::size_t n = next_fast_len(x.size());
-  const Signal corr = xcorr_real_spectral(x, tmpl, n);
-  RealSignal out(n_valid);
-  for (std::size_t i = 0; i < n_valid; ++i) {
-    out[i] = std::abs(corr[i + tmpl.size() - 1]);
-  }
-  return out;
+  PreparedTemplate prepared(tmpl);
+  return prepared.correlate(x);
 }
 
 RealSignal cross_correlate_signed(std::span<const double> x,
                                   std::span<const double> tmpl) {
   if (tmpl.empty()) throw std::invalid_argument("cross_correlate: empty template");
   if (x.size() < tmpl.size()) return {};
-  const std::size_t n_valid = x.size() - tmpl.size() + 1;
-  const std::size_t n = next_fast_len(x.size());
-  const Signal corr = xcorr_real_spectral(x, tmpl, n);
-  RealSignal out(n_valid);
-  for (std::size_t i = 0; i < n_valid; ++i) {
-    out[i] = corr[i + tmpl.size() - 1].real();
-  }
-  return out;
+  PreparedTemplate prepared(tmpl);
+  return prepared.correlate_signed(x);
 }
 
 CorrelationPeak find_peak(std::span<const Complex> x, std::span<const Complex> tmpl) {
@@ -137,38 +93,50 @@ PreparedTemplate::PreparedTemplate(std::span<const Complex> tmpl)
 
 const Signal& PreparedTemplate::spectrum_for(std::size_t n) const {
   if (cached_n_ == n) return spec_;
+  const auto plan = fft_plan(n);
   if (real_) {
-    fft_plan(n)->forward_real(rev_real_, spec_);
+    // Bins 0..n/2 with the C2R inverse's 1/n folded in, so the
+    // correlation runs the raw inverse.
+    plan->forward_real_half(rev_real_, spec_, fft_scratch_);
+    const double scale = 1.0 / static_cast<double>(n);
+    for (Complex& v : spec_) v *= scale;
   } else {
     spec_.assign(n, Complex{});
     for (std::size_t i = 0; i < t_len_; ++i) spec_[i] = rev_conj_[i];
-    fft_plan(n)->forward(spec_);
+    plan->forward(spec_, fft_scratch_);
   }
   cached_n_ = n;
   return spec_;
 }
 
 bool PreparedTemplate::correlate_core(std::span<const double> x) const {
+  if (!real_) {
+    throw std::invalid_argument("PreparedTemplate: real input needs a real template");
+  }
   if (x.size() < t_len_) return false;
   const std::size_t n = next_fast_len(x.size());
   const Signal& spec = spectrum_for(n);
   const auto plan = fft_plan(n);
-  plan->forward_real(x, work_, fft_scratch_);
+  plan->forward_real_half(x, work_, fft_scratch_);
   spectral_product(work_, spec);
-  plan->inverse(work_);
+  plan->inverse_real_raw(work_, real_work_, fft_scratch_);
   return true;
 }
 
 bool PreparedTemplate::correlate_core(std::span<const Complex> x) const {
+  if (real_) {
+    throw std::invalid_argument(
+        "PreparedTemplate: complex input needs a complex template");
+  }
   if (x.size() < t_len_) return false;
   const std::size_t n = next_fast_len(x.size());
   const Signal& spec = spectrum_for(n);
   work_.assign(n, Complex{});
   for (std::size_t i = 0; i < x.size(); ++i) work_[i] = x[i];
   const auto plan = fft_plan(n);
-  plan->forward(work_);
+  plan->forward(work_, fft_scratch_);
   spectral_product(work_, spec);
-  plan->inverse(work_);
+  plan->inverse(work_, fft_scratch_);
   return true;
 }
 
@@ -176,7 +144,9 @@ RealSignal PreparedTemplate::correlate(std::span<const double> x) const {
   if (!correlate_core(x)) return {};
   const std::size_t n_valid = x.size() - t_len_ + 1;
   RealSignal out(n_valid);
-  for (std::size_t i = 0; i < n_valid; ++i) out[i] = std::abs(work_[i + t_len_ - 1]);
+  for (std::size_t i = 0; i < n_valid; ++i) {
+    out[i] = std::abs(real_work_[i + t_len_ - 1]);
+  }
   return out;
 }
 
@@ -202,13 +172,14 @@ void PreparedTemplate::correlate_signed_into(std::span<const double> x,
   }
   const std::size_t n_valid = x.size() - t_len_ + 1;
   out.resize(n_valid);
-  for (std::size_t i = 0; i < n_valid; ++i) out[i] = work_[i + t_len_ - 1].real();
+  std::copy_n(real_work_.begin() + static_cast<std::ptrdiff_t>(t_len_ - 1), n_valid,
+              out.begin());
 }
 
 namespace {
 
-template <typename Span>
-CorrelationPeak peak_from_workspace(const Signal& work, Span x, std::size_t t_len,
+template <typename Work, typename Span>
+CorrelationPeak peak_from_workspace(const Work& work, Span x, std::size_t t_len,
                                     double t_energy) {
   CorrelationPeak pk;
   const std::size_t n_valid = x.size() - t_len + 1;
@@ -229,7 +200,7 @@ CorrelationPeak peak_from_workspace(const Signal& work, Span x, std::size_t t_le
 
 CorrelationPeak PreparedTemplate::find_peak(std::span<const double> x) const {
   if (!correlate_core(x)) return {};
-  return peak_from_workspace(work_, x, t_len_, energy_);
+  return peak_from_workspace(real_work_, x, t_len_, energy_);
 }
 
 CorrelationPeak PreparedTemplate::find_peak(std::span<const Complex> x) const {

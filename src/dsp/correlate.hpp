@@ -2,12 +2,18 @@
 // decoder (§3.2) and PLoRa's packet detector.
 //
 // Two interfaces:
-//   * free functions — one-shot correlation; the real-input overloads
-//     pack both sequences into a single complex transform;
+//   * free functions — one-shot correlation through a throwaway
+//     PreparedTemplate;
 //   * PreparedTemplate — transforms the template once and reuses its
 //     spectrum plus the FFT workspace across calls. This is the hot
 //     path for the Monte-Carlo sweeps, where the same reference
 //     template is correlated against thousands of received windows.
+//
+// Real templates and windows run the half-length real transforms of
+// FftPlan (forward_real_half / inverse_real_raw): the spectra hold
+// bins 0..n/2 only, so the product covers n/2+1 bins and both
+// transforms are n/2-point complex ones. Complex ones run full-length
+// complex transforms.
 //
 // Transform length: every call returns valid lags only, so it runs one
 // circular transform of next_fast_len(x.size()) points, not the linear
@@ -55,6 +61,9 @@ CorrelationPeak find_peak(std::span<const double> x, std::span<const double> tmp
 /// costs one forward and one inverse transform and zero allocations in
 /// the steady state.
 ///
+/// A real template correlates real input and a complex template complex
+/// input; the other pairing throws std::invalid_argument.
+///
 /// Not thread-safe (the spectrum/workspace caches are mutable); give
 /// each worker thread its own instance.
 class PreparedTemplate {
@@ -82,14 +91,15 @@ class PreparedTemplate {
 
  private:
   /// Spectrum of the conj-reversed template at transform length n
-  /// (cached for the most recent n). Each packet scanner owns its
-  /// detector and correlates one window length once running, so one
-  /// slot hits on every steady-state block.
+  /// (cached for the most recent n): bins 0..n/2 scaled by 1/n for a
+  /// real template, all n bins for a complex one. Each packet scanner
+  /// owns its detector and correlates one window length once running,
+  /// so one slot hits on every steady-state block.
   const Signal& spectrum_for(std::size_t n) const;
 
   /// Product of the transformed input and the template spectrum,
-  /// inverse-transformed into work_. Returns false when x is shorter
-  /// than the template.
+  /// inverse-transformed into real_work_ (real) or work_ (complex).
+  /// Returns false when x is shorter than the template.
   bool correlate_core(std::span<const double> x) const;
   bool correlate_core(std::span<const Complex> x) const;
 
@@ -101,8 +111,9 @@ class PreparedTemplate {
 
   mutable std::size_t cached_n_ = 0;
   mutable Signal spec_;  ///< template spectrum at cached_n_
-  mutable Signal work_;  ///< transform workspace
-  mutable Signal fft_scratch_;  ///< real-input packing buffer
+  mutable Signal work_;  ///< input spectrum; complex correlation output
+  mutable RealSignal real_work_;  ///< real correlation output
+  mutable Signal fft_scratch_;    ///< radix-3 scratch of the transforms
 };
 
 }  // namespace saiyan::dsp

@@ -4,6 +4,7 @@
 #include <immintrin.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -51,15 +52,14 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
       j ^= bit;
       bitrev_[i] = static_cast<std::uint32_t>(j);
     }
-    const std::size_t half = n / 2;
-    twiddle_fwd_.resize(half);
-    for (std::size_t k = 0; k < half; ++k) {
+    // exp(-2πik/n), k < n/2, laid out per pass in traversal order so
+    // the transform reads the tables strictly sequentially instead of
+    // striding through this one.
+    std::vector<Complex> twiddle(n / 2);
+    for (std::size_t k = 0; k < twiddle.size(); ++k) {
       const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-      twiddle_fwd_[k] = Complex(std::cos(ang), std::sin(ang));
+      twiddle[k] = Complex(std::cos(ang), std::sin(ang));
     }
-    // Per-pass twiddles laid out in traversal order so the transform
-    // reads the tables strictly sequentially instead of striding
-    // through twiddle_fwd_.
     std::size_t log2n = 0;
     while ((std::size_t{1} << log2n) < n) ++log2n;
     std::size_t m = (log2n & 1) ? 2 : 1;
@@ -68,13 +68,12 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
       const std::size_t s = n / len;
       if (m > 1) {  // the m == 1 pass is twiddle-free (all w = 1)
         for (std::size_t k = 0; k < m; ++k) {
-          stage_twa_.push_back(twiddle_fwd_[2 * s * k]);
-          stage_twb_.push_back(twiddle_fwd_[s * k]);
+          stage_twa_.push_back(twiddle[2 * s * k]);
+          stage_twb_.push_back(twiddle[s * k]);
         }
       }
       m = len;
     }
-    if (n >= 4) half_ = fft_plan(n / 2);
     return;
   }
 
@@ -159,6 +158,69 @@ void radix3_combine_scalar_range(Complex* outc, const Complex* s,
     out[2 * (k + 2 * m)] = t2r - dvr;
     out[2 * (k + 2 * m) + 1] = t2i - dvi;
   }
+}
+
+// Real-path bin pairs (see detail::real_untangle_*), on interleaved
+// doubles. Each pair reads bins k and h-k and writes both; q is
+// written before p so the self-paired middle bin (k = h/2) keeps p's
+// value. These scalar iterations are the reference the AVX2 passes
+// must match bit for bit, and the tails they fall back to.
+//
+// Untangle: with E = (Z[k] + conj Z[h-k])/2 and O = -i·(Z[k] - conj
+// Z[h-k])/2 the even/odd-sample spectra, A = E and B = w^k·O give
+// X[k] = A + B and X[h-k] = conj(A - B).
+inline void untangle_pair(double* z, const Complex* tw, std::size_t h,
+                          std::size_t k) {
+  double* p = z + 2 * k;
+  double* q = z + 2 * (h - k);
+  const double cr = q[0], ci = -q[1];  // conj(Z[h-k])
+  const double ar = 0.5 * (p[0] + cr), ai = 0.5 * (p[1] + ci);
+  const double dr = 0.5 * (p[0] - cr), di = 0.5 * (p[1] - ci);
+  const double o_r = di, o_i = -dr;  // O = -i·d
+  const double wr = tw[k].real(), wi = tw[k].imag();
+  const double br = o_r * wr - o_i * wi;
+  const double bi = o_i * wr + o_r * wi;
+  q[0] = ar - br;
+  q[1] = -(ai - bi);
+  p[0] = ar + br;
+  p[1] = ai + bi;
+}
+
+// Pre-tangle, the untangle run backwards without its halvings:
+// E' = X[k] + conj X[h-k] = 2E, O' = conj(w^k)·(X[k] - conj X[h-k]) =
+// 2O, and 2·Z[k] = E' + i·O', 2·Z[h-k] = conj(E' - i·O').
+inline void pretangle_pair(double* z, const Complex* tw, std::size_t h,
+                           std::size_t k) {
+  double* p = z + 2 * k;
+  double* q = z + 2 * (h - k);
+  const double cr = q[0], ci = -q[1];  // conj(X[h-k])
+  const double er = p[0] + cr, ei = p[1] + ci;
+  const double dr = p[0] - cr, di = p[1] - ci;
+  const double wr = tw[k].real(), wi = -tw[k].imag();  // conj(w^k)
+  const double o_r = dr * wr - di * wi;
+  const double o_i = di * wr + dr * wi;
+  const double qr = -o_i, qi = o_r;  // i·O'
+  q[0] = er - qr;
+  q[1] = -(ei - qi);
+  p[0] = er + qr;
+  p[1] = ei + qi;
+}
+
+// Bins 0 and h, both real: X[0] = E[0] + O[0], X[h] = E[0] - O[0]
+// with E[0] = Re Z[0], O[0] = Im Z[0]; the pre-tangle inverts it
+// (ignoring the imaginary parts of X[0] and X[h]).
+inline void untangle_edges(double* z, std::size_t h) {
+  const double r = z[0], i = z[1];
+  z[0] = r + i;
+  z[1] = 0.0;
+  z[2 * h] = r - i;
+  z[2 * h + 1] = 0.0;
+}
+
+inline void pretangle_edges(double* z, std::size_t h) {
+  const double x0 = z[0], xh = z[2 * h];
+  z[0] = x0 + xh;
+  z[1] = x0 - xh;
 }
 
 // One fused pass (two radix-2 stages) in portable scalar code.
@@ -353,6 +415,59 @@ __attribute__((target("avx2"))) void radix3_combine_avx2_impl(
                                 inverse);
   }
 }
+
+// Real-path passes, two bin pairs (k, h-k), (k+1, h-k-1) per
+// iteration: the upper bins are loaded as one vector and lane-swapped
+// so both lanes line up with their partners. Same association as
+// untangle_pair / pretangle_pair, no FMA.
+__attribute__((target("avx2"))) void real_untangle_avx2_impl(
+    double* z, const Complex* tw, std::size_t h) {
+  const __m256d conj_mask = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  std::size_t k = 1;
+  for (; 2 * (k + 1) < h; k += 2) {
+    double* p = z + 2 * k;            // Z[k], Z[k+1]
+    double* q = z + 2 * (h - k - 1);  // Z[h-k-1], Z[h-k]
+    const __m256d lo = _mm256_loadu_pd(p);
+    const __m256d hq = _mm256_loadu_pd(q);
+    const __m256d c = _mm256_xor_pd(_mm256_permute2f128_pd(hq, hq, 0x01), conj_mask);
+    const __m256d a = _mm256_mul_pd(half, _mm256_add_pd(lo, c));
+    const __m256d d = _mm256_mul_pd(half, _mm256_sub_pd(lo, c));
+    const __m256d o = _mm256_xor_pd(_mm256_permute_pd(d, 0x5), conj_mask);
+    const __m256d b = cmul_exact_avx2(
+        o, _mm256_loadu_pd(reinterpret_cast<const double*>(tw + k)));
+    const __m256d xh = _mm256_xor_pd(_mm256_sub_pd(a, b), conj_mask);
+    _mm256_storeu_pd(q, _mm256_permute2f128_pd(xh, xh, 0x01));
+    _mm256_storeu_pd(p, _mm256_add_pd(a, b));
+  }
+  for (; 2 * k <= h; ++k) untangle_pair(z, tw, h, k);
+  untangle_edges(z, h);
+}
+
+__attribute__((target("avx2"))) void real_pretangle_avx2_impl(
+    double* z, const Complex* tw, std::size_t h) {
+  const __m256d conj_mask = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+  const __m256d re_neg = _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0);
+  std::size_t k = 1;
+  for (; 2 * (k + 1) < h; k += 2) {
+    double* p = z + 2 * k;
+    double* q = z + 2 * (h - k - 1);
+    const __m256d lo = _mm256_loadu_pd(p);
+    const __m256d hq = _mm256_loadu_pd(q);
+    const __m256d c = _mm256_xor_pd(_mm256_permute2f128_pd(hq, hq, 0x01), conj_mask);
+    const __m256d e = _mm256_add_pd(lo, c);
+    const __m256d d = _mm256_sub_pd(lo, c);
+    const __m256d w = _mm256_xor_pd(
+        _mm256_loadu_pd(reinterpret_cast<const double*>(tw + k)), conj_mask);
+    const __m256d o = cmul_exact_avx2(d, w);
+    const __m256d iq = _mm256_xor_pd(_mm256_permute_pd(o, 0x5), re_neg);
+    const __m256d zh = _mm256_xor_pd(_mm256_sub_pd(e, iq), conj_mask);
+    _mm256_storeu_pd(q, _mm256_permute2f128_pd(zh, zh, 0x01));
+    _mm256_storeu_pd(p, _mm256_add_pd(e, iq));
+  }
+  for (; 2 * k <= h; ++k) pretangle_pair(z, tw, h, k);
+  pretangle_edges(z, h);
+}
 #endif  // SAIYAN_FFT_AVX2
 
 }  // namespace
@@ -399,6 +514,44 @@ bool radix3_combine_avx2(Complex* out, const Complex* s, const Complex* tw,
   (void)tw;
   (void)m;
   (void)inverse;
+  return false;
+#endif
+}
+
+void real_untangle_scalar(Complex* z, const Complex* tw, std::size_t h) {
+  double* d = reinterpret_cast<double*>(z);
+  for (std::size_t k = 1; 2 * k <= h; ++k) untangle_pair(d, tw, h, k);
+  untangle_edges(d, h);
+}
+
+bool real_untangle_avx2(Complex* z, const Complex* tw, std::size_t h) {
+#ifdef SAIYAN_FFT_AVX2
+  if (!have_avx2_fma()) return false;
+  real_untangle_avx2_impl(reinterpret_cast<double*>(z), tw, h);
+  return true;
+#else
+  (void)z;
+  (void)tw;
+  (void)h;
+  return false;
+#endif
+}
+
+void real_pretangle_scalar(Complex* z, const Complex* tw, std::size_t h) {
+  double* d = reinterpret_cast<double*>(z);
+  for (std::size_t k = 1; 2 * k <= h; ++k) pretangle_pair(d, tw, h, k);
+  pretangle_edges(d, h);
+}
+
+bool real_pretangle_avx2(Complex* z, const Complex* tw, std::size_t h) {
+#ifdef SAIYAN_FFT_AVX2
+  if (!have_avx2_fma()) return false;
+  real_pretangle_avx2_impl(reinterpret_cast<double*>(z), tw, h);
+  return true;
+#else
+  (void)z;
+  (void)tw;
+  (void)h;
   return false;
 #endif
 }
@@ -493,23 +646,23 @@ void FftPlan::transform_pow2(Complex* xc, bool inverse) const {
 // dispatch to AVX2 variants that are bit-identical to the scalar
 // references (detail::radix3_*), so the radix-3 spectrum — unlike the
 // FMA radix-2 butterflies — is ISA-invariant.
-void FftPlan::transform_radix3(Signal& x, Signal& scratch, bool inverse) const {
+void FftPlan::transform_radix3(Complex* x, Signal& scratch, bool inverse) const {
   const std::size_t m = n_ / 3;
   scratch.resize(n_);
   Complex* s = scratch.data();
-  if (!detail::radix3_deinterleave_avx2(x.data(), s, m)) {
-    detail::radix3_deinterleave_scalar(x.data(), s, m);
+  if (!detail::radix3_deinterleave_avx2(x, s, m)) {
+    detail::radix3_deinterleave_scalar(x, s, m);
   }
   third_->transform_pow2(s, inverse);
   third_->transform_pow2(s + m, inverse);
   third_->transform_pow2(s + 2 * m, inverse);
 
-  if (!detail::radix3_combine_avx2(x.data(), s, tw3_.data(), m, inverse)) {
-    detail::radix3_combine_scalar(x.data(), s, tw3_.data(), m, inverse);
+  if (!detail::radix3_combine_avx2(x, s, tw3_.data(), m, inverse)) {
+    detail::radix3_combine_scalar(x, s, tw3_.data(), m, inverse);
   }
 }
 
-void FftPlan::bluestein(Signal& x, bool inverse) const {
+void FftPlan::bluestein(Complex* x, bool inverse) const {
   const std::size_t n = n_;
   const Signal& chirp = inverse ? chirp_inv_ : chirp_fwd_;
   const Signal& bspec = inverse ? bspec_inv_ : bspec_fwd_;
@@ -539,26 +692,24 @@ void FftPlan::bluestein(Signal& x, bool inverse) const {
   }
 }
 
+void FftPlan::transform(Complex* x, Signal& scratch, bool inverse) const {
+  if (pow2_) {
+    transform_pow2(x, inverse);
+  } else if (radix3_) {
+    transform_radix3(x, scratch, inverse);
+  } else {
+    bluestein(x, inverse);
+  }
+}
+
 void FftPlan::forward(Signal& x, Signal& scratch) const {
   if (x.size() != n_) throw std::invalid_argument("FftPlan::forward: size mismatch");
-  if (pow2_) {
-    transform_pow2(x.data(), false);
-  } else if (radix3_) {
-    transform_radix3(x, scratch, false);
-  } else {
-    bluestein(x, false);
-  }
+  transform(x.data(), scratch, false);
 }
 
 void FftPlan::inverse_raw(Signal& x, Signal& scratch) const {
   if (x.size() != n_) throw std::invalid_argument("FftPlan::inverse: size mismatch");
-  if (pow2_) {
-    transform_pow2(x.data(), true);
-  } else if (radix3_) {
-    transform_radix3(x, scratch, true);
-  } else {
-    bluestein(x, true);
-  }
+  transform(x.data(), scratch, true);
 }
 
 void FftPlan::inverse(Signal& x, Signal& scratch) const {
@@ -583,50 +734,85 @@ void FftPlan::forward(Signal& x) const { forward(x, thread_scratch()); }
 
 void FftPlan::inverse(Signal& x) const { inverse(x, thread_scratch()); }
 
+const FftPlan::RealPath& FftPlan::real_path() const {
+  std::call_once(real_once_, [this] {
+    real_.half = fft_plan(n_ / 2);
+    real_.tw.resize(n_ / 4 + 1);
+    for (std::size_t k = 0; k < real_.tw.size(); ++k) {
+      const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n_);
+      real_.tw[k] = Complex(std::cos(ang), std::sin(ang));
+    }
+  });
+  return real_;
+}
+
 void FftPlan::forward_real(std::span<const double> x, Signal& out) const {
   forward_real(x, out, thread_scratch());
 }
 
 void FftPlan::forward_real(std::span<const double> x, Signal& out,
                            Signal& scratch) const {
+  forward_real_half(x, out, scratch);
+  out.resize(n_);
+  for (std::size_t k = n_ / 2 + 1; k < n_; ++k) out[k] = std::conj(out[n_ - k]);
+}
+
+void FftPlan::forward_real_half(std::span<const double> x, Signal& out,
+                                Signal& scratch) const {
   if (x.size() > n_) {
     throw std::invalid_argument("FftPlan::forward_real: input longer than plan");
   }
-  if (!pow2_ || n_ < 4) {
+  const std::size_t h = n_ / 2;
+  if (n_ % 2 != 0) {
+    // Odd length: no half-length path; a full complex transform.
     out.assign(n_, Complex{});
     for (std::size_t i = 0; i < x.size(); ++i) out[i] = Complex(x[i], 0.0);
     forward(out, scratch);
+    out.resize(h + 1);
     return;
   }
-  // Pack even/odd real samples into one half-length complex signal:
-  // z[j] = x[2j] + i·x[2j+1]. One n/2-point transform then untangles
-  // into the even/odd spectra E, O and recombines X = E + w^k·O.
+  // z[j] = x[2j] + i·x[2j+1] is x's own memory layout read as complex
+  // values, so packing is a copy plus the zero padding.
+  out.resize(h + 1);
+  double* z = reinterpret_cast<double*>(out.data());
+  std::copy(x.begin(), x.end(), z);
+  std::fill(z + x.size(), z + n_, 0.0);
+  const RealPath& rp = real_path();
+  rp.half->transform(out.data(), scratch, false);
+  if (!detail::real_untangle_avx2(out.data(), rp.tw.data(), h)) {
+    detail::real_untangle_scalar(out.data(), rp.tw.data(), h);
+  }
+}
+
+void FftPlan::inverse_real_raw(Signal& spec, RealSignal& out, Signal& scratch) const {
   const std::size_t h = n_ / 2;
-  Signal& z = scratch;
-  z.assign(h, Complex{});
-  for (std::size_t j = 0; 2 * j < x.size(); ++j) {
-    const double re = x[2 * j];
-    const double im = (2 * j + 1 < x.size()) ? x[2 * j + 1] : 0.0;
-    z[j] = Complex(re, im);
+  if (spec.size() < h + 1) {
+    throw std::invalid_argument("FftPlan::inverse_real: needs bins 0..N/2");
   }
-  half_->forward(z);
-  out.resize(n_);
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t kk = (h - k) & (h - 1);
-    const Complex zk = z[k];
-    const Complex zc = std::conj(z[kk]);
-    const double er = 0.5 * (zk.real() + zc.real());
-    const double ei = 0.5 * (zk.imag() + zc.imag());
-    const double dr = 0.5 * (zk.real() - zc.real());
-    const double di = 0.5 * (zk.imag() - zc.imag());
-    // O = -i·(zk - zc)/2 = (di, -dr)
-    const double wr = twiddle_fwd_[k].real();
-    const double wi = twiddle_fwd_[k].imag();
-    const double tr = di * wr + dr * wi;   // (O·w).re
-    const double ti = -dr * wr + di * wi;  // (O·w).im
-    out[k] = Complex(er + tr, ei + ti);
-    out[k + h] = Complex(er - tr, ei - ti);
+  if (n_ % 2 != 0) {
+    // Odd length: no half-length path; mirror the full spectrum.
+    spec.resize(n_);
+    for (std::size_t k = h + 1; k < n_; ++k) spec[k] = std::conj(spec[n_ - k]);
+    spec[0] = Complex(spec[0].real(), 0.0);
+    inverse_raw(spec, scratch);
+    out.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) out[i] = spec[i].real();
+    return;
   }
+  const RealPath& rp = real_path();
+  if (!detail::real_pretangle_avx2(spec.data(), rp.tw.data(), h)) {
+    detail::real_pretangle_scalar(spec.data(), rp.tw.data(), h);
+  }
+  rp.half->transform(spec.data(), scratch, true);
+  // z[j] = n·(x[2j] + i·x[2j+1]): unpacking is the same copy backwards.
+  const double* z = reinterpret_cast<const double*>(spec.data());
+  out.assign(z, z + n_);
+}
+
+void FftPlan::inverse_real(Signal& spec, RealSignal& out, Signal& scratch) const {
+  inverse_real_raw(spec, out, scratch);
+  const double scale = 1.0 / static_cast<double>(n_);
+  for (double& v : out) v *= scale;
 }
 
 std::shared_ptr<const FftPlan> fft_plan(std::size_t n) {

@@ -15,11 +15,20 @@
 // are immutable once built and shared through a thread-safe
 // process-wide cache, so repeated transforms of the same length (the
 // Monte-Carlo hot path) pay only the butterfly work.
+//
+// Real signals of even length n take a half-length path in both
+// directions: the forward transform packs z[j] = x[2j] + i·x[2j+1],
+// runs one n/2-point complex transform and untangles bins 0..n/2; the
+// inverse pre-tangles those n/2+1 bins into one n/2-point spectrum
+// and unpacks its inverse into n real samples. The n/2 plan and the
+// untangle twiddles are built on a plan's first real transform, so
+// lengths that only ever run complex transforms never pay for them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -54,21 +63,43 @@ class FftPlan {
   void inverse_raw(Signal& x, Signal& scratch) const;
 
   /// Forward DFT of a real sequence, zero-padded to size(). Writes the
-  /// full N-bin spectrum into `out`. For even power-of-two lengths this
-  /// runs one half-size complex transform (the packed-real trick)
-  /// instead of a full complex one.
+  /// full N-bin spectrum into `out`: forward_real_half, then bins
+  /// N/2+1..N-1 as the conjugate mirror of bins 1..(N-1)/2.
   void forward_real(std::span<const double> x, Signal& out) const;
 
-  /// forward_real with the packing buffer supplied by the caller — the
-  /// zero-allocation path for repeated transforms (the prepared
-  /// correlators and the streaming scanner live on this).
+  /// forward_real with the radix-3 scratch of the half-length transform
+  /// supplied by the caller — the zero-allocation path.
   void forward_real(std::span<const double> x, Signal& out,
                     Signal& scratch) const;
 
+  /// Real-to-complex transform: like forward_real but writes bins
+  /// 0..N/2 only (N/2+1 values; the rest are their conjugate mirror).
+  void forward_real_half(std::span<const double> x, Signal& out,
+                         Signal& scratch) const;
+
+  /// Complex-to-real inverse DFT, normalized by 1/N: N real samples
+  /// from bins 0..N/2 of a Hermitian spectrum (further bins are
+  /// ignored; the imaginary parts of bins 0 and N/2 are taken as 0).
+  /// `spec` is the work buffer and is overwritten.
+  void inverse_real(Signal& spec, RealSignal& out, Signal& scratch) const;
+
+  /// inverse_real without the 1/N normalization — for callers that fold
+  /// the scale into the spectrum they multiply by (PreparedTemplate).
+  void inverse_real_raw(Signal& spec, RealSignal& out, Signal& scratch) const;
+
  private:
+  /// State of the half-length real path, built on first use.
+  struct RealPath {
+    std::shared_ptr<const FftPlan> half;  ///< n/2-point plan
+    std::vector<Complex> tw;              ///< exp(-2πik/n), k <= n/4
+  };
+  const RealPath& real_path() const;
+
+  /// Dispatch to the length's kernel over x[0..n).
+  void transform(Complex* x, Signal& scratch, bool inverse) const;
   void transform_pow2(Complex* x, bool inverse) const;
-  void transform_radix3(Signal& x, Signal& scratch, bool inverse) const;
-  void bluestein(Signal& x, bool inverse) const;
+  void transform_radix3(Complex* x, Signal& scratch, bool inverse) const;
+  void bluestein(Complex* x, bool inverse) const;
 
   std::size_t n_;
   bool pow2_;
@@ -76,10 +107,8 @@ class FftPlan {
 
   // Radix-2 path.
   std::vector<std::uint32_t> bitrev_;
-  std::vector<Complex> twiddle_fwd_;  ///< exp(-2πik/n), k < n/2
   std::vector<Complex> stage_twa_;    ///< inner-stage twiddles, access order
   std::vector<Complex> stage_twb_;    ///< outer-stage twiddles, access order
-  std::shared_ptr<const FftPlan> half_;  ///< n/2 plan for forward_real
 
   // Radix-3 path (n = 3 · 2^k).
   std::shared_ptr<const FftPlan> third_;  ///< n/3 power-of-two sub-plan
@@ -90,6 +119,10 @@ class FftPlan {
   std::shared_ptr<const FftPlan> conv_;  ///< m-point plan
   Signal chirp_fwd_, chirp_inv_;         ///< exp(∓iπk²/n)
   Signal bspec_fwd_, bspec_inv_;         ///< FFT of the chirp kernel
+
+  // Real path (even n), built by real_path().
+  mutable std::once_flag real_once_;
+  mutable RealPath real_;
 };
 
 /// Shared plan for length n from the process-wide cache (thread-safe).
@@ -142,6 +175,20 @@ void radix3_combine_scalar(Complex* out, const Complex* s, const Complex* tw,
                            std::size_t m, bool inverse);
 bool radix3_combine_avx2(Complex* out, const Complex* s, const Complex* tw,
                          std::size_t m, bool inverse);
+
+/// Real-path passes around the n/2-point transform (h = n/2), exposed
+/// for the same scalar/AVX2 bit-equality tests. Both work in place on
+/// z[0..h] with the twiddles tw[k] = exp(-2πik/n), k <= h/2, and treat
+/// bins k and h-k as a pair. The untangle turns the spectrum Z[0..h) of
+/// the packed sequence into bins X[0..h] of the real signal (writing
+/// z[h]); the pre-tangle maps X[0..h] back to 2·Z[0..h) (the factor 2
+/// makes the unnormalized n/2-point inverse yield n·x). The AVX2
+/// variants keep the scalar association with no FMA contraction and
+/// return false on hosts without AVX2+FMA.
+void real_untangle_scalar(Complex* z, const Complex* tw, std::size_t h);
+bool real_untangle_avx2(Complex* z, const Complex* tw, std::size_t h);
+void real_pretangle_scalar(Complex* z, const Complex* tw, std::size_t h);
+bool real_pretangle_avx2(Complex* z, const Complex* tw, std::size_t h);
 
 }  // namespace detail
 

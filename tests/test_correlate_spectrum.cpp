@@ -132,9 +132,12 @@ TEST(PreparedTemplate, FindPeakMatchesFreeFunction) {
 }
 
 // Input lengths around the transform-length boundaries: exactly one
-// lag, both sides of a power of two and of a 3·2^k length.
+// lag, both sides of a power of two and of a 3·2^k length, and the
+// production windows — the packet scanner's 20735 (24576-point
+// transform) and the SIC rescan's 57600 (65536-point).
 constexpr std::size_t kEdgeTmplLen = 37;
-const std::size_t kEdgeLengths[] = {kEdgeTmplLen, 255, 256, 257, 768, 769};
+const std::size_t kEdgeLengths[] = {kEdgeTmplLen, 255, 256, 257, 768, 769,
+                                    20735, 57600};
 
 // Valid-lag correlation by direct time-domain sums:
 // sum_j x[i + j] · conj(t[j]).
@@ -239,7 +242,8 @@ TEST(PreparedTemplate, AlternatingLengthsMatchFreshInstances) {
   for (Complex& v : ctmpl) v = Complex(rng.gaussian(), rng.gaussian());
   const PreparedTemplate shared((std::span<const double>(tmpl)));
   const PreparedTemplate cshared((std::span<const Complex>(ctmpl)));
-  for (std::size_t n : {300u, 1000u, 300u, 1000u, 2000u, 300u, 1000u, 1000u}) {
+  for (std::size_t n : {300u, 1000u, 300u, 1000u, 2000u, 300u, 1000u, 1000u,
+                        20735u, 57600u, 20735u, 300u}) {
     RealSignal x(n);
     for (double& v : x) v = rng.gaussian();
     const PreparedTemplate fresh((std::span<const double>(tmpl)));
@@ -254,6 +258,19 @@ TEST(PreparedTemplate, AlternatingLengthsMatchFreshInstances) {
               cfresh.correlate(std::span<const Complex>(cx)))
         << "n=" << n;
   }
+}
+
+TEST(PreparedTemplate, InputKindMustMatchTemplateKind) {
+  const RealSignal rtmpl(8, 1.0);
+  const Signal ctmpl(8, Complex(1.0, 0.0));
+  const PreparedTemplate real_prepared((std::span<const double>(rtmpl)));
+  const PreparedTemplate complex_prepared((std::span<const Complex>(ctmpl)));
+  const RealSignal x(32, 1.0);
+  const Signal cx(32, Complex(1.0, 0.0));
+  EXPECT_THROW(real_prepared.correlate(std::span<const Complex>(cx)),
+               std::invalid_argument);
+  EXPECT_THROW(complex_prepared.correlate(std::span<const double>(x)),
+               std::invalid_argument);
 }
 
 TEST(PreparedTemplate, ShortSignalAndEmptyTemplate) {

@@ -2,6 +2,7 @@
 // arbitrary lengths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -335,6 +336,159 @@ TEST(FftRealInput, ScratchOverloadMatchesAllocatingPath) {
     EXPECT_EQ(a[i].real(), b[i].real()) << "bin " << i;
     EXPECT_EQ(a[i].imag(), b[i].imag()) << "bin " << i;
   }
+}
+
+// Real-path lengths: tiny even lengths (n/2 of 1, 2, 3), 2^k, and 3·2^k
+// (whose n/2-point transform is itself a radix-3 split), up to the
+// scanner's 24576 and the SIC rescan's 65536.
+const std::size_t kRealLengths[] = {2, 4, 6, 12, 64, 96, 384, 1536, 2048,
+                                    24576, 65536};
+
+// Signal lengths per plan length: odd, exactly n, and shorter than n/2.
+std::vector<std::size_t> real_input_lengths(std::size_t n) {
+  std::vector<std::size_t> lens = {n, n - 1};
+  if (n >= 8) lens.push_back(n / 2 - 3);
+  return lens;
+}
+
+RealSignal gaussian_real(std::size_t len, std::uint64_t seed) {
+  Rng rng(seed);
+  RealSignal x(len);
+  for (double& v : x) v = rng.gaussian();
+  return x;
+}
+
+TEST(FftRealInput, ForwardRealMatchesComplexTransformAtHalfPathLengths) {
+  for (std::size_t n : kRealLengths) {
+    for (std::size_t len : real_input_lengths(n)) {
+      const RealSignal x = gaussian_real(len, n + len);
+      Signal want(n, Complex{});
+      for (std::size_t i = 0; i < len; ++i) want[i] = Complex(x[i], 0.0);
+      fft_plan(n)->forward(want);
+      double scale = 0.0;
+      for (const Complex& v : want) scale = std::max(scale, std::abs(v));
+
+      Signal full, half, scratch;
+      fft_plan(n)->forward_real(x, full, scratch);
+      fft_plan(n)->forward_real_half(x, half, scratch);
+      ASSERT_EQ(full.size(), n);
+      ASSERT_EQ(half.size(), n / 2 + 1);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_LE(std::abs(full[k] - want[k]), 1e-12 * scale)
+            << "n=" << n << " len=" << len << " bin " << k;
+      }
+      for (std::size_t k = 0; k < half.size(); ++k) {
+        ASSERT_EQ(half[k], full[k]) << "n=" << n << " len=" << len << " bin " << k;
+      }
+    }
+  }
+}
+
+TEST(FftRealInput, InverseRealOfForwardRealReturnsTheSignal) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{2},
+                        std::size_t{4}, std::size_t{6}, std::size_t{12},
+                        std::size_t{64}, std::size_t{96}, std::size_t{384},
+                        std::size_t{1536}, std::size_t{2048},
+                        std::size_t{24576}, std::size_t{65536}}) {
+    for (std::size_t len : real_input_lengths(n)) {
+      const RealSignal x = gaussian_real(len, 3 * n + len);
+      double scale = 0.0;
+      for (double v : x) scale = std::max(scale, std::abs(v));
+      Signal spec, scratch;
+      RealSignal back;
+      fft_plan(n)->forward_real(x, spec, scratch);
+      fft_plan(n)->inverse_real(spec, back, scratch);
+      ASSERT_EQ(back.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want = i < len ? x[i] : 0.0;
+        ASSERT_LE(std::abs(back[i] - want), 1e-12 * std::max(scale, 1.0))
+            << "n=" << n << " len=" << len << " sample " << i;
+      }
+    }
+  }
+}
+
+TEST(FftRealInput, ScratchAndNoScratchOverloadsAreBitIdentical) {
+  // The packing buffer of the half-length path and the radix-3 scratch
+  // of its n/2-point transform must be distinct buffers; sharing them
+  // corrupts the spectrum when n/2 is a 3·2^k length (384 -> 192).
+  for (std::size_t n : {std::size_t{384}, std::size_t{1536}, std::size_t{2048},
+                        std::size_t{24576}}) {
+    const RealSignal x = gaussian_real(n - 5, n);
+    Signal a, b, scratch;
+    fft_plan(n)->forward_real(x, a);
+    fft_plan(n)->forward_real(x, b, scratch);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].real(), b[k].real()) << "n=" << n << " bin " << k;
+      EXPECT_EQ(a[k].imag(), b[k].imag()) << "n=" << n << " bin " << k;
+    }
+  }
+}
+
+TEST(FftRealInput, ConcurrentFirstUseBuildsTheRealPathOnce) {
+  // The half-length state is built lazily inside an otherwise immutable,
+  // shared plan: workers that race on a plan's first real transform
+  // must all see the finished state.
+  const std::size_t n = 1536;
+  const RealSignal x = gaussian_real(n, 77);
+  Signal want, scratch;
+  FftPlan(n).forward_real(x, want, scratch);
+  for (int round = 0; round < 20; ++round) {
+    const FftPlan plan(n);
+    std::vector<Signal> got(4);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      pool.emplace_back([&, t] {
+        Signal own_scratch;
+        plan.forward_real(x, got[t], own_scratch);
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    for (const Signal& g : got) ASSERT_EQ(g, want) << "round " << round;
+  }
+}
+
+// Untangle twiddles of the n = 2h transform: exp(-2πik/n), k <= h/2.
+std::vector<Complex> real_twiddles(std::size_t h) {
+  std::vector<Complex> tw(h / 2 + 1);
+  for (std::size_t k = 0; k < tw.size(); ++k) {
+    const double a = -kTwoPi * static_cast<double>(k) / static_cast<double>(2 * h);
+    tw[k] = Complex(std::cos(a), std::sin(a));
+  }
+  return tw;
+}
+
+using RealPass = void (*)(Complex*, const Complex*, std::size_t);
+using RealPassAvx2 = bool (*)(Complex*, const Complex*, std::size_t);
+
+// Runs one real-path pass both ways over random bins z[0..h] at h odd
+// and even, tiny (all-tail) and past the two-pair AVX2 stride.
+void expect_real_pass_bit_identical(RealPass scalar_pass, RealPassAvx2 avx2_pass) {
+  for (std::size_t h : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 16u,
+                        31u, 33u, 64u, 96u}) {
+    Rng rng(h + 29);
+    Signal z(h + 1);
+    for (Complex& v : z) v = Complex(rng.gaussian(), rng.gaussian());
+    const std::vector<Complex> tw = real_twiddles(h);
+    Signal scalar = z, avx2 = z;
+    scalar_pass(scalar.data(), tw.data(), h);
+    if (!avx2_pass(avx2.data(), tw.data(), h)) GTEST_SKIP() << "no AVX2+FMA host";
+    for (std::size_t k = 0; k <= h; ++k) {
+      EXPECT_EQ(scalar[k].real(), avx2[k].real()) << "h=" << h << " k=" << k;
+      EXPECT_EQ(scalar[k].imag(), avx2[k].imag()) << "h=" << h << " k=" << k;
+    }
+  }
+}
+
+TEST(FftRealInput, SimdUntangleBitIdenticalToScalarAtAllTailLengths) {
+  expect_real_pass_bit_identical(detail::real_untangle_scalar,
+                                 detail::real_untangle_avx2);
+}
+
+TEST(FftRealInput, SimdPretangleBitIdenticalToScalarAtAllTailLengths) {
+  expect_real_pass_bit_identical(detail::real_pretangle_scalar,
+                                 detail::real_pretangle_avx2);
 }
 
 TEST(FftPlanCache, ConcurrentLookupsReturnOneInstance) {

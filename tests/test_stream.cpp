@@ -19,7 +19,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <new>
+#include <sstream>
 
 #include "core/batch_demod.hpp"
 #include "sim/capture.hpp"
@@ -616,6 +618,53 @@ INSTANTIATE_TEST_SUITE_P(Modes, StreamModes,
                                       ? "freq_shifting"
                                       : core::mode_name(info.param);
                          });
+
+// ------------------------------------------------ pinned span lists
+
+// One line per decoded frame: packet_start payload_start sic_depth,
+// then the payload symbols as one digit each (K = 2: values 0..3).
+std::string span_list(const stream::StreamingDemodulator& demod) {
+  std::ostringstream os;
+  for (const stream::DecodedPacket& p : demod.packets()) {
+    os << p.packet_start << ' ' << p.payload_start << ' ' << p.sic_depth << ' ';
+    for (const std::uint32_t s : demod.symbols(p)) os << s;
+    os << '\n';
+  }
+  return os.str();
+}
+
+std::string read_golden(const char* name) {
+  const std::string path = std::string(SAIYAN_TEST_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "cannot open " << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// The exactness net for the preamble search: where the scanner frames
+// every packet (and at which SIC depth), and what each frame decodes
+// to, on the equivalence capture and a three-way SIC pileup. Changes
+// to the correlator may move scores in their last bits but must leave
+// these lists unchanged.
+TEST(StreamGolden, SpanListsAndSymbolsArePinned) {
+  const sim::CaptureConfig cfg = capture_cfg(5, 10, 16);
+  const sim::Capture cap = sim::generate_capture(cfg);
+  stream::StreamingDemodulator demod(stream_cfg(cfg));
+  run_stream(demod, cap.samples, 8192);
+  EXPECT_EQ(span_list(demod), read_golden("stream_spans.txt"));
+
+  const std::size_t spsym = phy().samples_per_symbol();
+  sim::CaptureConfig pileup = capture_cfg(3, 1, 16, core::Mode::kSuper, 77);
+  pileup.tag_rss_dbm = {-55.0, -61.0, -67.0};
+  pileup.offsets = {500, 500 + 14 * spsym, 500 + 28 * spsym};
+  const sim::Capture pcap = sim::generate_capture(pileup);
+  stream::StreamConfig sc = stream_cfg(pileup);
+  sc.sic.depth = 2;
+  stream::StreamingDemodulator sic(sc);
+  run_stream(sic, pcap.samples, 16384);
+  EXPECT_EQ(span_list(sic), read_golden("sic_pileup_spans.txt"));
+}
 
 #if SAIYAN_ALLOC_COUNTER
 
