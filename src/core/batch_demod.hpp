@@ -36,10 +36,9 @@ struct DemodWorkspace {
   dsp::Signal wave;                ///< modulated packet
   dsp::Signal rx;                  ///< after the channel
 
-  // Receive chain (noise is drawn inside the fused inject kernels —
-  // no noise scratch buffers needed).
+  // Receive chain (the LNA and its noise ride the fused square-law
+  // kernel — no amplified or noise buffers needed).
   dsp::Signal rf_filtered;         ///< SAW output
-  dsp::Signal rf_amplified;        ///< LNA output
   dsp::Signal fft_scratch;         ///< radix-3 de-interleave scratch
   dsp::RealSignal env;             ///< analog envelope
   frontend::FrontendScratch fe;    ///< mixer tables + flicker buffers

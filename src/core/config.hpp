@@ -59,4 +59,10 @@ struct SaiyanConfig {
   static SaiyanConfig make(const lora::PhyParams& phy, Mode mode);
 };
 
+/// `cfg` in vanilla mode: the front end of the streaming packet scanner
+/// and of SIC rescans. Detection needs only timing, and the vanilla
+/// envelope is both cheaper and blockwise-stable (the CFS mixer clock
+/// phase would reset at every block boundary).
+SaiyanConfig scan_config(const SaiyanConfig& cfg);
+
 }  // namespace saiyan::core

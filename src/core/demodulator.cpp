@@ -182,19 +182,9 @@ DemodResult SaiyanDemodulator::demodulate_aligned(
 
 bool SaiyanDemodulator::detect_packet(std::span<const dsp::Complex> rf,
                                       dsp::Rng& rng) const {
-  const dsp::RealSignal env = chain_.envelope(rf, rng);
-  if (chain_.config().mode == Mode::kSuper) {
-    return preamble_.detect_envelope(env).has_value();
-  }
-  const frontend::ThresholdPair th =
-      auto_thresholds(env, chain_.config().threshold_gap_db);
-  frontend::DoubleThresholdComparator comp(th.u_high, th.u_low);
-  const dsp::BitVector bits_fs = comp.quantize(env);
-  frontend::VoltageSampler sampler(chain_.config().phy,
-                                   chain_.config().sampling_rate_multiplier);
-  const frontend::SampledBits sampled =
-      sampler.sample(bits_fs, chain_.config().phy.sample_rate_hz);
-  return preamble_.detect_bits(sampled.bits, sampled.sample_rate_hz).has_value();
+  DemodWorkspace ws;
+  demodulate_ws(ws, rf, /*n_payload=*/0, rng);
+  return ws.preamble_found;
 }
 
 }  // namespace saiyan::core

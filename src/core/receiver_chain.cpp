@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/batch_demod.hpp"
-#include "dsp/simd.hpp"
 #include "dsp/utils.hpp"
 
 namespace saiyan::core {
@@ -44,67 +43,48 @@ ReceiverChain::ReceiverChain(const SaiyanConfig& cfg)
   }
 }
 
-void ReceiverChain::run_into(std::span<const dsp::Complex> rf, dsp::Rng& rng,
-                             bool with_impairments, DemodWorkspace& ws) const {
+void ReceiverChain::run_into(std::span<const dsp::Complex> rf, dsp::Rng* rng,
+                             DemodWorkspace& ws) const {
   saw_.filter_into(rf, cfg_.phy.sample_rate_hz, cfg_.effective_rf_center_hz(),
                    ws.rf_filtered, ws.fft_scratch);
-
-  frontend::EnvelopeDetectorConfig ed_cfg = cfg_.envelope;
-  ed_cfg.enable_impairments = with_impairments;
-  if (with_impairments) {
-    // The CG-LNA folds into the square-law kernel (fused draw +
-    // amplify + detect): the amplified waveform is never materialized.
-    const double g = dsp::db_to_amp(cfg_.lna.gain_db);
-    const double sigma = lna_.noise_sigma();
-    if (cfg_.mode == Mode::kVanilla) {
-      frontend::EnvelopeDetector ed(ed_cfg);
-      ed.detect_amplified_into(ws.rf_filtered, g, sigma, rng, ws.env, ws.fe);
-      return;
-    }
-    frontend::CyclicFrequencyShifter cfs(cfg_.cfs, ed_cfg);
-    cfs.process_amplified_into(ws.rf_filtered, g, sigma, rng, ws.env, ws.fe);
-    return;
-  }
-
-  // Reference (noiseless) path: plain gain, then the unfused chain.
-  ws.rf_amplified.resize(ws.rf_filtered.size());
-  const double g = dsp::db_to_amp(cfg_.lna.gain_db);
-  dsp::simd::scale(reinterpret_cast<const double*>(ws.rf_filtered.data()),
-                   2 * ws.rf_filtered.size(), g,
-                   reinterpret_cast<double*>(ws.rf_amplified.data()));
+  // The CG-LNA folds into the square-law kernel (fused draw + amplify
+  // + detect): the amplified waveform is never materialized.
   if (cfg_.mode == Mode::kVanilla) {
-    frontend::EnvelopeDetector ed(ed_cfg);
-    ed.detect_into(ws.rf_amplified, rng, ws.env, ws.fe);
+    frontend::EnvelopeDetector(cfg_.envelope)
+        .detect_ws(ws.rf_filtered, lna_.stage(), rng, ws.env, ws.fe);
     return;
   }
-  frontend::CyclicFrequencyShifter cfs(cfg_.cfs, ed_cfg);
-  cfs.process_into(ws.rf_amplified, rng, ws.env, ws.fe);
+  frontend::CyclicFrequencyShifter(cfg_.cfs, cfg_.envelope)
+      .process_ws(ws.rf_filtered, lna_.stage(), rng, ws.env, ws.fe);
 }
 
 void ReceiverChain::envelope_into(std::span<const dsp::Complex> rf,
                                   dsp::Rng& rng, DemodWorkspace& ws) const {
-  run_into(rf, rng, /*with_impairments=*/true, ws);
+  run_into(rf, &rng, ws);
 }
 
 dsp::RealSignal ReceiverChain::envelope(std::span<const dsp::Complex> rf,
                                         dsp::Rng& rng) const {
   DemodWorkspace ws;
-  run_into(rf, rng, /*with_impairments=*/true, ws);
+  run_into(rf, &rng, ws);
   return std::move(ws.env);
 }
 
 dsp::RealSignal ReceiverChain::reference_envelope(std::span<const dsp::Complex> rf) const {
   DemodWorkspace ws;
-  reference_envelope_into(rf, ws);
+  run_into(rf, nullptr, ws);
   return std::move(ws.env);
 }
 
 void ReceiverChain::reference_envelope_into(std::span<const dsp::Complex> rf,
                                             DemodWorkspace& ws) const {
-  // The noiseless path never draws from the Rng; a local stub keeps
-  // the signature of run_into uniform.
-  dsp::Rng unused(1);
-  run_into(rf, unused, /*with_impairments=*/false, ws);
+  run_into(rf, nullptr, ws);
+}
+
+SaiyanConfig scan_config(const SaiyanConfig& cfg) {
+  SaiyanConfig scan = cfg;
+  scan.mode = Mode::kVanilla;
+  return scan;
 }
 
 }  // namespace saiyan::core

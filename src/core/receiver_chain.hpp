@@ -48,8 +48,11 @@ class ReceiverChain {
   const SaiyanConfig& config() const { return cfg_; }
 
  private:
-  void run_into(std::span<const dsp::Complex> rf, dsp::Rng& rng,
-                bool with_impairments, DemodWorkspace& ws) const;
+  /// The one path behind all four entries: SAW, then the mode's fused
+  /// detector. A null `rng` is the noiseless reference (no LNA draws,
+  /// no detector impairments).
+  void run_into(std::span<const dsp::Complex> rf, dsp::Rng* rng,
+                DemodWorkspace& ws) const;
 
   SaiyanConfig cfg_;
   frontend::SawFilter saw_;

@@ -64,6 +64,30 @@ void square_law_mixed_scalar(const Complex* x, const double* gain,
   }
 }
 
+// The fused LNA + square-law reference. A null rng is the draw-free
+// arm: re = g·x, the same arithmetic as scale() then square_law().
+void lna_square_law_scalar(const Complex* x, const double* gain,
+                           std::size_t n, double g, double sigma, double k,
+                           double* y, Rng* rng) {
+  const double* d = reinterpret_cast<const double*>(x);
+  for (std::size_t i = 0; i < n; ++i) {
+    double re = d[2 * i];
+    double im = d[2 * i + 1];
+    if (rng != nullptr) {
+      re += sigma * rng->gaussian();
+      im += sigma * rng->gaussian();
+    }
+    re *= g;
+    im *= g;
+    if (gain != nullptr) {
+      const double g2 = gain[i] * gain[i];
+      y[i] = k * g2 * (re * re + im * im);
+    } else {
+      y[i] = k * (re * re + im * im);
+    }
+  }
+}
+
 void scale_scalar(const double* x, std::size_t n, double g, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = g * x[i];
 }
@@ -546,9 +570,33 @@ __attribute__((target("avx2"))) void gain_add_gaussian_avx2(
 
 __attribute__((target("avx2"))) void lna_square_law_avx2(
     const Complex* xc, const double* gain, std::size_t n, double g,
-    double sigma, double k, double* y, Rng& rng) {
-  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
+    double sigma, double k, double* y, Rng* rng_or_null) {
   const double* x = reinterpret_cast<const double*>(xc);
+  if (rng_or_null == nullptr) {
+    // Draw-free arm: four samples per step in square_law_avx2's layout,
+    // each amplified by g first (scale_avx2's g·x).
+    const __m256d gv = _mm256_set1_pd(g);
+    const __m256d kv = _mm256_set1_pd(k);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const __m256d a = _mm256_mul_pd(gv, _mm256_loadu_pd(x + 2 * i));
+      const __m256d b = _mm256_mul_pd(gv, _mm256_loadu_pd(x + 2 * i + 4));
+      const __m256d h =
+          _mm256_hadd_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b));
+      const __m256d s = _mm256_permute4x64_pd(h, 0xD8);
+      __m256d kg2 = kv;
+      if (gain != nullptr) {
+        const __m256d gm = _mm256_loadu_pd(gain + i);
+        kg2 = _mm256_mul_pd(kv, _mm256_mul_pd(gm, gm));
+      }
+      _mm256_storeu_pd(y + i, _mm256_mul_pd(kg2, s));
+    }
+    lna_square_law_scalar(xc + i, gain != nullptr ? gain + i : nullptr, n - i,
+                          g, sigma, k, y + i, nullptr);
+    return;
+  }
+  Rng& rng = *rng_or_null;
+  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
   const __m256d gv = _mm256_set1_pd(g);
   const __m256d sv = _mm256_set1_pd(sigma);
   const __m128d kv = _mm_set1_pd(k);
@@ -735,23 +783,11 @@ void add_dc_flicker_gaussian(double* y, const double* flicker, std::size_t n,
 }
 
 void lna_square_law(const Complex* x, const double* gain, std::size_t n,
-                    double g, double sigma, double k, double* y, Rng& rng) {
+                    double g, double sigma, double k, double* y, Rng* rng) {
 #ifdef SAIYAN_SIMD_AVX2
   if (use_avx2()) return lna_square_law_avx2(x, gain, n, g, sigma, k, y, rng);
 #endif
-  const double* d = reinterpret_cast<const double*>(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double nr = sigma * rng.gaussian();
-    const double ni = sigma * rng.gaussian();
-    const double re = g * (d[2 * i] + nr);
-    const double im = g * (d[2 * i + 1] + ni);
-    if (gain != nullptr) {
-      const double g2 = gain[i] * gain[i];
-      y[i] = k * g2 * (re * re + im * im);
-    } else {
-      y[i] = k * (re * re + im * im);
-    }
-  }
+  lna_square_law_scalar(x, gain, n, g, sigma, k, y, rng);
 }
 
 double dot(const double* x, const double* y, std::size_t n) {

@@ -112,9 +112,11 @@ void add_dc_flicker_gaussian(double* y, const double* flicker, std::size_t n,
 /// y[i] = k · gain[i]² · (re'² + im'²) without materializing the
 /// amplified waveform. `gain` may be null (plain square law). Values
 /// and draw stream identical to gain_add_gaussian followed by
+/// square_law_mixed / square_law. A null `rng` is the noiseless arm:
+/// no draws, re' = g·re — identical to scale followed by
 /// square_law_mixed / square_law.
 void lna_square_law(const Complex* x, const double* gain, std::size_t n,
-                    double g, double sigma, double k, double* y, Rng& rng);
+                    double g, double sigma, double k, double* y, Rng* rng);
 
 /// Blocked dot product (same fixed 4-accumulator association as
 /// sum/sum_squares) — the correlation decoder's template score.

@@ -28,9 +28,10 @@ CyclicFrequencyShifter::CyclicFrequencyShifter(const CfsConfig& cfg,
   }
 }
 
-void CyclicFrequencyShifter::if_stage_into(
-    std::span<const dsp::Complex> rf, dsp::Rng& rng, dsp::RealSignal& out,
-    FrontendScratch& scratch, const std::pair<double, double>* lna) const {
+void CyclicFrequencyShifter::process_ws(std::span<const dsp::Complex> rf,
+                                        std::optional<LnaStage> lna,
+                                        dsp::Rng* rng, dsp::RealSignal& out,
+                                        FrontendScratch& scratch) const {
   // Step 1: input mixing with CLK_in — a real multiplier, producing
   // both sidebands S(F±Δf). The original carrier also leaks through
   // (finite mixer isolation); keep a fraction of it so the model
@@ -40,11 +41,12 @@ void CyclicFrequencyShifter::if_stage_into(
   // depends only on (clock config, length) and is cached in the
   // scratch; the key fields catch a workspace reused across
   // differently-clocked demodulators.
-  if (scratch.cfs_clk.size() != rf.size() ||
+  const std::size_t n = rf.size();
+  if (scratch.cfs_clk.size() != n ||
       scratch.clk_freq_hz != cfg_.clock.frequency_hz ||
       scratch.clk_fs_hz != fs_hz_ ||
       scratch.clk_phase_rad != cfg_.clock.delay_line_phase_rad) {
-    scratch.cfs_clk = clocks_.clk_in(rf.size());
+    scratch.cfs_clk = clocks_.clk_in(n);
     for (double& v : scratch.cfs_clk) v += kCarrierLeak;
     scratch.cfs_lo.clear();  // rebuilt below against the new key
     scratch.clk_freq_hz = cfg_.clock.frequency_hz;
@@ -54,14 +56,9 @@ void CyclicFrequencyShifter::if_stage_into(
 
   // Step 2: envelope detection. |S(F)·(cos(2πΔf t)+c)|² beats the
   // sidebands against the carrier, landing the envelope at Δf (and
-  // 2Δf); the detector's DC/flicker noise stays at baseband. With a
-  // fused LNA the amplification rides the same kernel.
-  if (lna != nullptr) {
-    detector_.detect_raw_mixed_amplified_into(rf, scratch.cfs_clk, lna->first,
-                                              lna->second, rng, out, scratch);
-  } else {
-    detector_.detect_raw_mixed_into(rf, scratch.cfs_clk, rng, out, scratch);
-  }
+  // 2Δf); the detector's DC/flicker noise stays at baseband. The LNA
+  // rides the same kernel.
+  detector_.detect_raw_ws(rf, scratch.cfs_clk, lna, rng, out, scratch);
 
   // Step 3: IF amplification — bandpass at Δf with gain (folded into
   // the biquad's feed-forward coefficients).
@@ -69,25 +66,7 @@ void CyclicFrequencyShifter::if_stage_into(
                                          cfg_.if_quality_factor);
   bp.scale_output(dsp::db_to_amp(cfg_.if_gain_db));
   bp.process_inplace(out);
-}
 
-dsp::RealSignal CyclicFrequencyShifter::if_stage(std::span<const dsp::Complex> rf,
-                                                 dsp::Rng& rng) const {
-  dsp::RealSignal out;
-  FrontendScratch scratch;
-  if_stage_into(rf, rng, out, scratch, nullptr);
-  return out;
-}
-
-dsp::RealSignal CyclicFrequencyShifter::intermediate(std::span<const dsp::Complex> rf,
-                                                     dsp::Rng& rng) const {
-  return if_stage(rf, rng);
-}
-
-// Steps 4 and 5, shared by the plain and fused-LNA entry points.
-void CyclicFrequencyShifter::output_stage_into(std::size_t n,
-                                               dsp::RealSignal& out,
-                                               FrontendScratch& scratch) const {
   // Step 4: output mixing with the delay-line clock copy brings the IF
   // envelope back to baseband (amplitude × cos(Δφ)/2) and shifts the
   // residual baseband noise up to Δf. The LO table is the same cosine
@@ -107,26 +86,11 @@ void CyclicFrequencyShifter::output_stage_into(std::size_t n,
   lpf.process_inplace(out);
 }
 
-void CyclicFrequencyShifter::process_into(std::span<const dsp::Complex> rf,
-                                          dsp::Rng& rng, dsp::RealSignal& out,
-                                          FrontendScratch& scratch) const {
-  if_stage_into(rf, rng, out, scratch, nullptr);
-  output_stage_into(rf.size(), out, scratch);
-}
-
-void CyclicFrequencyShifter::process_amplified_into(
-    std::span<const dsp::Complex> rf, double lna_gain, double lna_sigma,
-    dsp::Rng& rng, dsp::RealSignal& out, FrontendScratch& scratch) const {
-  const std::pair<double, double> lna{lna_gain, lna_sigma};
-  if_stage_into(rf, rng, out, scratch, &lna);
-  output_stage_into(rf.size(), out, scratch);
-}
-
 dsp::RealSignal CyclicFrequencyShifter::process(std::span<const dsp::Complex> rf,
                                                 dsp::Rng& rng) const {
   dsp::RealSignal out;
   FrontendScratch scratch;
-  process_into(rf, rng, out, scratch);
+  process_ws(rf, std::nullopt, &rng, out, scratch);
   return out;
 }
 

@@ -21,8 +21,8 @@
 // baseband noise removed — the paper measures an 11 dB SNR gain.
 #pragma once
 
+#include <optional>
 #include <span>
-#include <utility>
 
 #include "dsp/rng.hpp"
 #include "dsp/types.hpp"
@@ -46,38 +46,18 @@ class CyclicFrequencyShifter {
   /// return the recovered baseband envelope.
   dsp::RealSignal process(std::span<const dsp::Complex> rf, dsp::Rng& rng) const;
 
-  /// Workspace variant: writes the envelope into `out`, reusing the
+  /// Workspace entry: writes the envelope into `out`, reusing the
   /// scratch's cached mixer-clock tables (regenerated only when the
-  /// waveform length changes) and noise buffers. Identical values and
-  /// RNG consumption to process().
-  void process_into(std::span<const dsp::Complex> rf, dsp::Rng& rng,
-                    dsp::RealSignal& out, FrontendScratch& scratch) const;
-
-  /// Fused-LNA variant: `rf` is the unamplified waveform; the CG-LNA
-  /// stage folds into the square-law kernel (see
-  /// EnvelopeDetector::detect_raw_mixed_amplified_into). Identical
-  /// values and RNG consumption to amplifying first.
-  void process_amplified_into(std::span<const dsp::Complex> rf,
-                              double lna_gain, double lna_sigma,
-                              dsp::Rng& rng, dsp::RealSignal& out,
-                              FrontendScratch& scratch) const;
-
-  /// The IF waveform after step 3 (before the output mixer) — exposed
-  /// for the Fig. 10 spectrum benchmark and tests.
-  dsp::RealSignal intermediate(std::span<const dsp::Complex> rf, dsp::Rng& rng) const;
+  /// waveform length changes) and noise buffers. `lna` and `rng` as in
+  /// EnvelopeDetector::detect_ws: an optional CG-LNA stage folded into
+  /// the square-law kernel, and null `rng` for the noiseless reference.
+  void process_ws(std::span<const dsp::Complex> rf, std::optional<LnaStage> lna,
+                  dsp::Rng* rng, dsp::RealSignal& out,
+                  FrontendScratch& scratch) const;
 
   const CfsConfig& config() const { return cfg_; }
 
  private:
-  dsp::RealSignal if_stage(std::span<const dsp::Complex> rf, dsp::Rng& rng) const;
-  /// `lna` non-null applies the fused CG-LNA (gain, sigma) inside the
-  /// square-law detector; null means `rf` is already amplified.
-  void if_stage_into(std::span<const dsp::Complex> rf, dsp::Rng& rng,
-                     dsp::RealSignal& out, FrontendScratch& scratch,
-                     const std::pair<double, double>* lna) const;
-  void output_stage_into(std::size_t n, dsp::RealSignal& out,
-                         FrontendScratch& scratch) const;
-
   CfsConfig cfg_;
   EnvelopeDetector detector_;
   ClockGenerator clocks_;

@@ -30,7 +30,7 @@ EnvelopeDetector::EnvelopeDetector(const EnvelopeDetectorConfig& cfg) : cfg_(cfg
 
 void EnvelopeDetector::add_impairments(dsp::RealSignal& y, dsp::Rng& rng,
                                        FrontendScratch& scratch) const {
-  if (!cfg_.enable_impairments || y.empty()) return;
+  if (y.empty()) return;
   // Flicker needs its own buffer (it is normalized over the whole
   // realization); DC and white noise fold into the fused
   // draw-and-inject pass. Stream order matches the per-sample draws
@@ -43,76 +43,38 @@ void EnvelopeDetector::add_impairments(dsp::RealSignal& y, dsp::Rng& rng,
                                      y.size(), dc_level_, white_sigma, rng);
 }
 
-void EnvelopeDetector::detect_raw_into(std::span<const dsp::Complex> x,
-                                       dsp::Rng& rng, dsp::RealSignal& out,
-                                       FrontendScratch& scratch) const {
-  out.resize(x.size());
-  // k |St + Sn|^2 — Eq. 4 self-mixing.
-  dsp::simd::square_law(x.data(), x.size(), cfg_.conversion_gain, out.data());
-  add_impairments(out, rng, scratch);
-}
-
-void EnvelopeDetector::detect_raw_mixed_into(std::span<const dsp::Complex> x,
-                                             std::span<const double> mix_gain,
-                                             dsp::Rng& rng, dsp::RealSignal& out,
-                                             FrontendScratch& scratch) const {
-  if (mix_gain.size() != x.size()) {
-    throw std::invalid_argument("detect_raw_mixed: gain length mismatch");
+void EnvelopeDetector::detect_raw_ws(std::span<const dsp::Complex> x,
+                                     std::span<const double> mix_gain,
+                                     std::optional<LnaStage> lna, dsp::Rng* rng,
+                                     dsp::RealSignal& out,
+                                     FrontendScratch& scratch) const {
+  if (!mix_gain.empty() && mix_gain.size() != x.size()) {
+    throw std::invalid_argument("detect_raw_ws: gain length mismatch");
   }
   out.resize(x.size());
-  dsp::simd::square_law_mixed(x.data(), mix_gain.data(), x.size(),
-                              cfg_.conversion_gain, out.data());
-  add_impairments(out, rng, scratch);
+  // k |g·(St + Sn)|^2 — Eq. 4 self-mixing behind the LNA.
+  const LnaStage stage = lna.value_or(LnaStage{});
+  dsp::simd::lna_square_law(x.data(), mix_gain.empty() ? nullptr : mix_gain.data(),
+                            x.size(), stage.gain, stage.sigma,
+                            cfg_.conversion_gain, out.data(),
+                            lna.has_value() ? rng : nullptr);
+  if (rng != nullptr) add_impairments(out, *rng, scratch);
 }
 
-void EnvelopeDetector::detect_into(std::span<const dsp::Complex> x,
-                                   dsp::Rng& rng, dsp::RealSignal& out,
-                                   FrontendScratch& scratch) const {
-  detect_raw_into(x, rng, out, scratch);
+void EnvelopeDetector::detect_ws(std::span<const dsp::Complex> x,
+                                 std::optional<LnaStage> lna, dsp::Rng* rng,
+                                 dsp::RealSignal& out,
+                                 FrontendScratch& scratch) const {
+  detect_raw_ws(x, {}, lna, rng, out, scratch);
   dsp::OnePole lpf(cfg_.lpf_cutoff_hz, cfg_.sample_rate_hz);
   lpf.process_inplace(out);
-}
-
-void EnvelopeDetector::detect_amplified_into(std::span<const dsp::Complex> x,
-                                             double lna_gain, double lna_sigma,
-                                             dsp::Rng& rng,
-                                             dsp::RealSignal& out,
-                                             FrontendScratch& scratch) const {
-  out.resize(x.size());
-  dsp::simd::lna_square_law(x.data(), nullptr, x.size(), lna_gain, lna_sigma,
-                            cfg_.conversion_gain, out.data(), rng);
-  add_impairments(out, rng, scratch);
-  dsp::OnePole lpf(cfg_.lpf_cutoff_hz, cfg_.sample_rate_hz);
-  lpf.process_inplace(out);
-}
-
-void EnvelopeDetector::detect_raw_mixed_amplified_into(
-    std::span<const dsp::Complex> x, std::span<const double> mix_gain,
-    double lna_gain, double lna_sigma, dsp::Rng& rng, dsp::RealSignal& out,
-    FrontendScratch& scratch) const {
-  if (mix_gain.size() != x.size()) {
-    throw std::invalid_argument("detect_raw_mixed: gain length mismatch");
-  }
-  out.resize(x.size());
-  dsp::simd::lna_square_law(x.data(), mix_gain.data(), x.size(), lna_gain,
-                            lna_sigma, cfg_.conversion_gain, out.data(), rng);
-  add_impairments(out, rng, scratch);
 }
 
 dsp::RealSignal EnvelopeDetector::detect_raw(std::span<const dsp::Complex> x,
                                              dsp::Rng& rng) const {
   dsp::RealSignal y;
   FrontendScratch scratch;
-  detect_raw_into(x, rng, y, scratch);
-  return y;
-}
-
-dsp::RealSignal EnvelopeDetector::detect_raw_mixed(std::span<const dsp::Complex> x,
-                                                   std::span<const double> mix_gain,
-                                                   dsp::Rng& rng) const {
-  dsp::RealSignal y;
-  FrontendScratch scratch;
-  detect_raw_mixed_into(x, mix_gain, rng, y, scratch);
+  detect_raw_ws(x, {}, std::nullopt, &rng, y, scratch);
   return y;
 }
 
@@ -120,7 +82,7 @@ dsp::RealSignal EnvelopeDetector::detect(std::span<const dsp::Complex> x,
                                          dsp::Rng& rng) const {
   dsp::RealSignal y;
   FrontendScratch scratch;
-  detect_into(x, rng, y, scratch);
+  detect_ws(x, std::nullopt, &rng, y, scratch);
   return y;
 }
 

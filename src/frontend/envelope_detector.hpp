@@ -10,10 +10,12 @@
 // SNR gain (paper Fig. 10).
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "dsp/rng.hpp"
 #include "dsp/types.hpp"
+#include "frontend/lna.hpp"
 #include "frontend/workspace.hpp"
 
 namespace saiyan::frontend {
@@ -30,7 +32,6 @@ struct EnvelopeDetectorConfig {
   double dc_offset_dbm_equiv = -62.0;      ///< static offset
   double flicker_noise_dbm_equiv = -65.0;  ///< 1/f power (in-band)
   double white_noise_dbm_equiv = -89.0;    ///< broadband floor
-  bool enable_impairments = true;
 };
 
 class EnvelopeDetector {
@@ -44,45 +45,30 @@ class EnvelopeDetector {
   /// the CFS circuit taps before its IF amplifier.
   dsp::RealSignal detect_raw(std::span<const dsp::Complex> x, dsp::Rng& rng) const;
 
-  /// Square-law of x pre-multiplied by a real per-sample mixer gain:
-  /// y = k |g·x|² + impairments = k g² |x|² + impairments. Lets the
-  /// CFS input mixer skip materializing the mixed complex waveform.
-  dsp::RealSignal detect_raw_mixed(std::span<const dsp::Complex> x,
-                                   std::span<const double> mix_gain,
-                                   dsp::Rng& rng) const;
+  /// Workspace entries: write into a caller-owned buffer through the
+  /// fused LNA + square-law kernel, drawing the impairment noise
+  /// through the scratch's reusable buffers. With `lna` set, `x` is
+  /// the *unamplified* waveform and the CG-LNA stage
+  /// (y = gain·(x + noise)) rides the square-law kernel. A null `rng`
+  /// is the noiseless reference: no LNA draws and no impairments.
+  /// Values and RNG consumption of detect()/detect_raw() are these
+  /// with no LNA stage.
+  void detect_ws(std::span<const dsp::Complex> x, std::optional<LnaStage> lna,
+                 dsp::Rng* rng, dsp::RealSignal& out,
+                 FrontendScratch& scratch) const;
 
-  /// Workspace variants: write into a caller-owned buffer, drawing the
-  /// impairment noise through the scratch's reusable buffers. Values
-  /// and RNG consumption are identical to the allocating overloads.
-  void detect_into(std::span<const dsp::Complex> x, dsp::Rng& rng,
-                   dsp::RealSignal& out, FrontendScratch& scratch) const;
-  void detect_raw_into(std::span<const dsp::Complex> x, dsp::Rng& rng,
-                       dsp::RealSignal& out, FrontendScratch& scratch) const;
-  void detect_raw_mixed_into(std::span<const dsp::Complex> x,
-                             std::span<const double> mix_gain, dsp::Rng& rng,
-                             dsp::RealSignal& out,
-                             FrontendScratch& scratch) const;
-
-  /// Fused-LNA variants: `x` is the *unamplified* waveform; the CG-LNA
-  /// stage (y = lna_gain·(x + noise), noise sigma per I/Q component)
-  /// is applied inside the square-law kernel without materializing the
-  /// amplified waveform. Values and RNG consumption identical to
-  /// Lna::amplify_into followed by the corresponding detect method.
-  void detect_amplified_into(std::span<const dsp::Complex> x, double lna_gain,
-                             double lna_sigma, dsp::Rng& rng,
-                             dsp::RealSignal& out,
-                             FrontendScratch& scratch) const;
-  void detect_raw_mixed_amplified_into(std::span<const dsp::Complex> x,
-                                       std::span<const double> mix_gain,
-                                       double lna_gain, double lna_sigma,
-                                       dsp::Rng& rng, dsp::RealSignal& out,
-                                       FrontendScratch& scratch) const;
+  /// Unsmoothed, with `x` pre-multiplied by a real per-sample mixer
+  /// gain (empty: none): y = k·gain²·|x|² + impairments. Lets the CFS
+  /// input mixer skip materializing the mixed complex waveform.
+  void detect_raw_ws(std::span<const dsp::Complex> x,
+                     std::span<const double> mix_gain,
+                     std::optional<LnaStage> lna, dsp::Rng* rng,
+                     dsp::RealSignal& out, FrontendScratch& scratch) const;
 
   const EnvelopeDetectorConfig& config() const { return cfg_; }
 
  private:
-  /// Adds DC offset, 1/f flicker and white noise to a detector output
-  /// (shared by the plain and mixer-scaled square-law paths).
+  /// Adds DC offset, 1/f flicker and white noise to a detector output.
   void add_impairments(dsp::RealSignal& y, dsp::Rng& rng,
                        FrontendScratch& scratch) const;
 

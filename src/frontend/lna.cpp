@@ -17,24 +17,19 @@ Lna::Lna(const LnaConfig& cfg) : cfg_(cfg) {
   input_noise_watts_ = kt_b_watts * std::max(0.0, f_lin - 1.0);
 }
 
-double Lna::noise_sigma() const { return std::sqrt(input_noise_watts_ / 2.0); }
-
-dsp::Signal Lna::amplify(std::span<const dsp::Complex> x, dsp::Rng& rng) const {
-  dsp::Signal out;
-  amplify_into(x, rng, out);
-  return out;
+LnaStage Lna::stage() const {
+  return {dsp::db_to_amp(cfg_.gain_db), std::sqrt(input_noise_watts_ / 2.0)};
 }
 
-void Lna::amplify_into(std::span<const dsp::Complex> x, dsp::Rng& rng,
-                       dsp::Signal& out) const {
+dsp::Signal Lna::amplify(std::span<const dsp::Complex> x, dsp::Rng& rng) const {
   // Fused pass: y = g (x + n), the gaussians drawn inside the
   // SIMD-dispatched kernel in the per-sample re/im order.
-  out.resize(x.size());
-  const double g = dsp::db_to_amp(cfg_.gain_db);
-  const double sigma = std::sqrt(input_noise_watts_ / 2.0);
+  dsp::Signal out(x.size());
+  const LnaStage s = stage();
   dsp::simd::gain_add_gaussian(reinterpret_cast<const double*>(x.data()),
-                               2 * x.size(), g, sigma,
+                               2 * x.size(), s.gain, s.sigma,
                                reinterpret_cast<double*>(out.data()), rng);
+  return out;
 }
 
 }  // namespace saiyan::frontend

@@ -15,25 +15,24 @@ struct LnaConfig {
   double bandwidth_hz = 4e6;  ///< noise bandwidth (simulation rate)
 };
 
+/// The amplifier as plain parameters for the fused LNA + square-law
+/// kernel: y = gain·(x + noise), noise sigma per I/Q component.
+struct LnaStage {
+  double gain = 1.0;
+  double sigma = 0.0;
+};
+
 /// Amplify with input-referred thermal noise: y = g (x + n), where n
 /// has power kT·B·(F-1).
 class Lna {
  public:
   explicit Lna(const LnaConfig& cfg);
 
+  /// One fused draw-and-inject pass over the waveform.
   dsp::Signal amplify(std::span<const dsp::Complex> x, dsp::Rng& rng) const;
 
-  /// Workspace variant: writes into `out` through the fused
-  /// draw-and-inject kernel. Identical values and RNG consumption to
-  /// amplify().
-  void amplify_into(std::span<const dsp::Complex> x, dsp::Rng& rng,
-                    dsp::Signal& out) const;
-
-  double gain_db() const { return cfg_.gain_db; }
-
-  /// Per-I/Q-component input noise sigma (the fused-LNA kernels take
-  /// the amplifier as plain (gain, sigma) parameters).
-  double noise_sigma() const;
+  /// Gain and per-I/Q-component input noise sigma.
+  LnaStage stage() const;
 
  private:
   LnaConfig cfg_;

@@ -53,6 +53,7 @@ struct DemodKey {
 
 struct LiveStream {
   StreamId id = 0;
+  std::uint32_t worker = 0;        // index of the worker that runs it
   std::deque<dsp::Signal> chunks;  // guarded by Impl::mu_
   bool closed = false;             // guarded by Impl::mu_
 };
@@ -739,6 +740,7 @@ StreamId Gateway::open_stream() {
     impl_->streams_.emplace(ls->id, ls);
     job_id = impl_->next_job_++;
     target = impl_->workers_[impl_->rr_++ % impl_->workers_.size()].get();
+    ls->worker = target->index;
     target->jobs.push_back(Job{job_id, {}, ls});
   }
   impl_->jobs_enqueued.fetch_add(1, std::memory_order_relaxed);
@@ -749,6 +751,7 @@ StreamId Gateway::open_stream() {
 
 saiyan::Result<Unit> Gateway::push(StreamId stream,
                                    std::span<const dsp::Complex> chunk) {
+  std::uint32_t owner = 0;
   {
     std::lock_guard<std::mutex> lk(impl_->mu_);
     auto it = impl_->streams_.find(stream);
@@ -756,12 +759,14 @@ saiyan::Result<Unit> Gateway::push(StreamId stream,
       return fail("push: unknown or closed stream " + std::to_string(stream));
     }
     it->second->chunks.emplace_back(chunk.begin(), chunk.end());
+    owner = it->second->worker;
   }
-  for (auto& w : impl_->workers_) w->cv.notify_all();
+  impl_->workers_[owner]->cv.notify_all();
   return Unit{};
 }
 
 saiyan::Result<Unit> Gateway::close_stream(StreamId stream) {
+  std::uint32_t owner = 0;
   {
     std::lock_guard<std::mutex> lk(impl_->mu_);
     auto it = impl_->streams_.find(stream);
@@ -770,9 +775,10 @@ saiyan::Result<Unit> Gateway::close_stream(StreamId stream) {
                   std::to_string(stream));
     }
     it->second->closed = true;
+    owner = it->second->worker;
   }
   impl_->streams_open.fetch_sub(1, std::memory_order_relaxed);
-  for (auto& w : impl_->workers_) w->cv.notify_all();
+  impl_->workers_[owner]->cv.notify_all();
   return Unit{};
 }
 

@@ -15,15 +15,6 @@ namespace {
 // streaming scanner's.
 constexpr double kRedetectMinScore = 0.5;
 
-// Rescans run the same vanilla front end as the streaming scanner:
-// re-detection needs only timing, and the vanilla envelope is cheaper
-// and noise-free deterministic.
-core::SaiyanConfig rescan_config(const core::SaiyanConfig& cfg) {
-  core::SaiyanConfig scan = cfg;
-  scan.mode = core::Mode::kVanilla;
-  return scan;
-}
-
 }  // namespace
 
 CollisionResolver::CollisionResolver(const core::SaiyanConfig& cfg,
@@ -31,7 +22,7 @@ CollisionResolver::CollisionResolver(const core::SaiyanConfig& cfg,
                                      std::size_t payload_symbols)
     : cfg_(sic),
       remod_(cfg.phy, payload_symbols),
-      chain_(rescan_config(cfg)),
+      chain_(core::scan_config(cfg)),
       detector_(chain_) {}
 
 double CollisionResolver::cancel(std::span<dsp::Complex> region,

@@ -25,16 +25,6 @@ namespace saiyan::stream {
 
 namespace {
 
-// The scan front end is always the vanilla receive chain: detection
-// needs only timing, and the vanilla envelope is both cheaper and
-// blockwise-stable (the CFS mixer clock phase would reset at every
-// block boundary).
-core::SaiyanConfig scan_config(const core::SaiyanConfig& cfg) {
-  core::SaiyanConfig scan = cfg;
-  scan.mode = core::Mode::kVanilla;
-  return scan;
-}
-
 bool near(std::uint64_t a, std::uint64_t b, std::uint64_t tol) {
   return a + tol >= b && b + tol >= a;
 }
@@ -44,7 +34,7 @@ bool near(std::uint64_t a, std::uint64_t b, std::uint64_t tol) {
 StreamingDemodulator::StreamingDemodulator(const StreamConfig& cfg)
     : cfg_(cfg),
       batch_(cfg.saiyan),
-      scan_chain_(scan_config(cfg.saiyan)),
+      scan_chain_(core::scan_config(cfg.saiyan)),
       scan_detector_(scan_chain_),
       scanner_(scan_detector_, cfg.min_score) {
   if (cfg_.payload_symbols == 0) {

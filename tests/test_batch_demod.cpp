@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "channel/awgn_channel.hpp"
@@ -128,6 +129,41 @@ TEST_P(BatchDemodModes, FullSyncDecodeMatchesLegacyApi) {
   }
 }
 
+TEST_P(BatchDemodModes, SharedWorkspaceMatchesFreshAcrossNoisyAndReference) {
+  // Seeded decode envelopes and noiseless reference envelopes run the
+  // same front end, so they share one workspace's CFS clock tables and
+  // flicker buffers. Alternating them across two packet lengths must
+  // leave nothing behind that a fresh workspace would not reproduce.
+  const core::SaiyanConfig cfg = core::SaiyanConfig::make(phy(), GetParam());
+  const core::ReceiverChain chain(cfg);
+  const dsp::Signal rx_short = make_rx(cfg, {1, 3, 0, 2}, -60.0, 41, nullptr);
+  const dsp::Signal rx_long = make_rx(
+      cfg, {2, 0, 3, 1, 1, 2, 0, 3, 3, 1, 2, 0}, -60.0, 43, nullptr);
+  core::DemodWorkspace shared;
+  std::uint64_t seed = 100;
+  for (int round = 0; round < 2; ++round) {
+    for (const dsp::Signal* rx : {&rx_short, &rx_long}) {
+      for (bool noisy : {true, false}) {
+        core::DemodWorkspace fresh;
+        if (noisy) {
+          dsp::Rng rng_shared(seed), rng_fresh(seed);
+          ++seed;
+          chain.envelope_into(*rx, rng_shared, shared);
+          chain.envelope_into(*rx, rng_fresh, fresh);
+        } else {
+          chain.reference_envelope_into(*rx, shared);
+          chain.reference_envelope_into(*rx, fresh);
+        }
+        ASSERT_EQ(fresh.env.size(), shared.env.size());
+        ASSERT_EQ(0, std::memcmp(fresh.env.data(), shared.env.data(),
+                                 fresh.env.size() * sizeof(double)))
+            << "round=" << round << " n=" << rx->size()
+            << " noisy=" << noisy;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, BatchDemodModes,
                          ::testing::Values(core::Mode::kVanilla,
                                            core::Mode::kFrequencyShifting,
@@ -195,7 +231,7 @@ TEST(BatchDemodAllocation, WorkspaceCapacitiesStableAcrossDecodes) {
 
   const std::size_t caps[] = {
       ws.wave.capacity(),     ws.rx.capacity(),
-      ws.rf_filtered.capacity(), ws.rf_amplified.capacity(),
+      ws.rf_filtered.capacity(),
       ws.fft_scratch.capacity(), ws.env.capacity(),
       ws.bits_fs.capacity(),  ws.sampled.bits.capacity(),
       ws.symbols.capacity()};
@@ -206,7 +242,7 @@ TEST(BatchDemodAllocation, WorkspaceCapacitiesStableAcrossDecodes) {
   }
   const std::size_t after[] = {
       ws.wave.capacity(),     ws.rx.capacity(),
-      ws.rf_filtered.capacity(), ws.rf_amplified.capacity(),
+      ws.rf_filtered.capacity(),
       ws.fft_scratch.capacity(), ws.env.capacity(),
       ws.bits_fs.capacity(),  ws.sampled.bits.capacity(),
       ws.symbols.capacity()};

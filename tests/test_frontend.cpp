@@ -45,13 +45,13 @@ TEST(Lna, AddsNoiseForWeakSignals) {
 
 TEST(EnvelopeDetector, SquareLawOnCleanTone) {
   EnvelopeDetectorConfig cfg;
-  cfg.enable_impairments = false;
   cfg.sample_rate_hz = 4e6;
   cfg.lpf_cutoff_hz = 100e3;
   const EnvelopeDetector ed(cfg);
-  dsp::Rng rng(3);
   dsp::Signal x(1 << 14, dsp::Complex(2.0, 0.0));  // constant amplitude 2
-  const dsp::RealSignal y = ed.detect(x, rng);
+  dsp::RealSignal y;
+  FrontendScratch scratch;
+  ed.detect_ws(x, std::nullopt, /*rng=*/nullptr, y, scratch);  // noiseless
   // After settling, output = k*|x|^2 = 4.
   EXPECT_NEAR(y.back(), 4.0, 0.05);
 }
@@ -205,12 +205,10 @@ TEST(Cfs, RecoverAmplitudeModulation) {
   // AM tone through the CFS chain: the modulation must survive.
   EnvelopeDetectorConfig ed;
   ed.sample_rate_hz = 4e6;
-  ed.enable_impairments = false;
   CfsConfig cfg;
   cfg.clock.sample_rate_hz = 4e6;
   cfg.output_lpf_cutoff_hz = 100e3;
   const CyclicFrequencyShifter cfs(cfg, ed);
-  dsp::Rng rng(5);
   const double fs = 4e6;
   const double fm = 5e3;  // modulation rate
   dsp::Signal x(1 << 16);
@@ -219,7 +217,9 @@ TEST(Cfs, RecoverAmplitudeModulation) {
     const double amp = 1.0 + 0.8 * std::cos(dsp::kTwoPi * fm * t);
     x[i] = dsp::Complex(amp, 0.0);
   }
-  const dsp::RealSignal y = cfs.process(x, rng);
+  dsp::RealSignal y;
+  FrontendScratch scratch;
+  cfs.process_ws(x, std::nullopt, /*rng=*/nullptr, y, scratch);  // noiseless
   // The dominant non-DC frequency of the output tracks the modulation.
   EXPECT_NEAR(dsp::dominant_frequency(std::span<const double>(y), fs, 1e3), fm,
               1.5e3);

@@ -201,18 +201,24 @@ TEST(SimdKernels, LnaSquareLawBitIdentical) {
       if (!have_avx2()) GTEST_SKIP() << "no AVX2+FMA on this host";
       const Signal x = random_complex(n + off, 23 * n + off + 1);
       const RealSignal gm = random_reals(n + off, 29 * n + off + 2);
-      for (bool mixed : {false, true}) {
-        RealSignal ys(n, 0.0), yv(n, 0.0);
-        Rng rs(500 + n * 8 + off + mixed), rv(500 + n * 8 + off + mixed);
-        simd::set_isa(simd::Isa::kScalar);
-        simd::lna_square_law(x.data() + off, mixed ? gm.data() + off : nullptr,
-                             n, 10.0, 3e-9, 0.8, ys.data(), rs);
-        simd::set_isa(simd::Isa::kAvx2);
-        simd::lna_square_law(x.data() + off, mixed ? gm.data() + off : nullptr,
-                             n, 10.0, 3e-9, 0.8, yv.data(), rv);
-        ASSERT_TRUE(same_bytes(ys.data(), yv.data(), n * sizeof(double)))
-            << "n=" << n << " off=" << off << " mixed=" << mixed;
-        ASSERT_EQ(rs.engine()(), rv.engine()());
+      // noisy = false passes a null Rng: the draw-free arm.
+      for (bool noisy : {true, false}) {
+        for (bool mixed : {false, true}) {
+          RealSignal ys(n, 0.0), yv(n, 0.0);
+          Rng rs(500 + n * 8 + off + mixed), rv(500 + n * 8 + off + mixed);
+          simd::set_isa(simd::Isa::kScalar);
+          simd::lna_square_law(x.data() + off, mixed ? gm.data() + off : nullptr,
+                               n, 10.0, 3e-9, 0.8, ys.data(),
+                               noisy ? &rs : nullptr);
+          simd::set_isa(simd::Isa::kAvx2);
+          simd::lna_square_law(x.data() + off, mixed ? gm.data() + off : nullptr,
+                               n, 10.0, 3e-9, 0.8, yv.data(),
+                               noisy ? &rv : nullptr);
+          ASSERT_TRUE(same_bytes(ys.data(), yv.data(), n * sizeof(double)))
+              << "n=" << n << " off=" << off << " mixed=" << mixed
+              << " noisy=" << noisy;
+          ASSERT_EQ(rs.engine()(), rv.engine()());
+        }
       }
     }
   }
@@ -236,9 +242,29 @@ TEST(SimdKernels, LnaSquareLawMatchesTwoPassChain) {
     const double g2 = gm[i] * gm[i];
     want[i] = k * g2 * (re * re + im * im);
   }
-  simd::lna_square_law(x.data(), gm.data(), n, g, sigma, k, got.data(), r2);
+  simd::lna_square_law(x.data(), gm.data(), n, g, sigma, k, got.data(), &r2);
   EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
   EXPECT_EQ(r1.engine()(), r2.engine()());
+
+  // The draw-free arm (null Rng) is scale then square_law(_mixed), on
+  // both dispatch targets, with and without a mixer gain.
+  Signal amp(n);
+  simd::scale(reinterpret_cast<const double*>(x.data()), 2 * n, g,
+              reinterpret_cast<double*>(amp.data()));
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+    simd::set_isa(isa);
+    for (bool mixed : {false, true}) {
+      if (mixed) {
+        simd::square_law_mixed(amp.data(), gm.data(), n, k, want.data());
+      } else {
+        simd::square_law(amp.data(), n, k, want.data());
+      }
+      simd::lna_square_law(x.data(), mixed ? gm.data() : nullptr, n, g, sigma,
+                           k, got.data(), nullptr);
+      EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)))
+          << "isa=" << static_cast<int>(isa) << " mixed=" << mixed;
+    }
+  }
 }
 
 TEST(SimdKernels, DotBitIdentical) {
