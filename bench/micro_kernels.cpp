@@ -334,8 +334,8 @@ void BM_StreamReplay(benchmark::State& state) {
   // Streaming continuous-capture decode of a multi-tag gateway
   // capture: ring carry-over, blockwise scan envelope, incremental
   // preamble correlation and framed batch decode, end to end.
-  // items/sec = decoded packets/sec (the bench/stream_replay driver
-  // reports the duty-cycle sweep).
+  // items/sec = decoded packets/sec (gwbench's trace_dense and
+  // live_sparse workloads measure the duty-cycle extremes end to end).
   sim::CaptureConfig cfg;
   cfg.saiyan = core::SaiyanConfig::make(phy(), core::Mode::kSuper);
   cfg.payload_symbols = 16;

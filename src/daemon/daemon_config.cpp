@@ -37,7 +37,7 @@ struct Row {
   bool phy = false;
 };
 
-std::array<Row, 29> key_table(Target& t) {
+std::array<Row, 25> key_table(Target& t) {
   gateway::GatewayConfig& g = t.opt.gateway;
   return {{
       {"socket", &t.opt.socket_path},
@@ -47,13 +47,9 @@ std::array<Row, 29> key_table(Target& t) {
       {"throttle_us", &g.throttle_us},
       {"resync", &g.resync},
       {"subscriber_queue", &g.limits.subscriber_queue},
-      {"sic_max_rescan_queue", &g.stream.sic.max_rescan_queue},
       {"watchdog_poll_ms", &g.watchdog.poll_ms},
       {"watchdog_heartbeat_timeout_ms", &g.watchdog.heartbeat_timeout_ms},
       {"watchdog_job_deadline_ms", &g.watchdog.job_deadline_ms},
-      {"degradation", &g.degradation.enabled},
-      {"degradation_backlog_high", &g.degradation.backlog_high},
-      {"degradation_backlog_low", &g.degradation.backlog_low},
       {"degradation_p99_high_us", &g.degradation.p99_high_us},
       {"degradation_p99_low_us", &g.degradation.p99_low_us},
       {"degradation_escalate_after", &g.degradation.escalate_after},

@@ -16,17 +16,13 @@ const char* to_string(DegradationLevel level) {
   return "?";
 }
 
-bool DegradationLadder::update(std::size_t rescan_backlog,
-                               std::uint64_t p99_us) {
-  const bool backlog_on = cfg_.backlog_high != 0;
-  const bool latency_on = cfg_.p99_high_us != 0;
-  // Hot when *any* enabled signal is past its high watermark; cool only
-  // when *every* enabled signal is back at or below its low watermark.
-  // In between, both streaks reset and the level holds.
-  const bool hot = (backlog_on && rescan_backlog >= cfg_.backlog_high) ||
-                   (latency_on && p99_us >= cfg_.p99_high_us);
-  const bool cool = (!backlog_on || rescan_backlog <= cfg_.backlog_low) &&
-                    (!latency_on || p99_us <= cfg_.p99_low_us);
+bool DegradationLadder::update(std::uint64_t p99_us) {
+  // Hot at or past the high watermark, cool at or below the low one.
+  // In between, both streaks reset and the level holds. An off ladder
+  // (0 high) is never hot.
+  const bool on = cfg_.p99_high_us != 0;
+  const bool hot = on && p99_us >= cfg_.p99_high_us;
+  const bool cool = !on || p99_us <= cfg_.p99_low_us;
   if (hot) {
     cool_polls_ = 0;
     if (++hot_polls_ >= cfg_.escalate_after) {

@@ -12,16 +12,18 @@
 //   level 2  kShedRescans  cancel/rescan stage shed entirely
 //   level 3  kDropSpans    whole framed spans dropped undecoded
 //
-// Two signals drive it, both sampled by the gateway's watchdog thread
-// each poll: the worst per-worker SIC rescan backlog (queued work the
-// workers are not keeping up with) and the *windowed* p99
-// chunk-to-frame latency (the bucket-delta of the seqlock latency
-// histogram between polls — the cumulative histogram would never come
-// back down after one storm). Escalation needs `escalate_after`
-// consecutive hot polls, de-escalation `deescalate_after` consecutive
-// cool polls, and between the high and low watermarks the level
-// holds — classic hysteresis, so a load level near a threshold does
-// not flap the pipeline on and off every tick.
+// One signal drives it, sampled by the gateway's watchdog thread each
+// poll: the *windowed* p99 chunk-to-frame latency (the bucket-delta of
+// the seqlock latency histogram between polls — the cumulative
+// histogram would never come back down after one storm). The SIC
+// rescan queue is no signal: rescans run inline on the worker at
+// every block boundary, so it holds only regions queued in the last
+// frame plus one block, whatever the load (stream/streaming_demod.cpp).
+// Escalation needs `escalate_after` consecutive hot polls,
+// de-escalation `deescalate_after` consecutive cool polls, and between
+// the high and low watermarks the level holds — classic hysteresis,
+// so a load level near a threshold does not flap the pipeline on and
+// off every tick.
 //
 // DegradationLadder itself is a pure, single-threaded controller —
 // level is a deterministic function of the update() input sequence —
@@ -29,7 +31,6 @@
 // concurrency lives entirely in the gateway's watchdog loop.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace saiyan::gateway {
@@ -43,18 +44,12 @@ enum class DegradationLevel : std::uint8_t {
 
 const char* to_string(DegradationLevel level);
 
-/// Thresholds and hysteresis for the ladder. A signal with a zero
-/// high watermark is disabled. Fixed at Gateway::create().
+/// Thresholds and hysteresis for the ladder. Fixed at
+/// Gateway::create().
 struct DegradationConfig {
-  /// Master switch; off = the gateway never degrades.
-  bool enabled = false;
-  /// Rescan-backlog signal: hot when the worst per-worker backlog
-  /// reaches `backlog_high`; cool when it is back at or below
-  /// `backlog_low`. 0 high = signal disabled.
-  std::size_t backlog_high = 64;
-  std::size_t backlog_low = 16;
-  /// Windowed-p99-latency signal (microseconds), same watermark
-  /// semantics. 0 high = signal disabled.
+  /// Windowed-p99-latency signal (microseconds): hot when the p99
+  /// reaches `p99_high_us`, cool when it is back at or below
+  /// `p99_low_us`. 0 high = the ladder is off and never degrades.
   std::uint64_t p99_high_us = 0;
   std::uint64_t p99_low_us = 0;
   /// Consecutive hot polls before stepping one level up.
@@ -65,7 +60,7 @@ struct DegradationConfig {
   bool operator==(const DegradationConfig&) const = default;
 };
 
-/// Pure hysteresis state machine over the two overload signals.
+/// Pure hysteresis state machine over the windowed-p99 signal.
 /// Single-threaded: the gateway's watchdog thread owns it; everyone
 /// else sees the level through an atomic the watchdog publishes.
 class DegradationLadder {
@@ -73,7 +68,7 @@ class DegradationLadder {
   explicit DegradationLadder(const DegradationConfig& cfg) : cfg_(cfg) {}
 
   /// One controller poll. Returns true when the level changed.
-  bool update(std::size_t rescan_backlog, std::uint64_t p99_us);
+  bool update(std::uint64_t p99_us);
 
   DegradationLevel level() const {
     return static_cast<DegradationLevel>(level_);

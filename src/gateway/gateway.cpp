@@ -130,7 +130,6 @@ struct Gateway::Impl {
     std::atomic<std::uint64_t> current_job{0};
     std::atomic<bool> job_is_stream{false};
     std::atomic<std::uint64_t> cancels{0};  ///< watchdog fires on this worker
-    std::atomic<std::uint64_t> rescan_backlog{0};
   };
 
   mutable std::mutex mu_;  // job queues, live streams, cfg pointer
@@ -403,8 +402,6 @@ struct Gateway::Impl {
         view.merge(demod.ingest());
         w.ingest_pub.publish(view);
         w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-        w.rescan_backlog.store(demod.rescan_backlog(),
-                               std::memory_order_relaxed);
         if (gcfg.chunk_hook) {
           gcfg.chunk_hook({w.index, job_id, chunk_index, &w.cancel});
         }
@@ -554,10 +551,10 @@ struct Gateway::Impl {
   /// Watchdog + degradation controller. One thread, one poll cadence:
   /// each tick it (a) ages every busy worker's heartbeat and job start
   /// against the configured bounds and fires the worker's cancel token
-  /// at most once per job, and (b) feeds the ladder the worst rescan
-  /// backlog plus the *windowed* p99 latency (histogram bucket delta
-  /// since the previous tick) and publishes the resulting level for
-  /// workers to adopt at their next chunk.
+  /// at most once per job, and (b) when the ladder is on (p99 high
+  /// watermark set) feeds it the *windowed* p99 latency (histogram
+  /// bucket delta since the previous tick) and publishes the resulting
+  /// level for workers to adopt at their next chunk.
   void watchdog_main() {
     obs::set_thread_name("watchdog");
     DegradationLadder ladder(base_cfg.degradation);
@@ -577,11 +574,8 @@ struct Gateway::Impl {
         if (watchdog_stop_) return;
       }
       const std::uint64_t now = now_ns();
-      std::uint64_t worst_backlog = 0;
       for (const auto& wp : workers_) {
         Worker& w = *wp;
-        worst_backlog = std::max(
-            worst_backlog, w.rescan_backlog.load(std::memory_order_relaxed));
         const std::uint64_t start =
             w.job_start_ns.load(std::memory_order_acquire);
         // Idle, or this job was already cancelled (the token stays set
@@ -620,7 +614,7 @@ struct Gateway::Impl {
           emit_event(buf);
         }
       }
-      if (base_cfg.degradation.enabled) {
+      if (base_cfg.degradation.p99_high_us != 0) {
         latency_.snapshot_counts(cur);
         for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
           delta[i] = cur[i] - prev[i];
@@ -629,7 +623,7 @@ struct Gateway::Impl {
         const std::uint64_t p99 =
             obs::LatencyHistogram::quantile_from_counts(delta, 0.99);
         window_p99_us_.store(p99, std::memory_order_relaxed);
-        if (ladder.update(worst_backlog, p99)) {
+        if (ladder.update(p99)) {
           const DegradationLevel lvl = ladder.level();
           degradation_level_.store(static_cast<std::uint8_t>(lvl),
                                    std::memory_order_relaxed);
@@ -640,9 +634,8 @@ struct Gateway::Impl {
             char buf[160];
             std::snprintf(
                 buf, sizeof(buf),
-                "degradation: level -> %u (%s), backlog=%llu p99=%lluus",
+                "degradation: level -> %u (%s), p99=%lluus",
                 static_cast<unsigned>(lvl), to_string(lvl),
-                static_cast<unsigned long long>(worst_backlog),
                 static_cast<unsigned long long>(p99));
             emit_event(buf);
           }
@@ -670,7 +663,7 @@ Gateway::Gateway(const GatewayConfig& cfg) : impl_(new Impl(cfg)) {
     w.thr = std::thread([this, &w] { impl_->worker_main(w); });
   }
   if (cfg.watchdog.heartbeat_timeout_ms != 0 ||
-      cfg.watchdog.job_deadline_ms != 0 || cfg.degradation.enabled) {
+      cfg.watchdog.job_deadline_ms != 0 || cfg.degradation.p99_high_us != 0) {
     impl_->watchdog_thr_ = std::thread([this] { impl_->watchdog_main(); });
   }
 }
@@ -1005,9 +998,7 @@ GatewayHealth Gateway::health() const {
       wh.heartbeat_age_ms = now > hb ? (now - hb) / 1'000'000 : 0;
     }
     wh.cancels = w.cancels.load(std::memory_order_relaxed);
-    wh.rescan_backlog = w.rescan_backlog.load(std::memory_order_relaxed);
     wh.jobs_completed = w.counters.jobs.load(std::memory_order_relaxed);
-    h.rescan_backlog = std::max(h.rescan_backlog, wh.rescan_backlog);
     h.jobs_cancelled += w.ingest_pub.read().jobs_cancelled;
     h.workers.push_back(wh);
   }

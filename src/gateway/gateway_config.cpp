@@ -44,10 +44,6 @@ saiyan::Result<Unit> GatewayConfig::validate() const {
   if (watchdog.poll_ms == 0 || watchdog.poll_ms > 60'000) {
     return bad_field("watchdog.poll_ms", "must be in [1, 60000]");
   }
-  if (degradation.backlog_low > degradation.backlog_high) {
-    return bad_field("degradation.backlog_low",
-                     "must be <= degradation.backlog_high");
-  }
   if (degradation.p99_low_us > degradation.p99_high_us) {
     return bad_field("degradation.p99_low_us",
                      "must be <= degradation.p99_high_us");

@@ -18,9 +18,9 @@
 // whichever layer noticed three calls later.
 //
 // Overload has one policy: the degradation ladder (`degradation`)
-// sheds SIC and decode work when the rescan backlog or the windowed
-// p99 runs hot. `stream.sic.max_rescan_queue` is the one hard safety
-// cap on the rescan queue under it, and `limits` bounds delivery.
+// sheds SIC and decode work when the windowed p99 runs hot, and
+// `limits` bounds delivery. The SIC rescan queue needs no cap: it
+// drains inline on the worker (stream/streaming_demod.cpp).
 #pragma once
 
 #include <atomic>

@@ -409,7 +409,6 @@ std::string GatewayHealth::to_text() const {
   append_stat(out, "watchdog_cancels", watchdog_cancels);
   append_stat(out, "deadline_cancels", deadline_cancels);
   append_stat(out, "jobs_cancelled", jobs_cancelled);
-  append_stat(out, "rescan_backlog", rescan_backlog);
   append_stat(out, "window_p99_us", window_p99_us);
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const WorkerHealth& w = workers[i];
@@ -419,7 +418,6 @@ std::string GatewayHealth::to_text() const {
     append_stat(out, p + "job_age_ms", w.job_age_ms);
     append_stat(out, p + "heartbeat_age_ms", w.heartbeat_age_ms);
     append_stat(out, p + "cancels", w.cancels);
-    append_stat(out, p + "rescan_backlog", w.rescan_backlog);
     append_stat(out, p + "jobs_completed", w.jobs_completed);
   }
   return out;

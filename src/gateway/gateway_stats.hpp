@@ -170,7 +170,6 @@ struct WorkerHealth {
   std::uint64_t job_age_ms = 0;        ///< since the job started
   std::uint64_t heartbeat_age_ms = 0;  ///< since the last heartbeat
   std::uint64_t cancels = 0;           ///< watchdog cancels fired here
-  std::uint64_t rescan_backlog = 0;    ///< queued SIC rescan regions
   std::uint64_t jobs_completed = 0;    ///< lifetime jobs finished here
 };
 
@@ -187,7 +186,6 @@ struct GatewayHealth {
   std::uint64_t watchdog_cancels = 0;
   std::uint64_t deadline_cancels = 0;
   std::uint64_t jobs_cancelled = 0;   ///< jobs abandoned after a cancel
-  std::uint64_t rescan_backlog = 0;   ///< worst backlog across workers
   std::uint64_t window_p99_us = 0;    ///< controller's last windowed p99
   std::vector<WorkerHealth> workers;
 

@@ -57,11 +57,6 @@ struct SicConfig {
   /// d < depth, so depth 1 resolves two-frame collisions, depth 2
   /// three-way pileups, and 0 disables SIC entirely.
   std::size_t depth = 0;
-  /// Hard cap on queued rescan regions: at the cap the oldest region
-  /// is evicted (IngestStats::rescans_dropped) to admit the new one,
-  /// bounding the queue's memory and the ring retention it implies.
-  /// 0 = unbounded.
-  std::size_t max_rescan_queue = 0;
 };
 
 /// A preamble found on a cancelled residual.

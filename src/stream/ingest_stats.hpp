@@ -6,7 +6,7 @@
 // demodulator's desync recovery, the SIC load shedder) classifies what
 // it rejected or degraded into one IngestError and counts it here, so
 // an operator can distinguish "the capture was clean" from "the reader
-// resynced twice and the demodulator shed SIC work under backlog" —
+// resynced twice and the demodulator shed SIC work under overload" —
 // without any layer having to throw. Strict-mode readers still throw
 // on malformed headers; IngestStats is how the *recovering* path stays
 // observable.
@@ -59,7 +59,7 @@ struct IngestStats {
   std::uint64_t gap_samples = 0;     ///< samples zero-filled across gaps
   std::uint64_t spans_dropped = 0;   ///< pending frames abandoned at a gap
   std::uint64_t sic_shed = 0;        ///< cancellations shed by the ladder
-  std::uint64_t rescans_dropped = 0; ///< rescan regions evicted or shed
+  std::uint64_t rescans_dropped = 0; ///< rescan regions shed (rung 2)
   std::uint64_t rescans_expired = 0; ///< rescan regions aged off the ring
   /// Whole confirmed spans discarded undecoded by the degradation
   /// ladder's last rung (gateway overload, not input damage).

@@ -65,6 +65,7 @@ StreamingDemodulator::StreamingDemodulator(const StreamConfig& cfg)
     rescans_.reserve(32);
   }
   rf_.reserve(reach);
+  confirmed_.reserve(4);
   pending_.reserve(64);
 }
 
@@ -106,9 +107,9 @@ std::size_t StreamingDemodulator::finish() {
     process_block(next_block_start_, tail);
     next_block_start_ += tail;
   }
-  const std::size_t appended_from = pending_.size();
-  scanner_.finish(pending_);
-  if (sic_) restore_pending_order(appended_from);
+  scanner_.finish(confirmed_);
+  for (const PacketSpan& span : confirmed_) admit_span(span);
+  confirmed_.clear();
   decode_ready(/*flush=*/true);
   return packets_.size() - before;
 }
@@ -177,15 +178,15 @@ void StreamingDemodulator::reset() {
 void StreamingDemodulator::process_block(std::uint64_t block_start,
                                          std::size_t len) {
   const std::span<const dsp::Complex> rf_block = rf_.view(block_start, len);
-  const std::size_t appended_from = pending_.size();
   {
     // The scan stage proper: envelope + incremental preamble scan.
     // Decode work triggered below times itself.
     obs::ScopedTimer t("scan", stage_hist(cfg_, obs::Stage::kScan));
     scan_chain_.reference_envelope_into(rf_block, scan_ws_);
-    scanner_.push_block(scan_ws_.env, pending_);
+    scanner_.push_block(scan_ws_.env, confirmed_);
   }
-  if (sic_) restore_pending_order(appended_from);
+  for (const PacketSpan& span : confirmed_) admit_span(span);
+  confirmed_.clear();
   if (cfg_.link_telemetry != nullptr) {
     // Noise-floor sampling from inter-frame idle spans: a block is
     // idle when no confirmed span is in flight, the scanner holds no
@@ -232,10 +233,15 @@ void StreamingDemodulator::decode_ready(bool flush) {
       pending_head_ = 0;
     }
     if (!sic_) break;  // no rescan stage; a single decode pass suffices
+    // Rescans run here, inline, at every block boundary. A region is
+    // queued once its frame has decoded and is ready one preamble
+    // (cancel) or one frame (re-queue) later, so the queue only holds
+    // regions queued in the last frame plus one block: load slows the
+    // producer and this consumer together and cannot grow it.
     while (rescan_head_ < rescans_.size()) {
       const RescanRegion region = rescans_[rescan_head_];
       if (degradation_ >= 2) {
-        // Ladder rung 2: the rescan backlog is the work being shed.
+        // Ladder rung 2: the queued rescans are the work being shed.
         ++rescan_head_;
         ++ingest_.rescans_dropped;
         continue;
@@ -361,18 +367,6 @@ void StreamingDemodulator::remember_start(std::uint64_t packet_start) {
   ++recent_count_;
 }
 
-void StreamingDemodulator::queue_rescan(const RescanRegion& region) {
-  // Hard cap on the rescan backlog: evict the oldest region — it is
-  // the one whose residual span ages off the ring first anyway — so
-  // queue memory and ring retention stay bounded under pileup floods.
-  if (cfg_.sic.max_rescan_queue != 0 &&
-      rescans_.size() - rescan_head_ >= cfg_.sic.max_rescan_queue) {
-    ++rescan_head_;
-    ++ingest_.rescans_dropped;
-  }
-  rescans_.push_back(region);
-}
-
 void StreamingDemodulator::cancel_frame(const PacketSpan& span) {
   obs::ScopedTimer timer("sic_cancel",
                          stage_hist(cfg_, obs::Stage::kSicCancel));
@@ -402,7 +396,7 @@ void StreamingDemodulator::cancel_frame(const PacketSpan& span) {
                                             // anywhere inside the frame
   region.ready_at = span.packet_start + frame_len_ + preamble_len_;
   region.depth = span.sic_depth + 1;
-  queue_rescan(region);
+  rescans_.push_back(region);
 }
 
 bool StreamingDemodulator::process_rescan(const RescanRegion& region) {
@@ -423,14 +417,13 @@ bool StreamingDemodulator::process_rescan(const RescanRegion& region) {
   const std::optional<sic::RescanHit> hit = sic_->rescan(view);
   if (!hit.has_value()) return false;
   const std::uint64_t abs = start + hit->offset;
-  if (near_known_span(abs)) return false;
-  ++collision_groups_;
   PacketSpan s;
   s.packet_start = abs;
   s.payload_start = abs + preamble_len_;
   s.score = hit->score;
   s.sic_depth = region.depth;
-  insert_span(s);
+  if (!admit_span(s)) return false;
+  ++collision_groups_;
   // Flag the revealing frame, if the caller has not drained it yet.
   for (auto it = packets_.rbegin(); it != packets_.rend(); ++it) {
     if (it->packet_start == region.start) {
@@ -444,62 +437,35 @@ bool StreamingDemodulator::process_rescan(const RescanRegion& region) {
     RescanRegion again = region;
     again.depth = region.depth + 1;
     again.ready_at = abs + frame_len_ + preamble_len_;
-    queue_rescan(again);
+    rescans_.push_back(again);
   }
   return true;
 }
 
-void StreamingDemodulator::insert_span(const PacketSpan& span) {
+bool StreamingDemodulator::admit_span(const PacketSpan& span) {
+  // One admission check for scanner confirmations and rescan hits: a
+  // partially overlapped preamble can clear the scanner threshold in
+  // the mix *after* a rescan already framed it, so a span within half
+  // a symbol of a pending or recently decoded frame is a duplicate.
+  // Scanner confirmations are a template length apart, so this never
+  // drops one against another.
+  const std::uint64_t tol = cfg_.saiyan.phy.samples_per_symbol() / 2;
+  for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
+    if (near(pending_[i].packet_start, span.packet_start, tol)) return false;
+  }
+  const std::size_t known = std::min(recent_count_, recent_starts_.size());
+  for (std::size_t i = 0; i < known; ++i) {
+    if (near(recent_starts_[i], span.packet_start, tol)) return false;
+  }
+  // Pending stays in packet_start order, although rescan hits and
+  // scanner confirmations arrive out of that order.
   const auto it = std::upper_bound(
       pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_),
       pending_.end(), span, [](const PacketSpan& a, const PacketSpan& b) {
         return a.packet_start < b.packet_start;
       });
   pending_.insert(it, span);
-}
-
-bool StreamingDemodulator::near_known_span(std::uint64_t packet_start) const {
-  const std::uint64_t tol = cfg_.saiyan.phy.samples_per_symbol() / 2;
-  for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
-    if (near(pending_[i].packet_start, packet_start, tol)) return true;
-  }
-  const std::size_t known = std::min(recent_count_, recent_starts_.size());
-  for (std::size_t i = 0; i < known; ++i) {
-    if (near(recent_starts_[i], packet_start, tol)) return true;
-  }
-  return false;
-}
-
-void StreamingDemodulator::restore_pending_order(std::size_t appended_from) {
-  // Scanner confirmations append in packet_start order, but a span a
-  // rescan inserted earlier can sit past them — and a partially
-  // overlapped preamble can clear the scanner threshold in the mix
-  // *after* a rescan already framed it, so new scanner spans that
-  // duplicate a known frame are dropped. Then bubble each survivor
-  // back to its place (almost always a no-op).
-  const std::uint64_t tol = cfg_.saiyan.phy.samples_per_symbol() / 2;
-  std::size_t i = std::max(appended_from, pending_head_);
-  while (i < pending_.size()) {
-    bool dup = false;
-    for (std::size_t k = pending_head_; k < i && !dup; ++k) {
-      dup = near(pending_[k].packet_start, pending_[i].packet_start, tol);
-    }
-    const std::size_t known = std::min(recent_count_, recent_starts_.size());
-    for (std::size_t k = 0; k < known && !dup; ++k) {
-      dup = near(recent_starts_[k], pending_[i].packet_start, tol);
-    }
-    if (dup) {
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
-    std::size_t j = i;
-    while (j > pending_head_ &&
-           pending_[j].packet_start < pending_[j - 1].packet_start) {
-      std::swap(pending_[j], pending_[j - 1]);
-      --j;
-    }
-    ++i;
-  }
+  return true;
 }
 
 }  // namespace saiyan::stream

@@ -85,8 +85,7 @@ struct StreamConfig {
   /// Successive-interference-cancellation policy for overlapping
   /// frames (depth 0 = off; see sic/collision_resolver.hpp). Under
   /// overload the gateway's degradation ladder sheds this work through
-  /// set_degradation(); sic.max_rescan_queue is the hard safety cap on
-  /// the rescan backlog.
+  /// set_degradation().
   sic::SicConfig sic;
   /// Derive per-packet decode seeds from the frame's absolute sample
   /// offset instead of its decode index. Decode results then do not
@@ -226,11 +225,12 @@ class StreamingDemodulator {
   std::size_t collisions_resolved() const { return collisions_resolved_; }
   /// Frames whose waveform was reconstructed and subtracted.
   std::size_t frames_cancelled() const { return frames_cancelled_; }
-  /// SIC rescan regions queued but not yet processed — the degradation
-  /// ladder's backlog signal.
+  /// SIC rescan regions queued but not yet processed. Rescans run
+  /// inline at block boundaries, so this stays within regions queued
+  /// in the last frame plus one block (see decode_ready()).
   std::size_t rescan_backlog() const { return rescans_.size() - rescan_head_; }
   /// Stream-side ingest health: gaps recovered, spans dropped, SIC
-  /// work shed under backlog pressure.
+  /// work shed under overload.
   const IngestStats& ingest() const { return ingest_; }
   const StreamConfig& config() const { return cfg_; }
   const core::BatchDemodulator& batch() const { return batch_; }
@@ -253,12 +253,9 @@ class StreamingDemodulator {
                  DecodedPacket& p) const;
   void cancel_frame(const PacketSpan& span);
   bool process_rescan(const RescanRegion& region);
-  void queue_rescan(const RescanRegion& region);
   void remember_start(std::uint64_t packet_start);
   std::size_t effective_sic_depth() const;
-  void insert_span(const PacketSpan& span);
-  bool near_known_span(std::uint64_t packet_start) const;
-  void restore_pending_order(std::size_t appended_from);
+  bool admit_span(const PacketSpan& span);
 
   StreamConfig cfg_;
   core::BatchDemodulator batch_;      // decode engine + warm workspace
@@ -270,7 +267,8 @@ class StreamingDemodulator {
 
   RfRing rf_;                         // raw capture (scan + plain decode)
   RfRing residual_;                   // SIC: capture minus cancelled frames
-  std::vector<PacketSpan> pending_;   // confirmed, waiting for frame end
+  std::vector<PacketSpan> confirmed_; // scanner output, before admission
+  std::vector<PacketSpan> pending_;   // admitted, waiting for frame end
   std::size_t pending_head_ = 0;
   std::vector<RescanRegion> rescans_;
   std::size_t rescan_head_ = 0;

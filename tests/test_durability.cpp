@@ -320,79 +320,78 @@ TEST_F(SegmentDir, RecoveryReportTextCarriesTheDocumentedKeys) {
 
 TEST(DegradationLadder, EscalatesAfterSustainedPressureOnly) {
   gateway::DegradationConfig cfg;
-  cfg.enabled = true;
-  cfg.backlog_high = 64;
-  cfg.backlog_low = 16;
+  cfg.p99_high_us = 5000;
+  cfg.p99_low_us = 1000;
   cfg.escalate_after = 2;
   cfg.deescalate_after = 3;
   gateway::DegradationLadder ladder(cfg);
 
   // One hot poll is not enough (a spike must be *sustained*).
-  EXPECT_FALSE(ladder.update(100, 0));
+  EXPECT_FALSE(ladder.update(8000));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kHealthy);
   // The second consecutive hot poll escalates one level.
-  EXPECT_TRUE(ladder.update(100, 0));
+  EXPECT_TRUE(ladder.update(8000));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kReduceSic);
   // A mid-band poll (between the watermarks) resets the hot streak.
-  EXPECT_FALSE(ladder.update(40, 0));
-  EXPECT_FALSE(ladder.update(100, 0));
+  EXPECT_FALSE(ladder.update(3000));
+  EXPECT_FALSE(ladder.update(8000));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kReduceSic);
-  EXPECT_TRUE(ladder.update(100, 0));
+  EXPECT_TRUE(ladder.update(8000));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kShedRescans);
 
   // Escalation saturates at the last rung.
-  for (int i = 0; i < 10; ++i) ladder.update(100, 0);
+  for (int i = 0; i < 10; ++i) ladder.update(8000);
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kDropSpans);
 
   // Cooling needs deescalate_after consecutive polls at/below low.
-  EXPECT_FALSE(ladder.update(10, 0));
-  EXPECT_FALSE(ladder.update(10, 0));
-  EXPECT_TRUE(ladder.update(10, 0));
+  EXPECT_FALSE(ladder.update(500));
+  EXPECT_FALSE(ladder.update(500));
+  EXPECT_TRUE(ladder.update(500));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kShedRescans);
   // The mid band holds the level (hysteresis: no flapping).
-  for (int i = 0; i < 20; ++i) EXPECT_FALSE(ladder.update(40, 0));
+  for (int i = 0; i < 20; ++i) EXPECT_FALSE(ladder.update(3000));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kShedRescans);
 }
 
 TEST(DegradationLadder, LatencySignalGatesOnlyWhenConfigured) {
   gateway::DegradationConfig cfg;
-  cfg.enabled = true;
-  cfg.backlog_high = 64;
-  cfg.backlog_low = 16;
   cfg.escalate_after = 1;
-  // p99 thresholds unset: latency must never escalate.
-  gateway::DegradationLadder no_lat(cfg);
-  EXPECT_FALSE(no_lat.update(0, 1u << 30));
-  EXPECT_EQ(no_lat.level(), gateway::DegradationLevel::kHealthy);
+  // p99 thresholds unset: the ladder is off and never escalates.
+  gateway::DegradationLadder off(cfg);
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(off.update(1u << 30));
+  EXPECT_EQ(off.level(), gateway::DegradationLevel::kHealthy);
+  EXPECT_EQ(off.transitions(), 0u);
 
   cfg.p99_high_us = 5000;
   cfg.p99_low_us = 1000;
+  cfg.deescalate_after = 1;
   gateway::DegradationLadder with_lat(cfg);
-  EXPECT_TRUE(with_lat.update(0, 6000));
+  EXPECT_TRUE(with_lat.update(6000));
   EXPECT_EQ(with_lat.level(), gateway::DegradationLevel::kReduceSic);
-  // Cooling requires BOTH signals at/below their low watermarks: the
-  // latency cooled but a mid-band backlog holds the level.
-  EXPECT_FALSE(with_lat.update(40, 0));
+  // A p99 that left the hot band but not the mid band holds the level;
+  // only a poll at/below the low watermark cools it.
+  EXPECT_FALSE(with_lat.update(1001));
   EXPECT_EQ(with_lat.level(), gateway::DegradationLevel::kReduceSic);
+  EXPECT_TRUE(with_lat.update(1000));
+  EXPECT_EQ(with_lat.level(), gateway::DegradationLevel::kHealthy);
 }
 
 TEST(DegradationLadder, SamePollSequenceSameTransitions) {
   gateway::DegradationConfig cfg;
-  cfg.enabled = true;
-  cfg.backlog_high = 8;
-  cfg.backlog_low = 2;
+  cfg.p99_high_us = 80'000;
+  cfg.p99_low_us = 20'000;
   cfg.escalate_after = 2;
   cfg.deescalate_after = 2;
-  // A fixed chaos seed drives a fixed pressure sequence; the ladder
-  // must walk the exact same levels both times.
+  // A fixed chaos seed drives a fixed pressure sequence (a stall of N
+  // ms reads as an N ms p99); the ladder must walk the exact same
+  // levels both times.
   const fault::ChaosConfig chaos_cfg{.seed = 77, .stall_rate = 0.5};
   const fault::ChaosScheduler chaos(chaos_cfg);
   std::vector<std::uint32_t> walk1, walk2;
   for (std::vector<std::uint32_t>* walk : {&walk1, &walk2}) {
     gateway::DegradationLadder ladder(cfg);
     for (std::uint64_t poll = 0; poll < 200; ++poll) {
-      const std::uint64_t backlog = chaos.stall_ms(0, poll) / 10;
-      ladder.update(backlog, 0);
+      ladder.update(chaos.stall_ms(0, poll) * 1000);
       walk->push_back(static_cast<std::uint32_t>(ladder.level()));
     }
   }

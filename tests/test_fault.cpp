@@ -650,19 +650,6 @@ TEST(SicDegradation, LadderRungsShedTheirWorkAtTheDemodulator) {
   EXPECT_GE(demod.ingest().rescans_dropped, 1u);
 }
 
-TEST_F(FaultFile, SicRescanQueueCapEvictsOldest) {
-  const sim::CaptureConfig cfg = collision_pairs_cfg(2);
-  const sim::Capture cap = sim::generate_capture(cfg);
-  sim::write_capture(cap, cfg, path_);
-
-  sim::ReplayConfig rc;
-  rc.stream.sic.depth = 2;
-  rc.stream.sic.max_rescan_queue = 1;
-  const sim::ReplayStats s = sim::replay_trace(path_, rc);
-  EXPECT_GE(s.matched, 3u);
-  EXPECT_GE(s.ingest.rescans_dropped, 1u);
-}
-
 // ------------------------------------------------ TraceWriter errors
 
 TEST(TraceWriterErrors, CloseFailureIsRecordedNotThrown) {

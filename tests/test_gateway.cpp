@@ -286,25 +286,23 @@ TEST(DaemonConfig, ParsesAndValidates) {
   ASSERT_FALSE(range.ok());
   EXPECT_NE(range.message().find("workers"), std::string::npos);
 
-  // The rescan-queue cap is the one SIC bound a config can set.
-  {
-    std::ofstream out(path);
-    out << "sic_max_rescan_queue 9\n";
+  // Overload shedding is the p99-driven degradation ladder's; the old
+  // shed knob, the rescan-queue cap, the ladder switch and its backlog
+  // watermarks are unknown keys.
+  for (const char* key :
+       {"sic_shed_queue", "sic_max_rescan_queue", "degradation",
+        "degradation_backlog_high", "degradation_backlog_low"}) {
+    {
+      std::ofstream out(path);
+      out << "workers 2\n" << key << " 1\n";
+    }
+    auto shed = daemon::load_daemon_config(path);
+    ASSERT_FALSE(shed.ok()) << key;
+    EXPECT_NE(shed.message().find(":2:"), std::string::npos) << shed.message();
+    EXPECT_NE(shed.message().find("'" + std::string(key) + "'"),
+              std::string::npos)
+        << shed.message();
   }
-  auto cap = daemon::load_daemon_config(path);
-  ASSERT_TRUE(cap.ok()) << cap.message();
-  EXPECT_EQ(cap.value().gateway.stream.sic.max_rescan_queue, 9u);
-
-  // Overload shedding is the degradation ladder's; the old shed knob
-  // is an unknown key.
-  {
-    std::ofstream out(path);
-    out << "workers 2\nsic_shed_queue 1\n";
-  }
-  auto shed = daemon::load_daemon_config(path);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_NE(shed.message().find(":2:"), std::string::npos) << shed.message();
-  EXPECT_NE(shed.message().find("sic_shed_queue"), std::string::npos);
   std::remove(path);
 }
 
@@ -325,13 +323,9 @@ TEST(DaemonConfig, EveryKeyLandsInItsField) {
       "throttle_us 7\n"
       "resync 0\n"
       "subscriber_queue 17\n"
-      "sic_max_rescan_queue 5\n"
       "watchdog_poll_ms 11\n"
       "watchdog_heartbeat_timeout_ms 1234\n"
       "watchdog_job_deadline_ms 4321\n"
-      "degradation 1\n"
-      "degradation_backlog_high 40\n"
-      "degradation_backlog_low 12\n"
       "degradation_p99_high_us 900\n"
       "degradation_p99_low_us 300\n"
       "degradation_escalate_after 4\n"
@@ -359,13 +353,9 @@ TEST(DaemonConfig, EveryKeyLandsInItsField) {
   EXPECT_EQ(g.throttle_us, 7u);
   EXPECT_FALSE(g.resync);
   EXPECT_EQ(g.limits.subscriber_queue, 17u);
-  EXPECT_EQ(g.stream.sic.max_rescan_queue, 5u);
   EXPECT_EQ(g.watchdog.poll_ms, 11u);
   EXPECT_EQ(g.watchdog.heartbeat_timeout_ms, 1234u);
   EXPECT_EQ(g.watchdog.job_deadline_ms, 4321u);
-  EXPECT_TRUE(g.degradation.enabled);
-  EXPECT_EQ(g.degradation.backlog_high, 40u);
-  EXPECT_EQ(g.degradation.backlog_low, 12u);
   EXPECT_EQ(g.degradation.p99_high_us, 900u);
   EXPECT_EQ(g.degradation.p99_low_us, 300u);
   EXPECT_EQ(g.degradation.escalate_after, 4u);
@@ -986,7 +976,7 @@ TEST_F(GatewayFile, ReloadRejectsWatchdogAndDegradationChanges) {
   EXPECT_NE(r.message().find("watchdog"), std::string::npos);
 
   gateway::GatewayConfig dg = base_config();
-  dg.degradation.enabled = true;
+  dg.degradation.p99_high_us = ~std::uint64_t{0};  // on, never trips
   r = gw.reload(dg);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.message().find("degradation"), std::string::npos);
@@ -1038,7 +1028,8 @@ TEST_F(GatewayFile, SeededChaosStallsLeaveDecodeBitIdentical) {
 TEST_F(GatewayFile, HealthSnapshotCarriesTheDocumentedKeys) {
   gateway::GatewayConfig cfg = base_config();
   cfg.workers = 2;
-  cfg.degradation.enabled = true;  // starts the supervisor thread
+  // An on ladder whose p99 cannot trip starts the supervisor thread.
+  cfg.degradation.p99_high_us = ~std::uint64_t{0};
   auto created = gateway::Gateway::create(cfg);
   ASSERT_TRUE(created.ok()) << created.message();
   auto& gw = *created.value();
@@ -1056,10 +1047,11 @@ TEST_F(GatewayFile, HealthSnapshotCarriesTheDocumentedKeys) {
   const std::string text = h.to_text();
   for (const char* key :
        {"degradation_level", "degradation_name", "watchdog_cancels",
-        "deadline_cancels", "jobs_cancelled", "rescan_backlog",
-        "window_p99_us", "worker.0.busy", "worker.1.heartbeat_age_ms"}) {
+        "deadline_cancels", "jobs_cancelled", "window_p99_us",
+        "worker.0.busy", "worker.1.heartbeat_age_ms"}) {
     EXPECT_NE(text.find(key), std::string::npos) << key << "\n" << text;
   }
+  EXPECT_EQ(text.find("rescan_backlog"), std::string::npos) << text;
 
   // The stats text grew the self-healing counters too.
   const std::string stats_text = gw.stats().to_text();

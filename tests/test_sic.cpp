@@ -11,6 +11,8 @@
 //   * with SIC disabled (depth 0) — and on captures without overlaps
 //     even with SIC enabled — streaming decode is bit-identical to the
 //     plain path;
+//   * the rescan queue stays small after every push, at any push size
+//     and depth, because rescans run inline at block boundaries;
 //   * a resolved collision allocates nothing once warm.
 //
 // This file is its own test binary (ctest label `sic`, included in the
@@ -363,6 +365,79 @@ TEST(SicEdge, CollisionCutByCaptureEndTruncatesWeakFrame) {
   EXPECT_EQ(demod.packets().size(), 1u);
   EXPECT_EQ(demod.truncated_packets(), 1u);
   EXPECT_EQ(demod.collision_groups(), 1u);  // the rescan did find it
+}
+
+// ---------------------------------------------------- rescan queue bound
+
+/// `groups` back-to-back collisions of `rss_dbm.size()` frames each,
+/// frame k of a group starting `step_symbols * k` symbols after the
+/// group's first.
+sim::CaptureConfig collision_train(std::vector<double> rss_dbm,
+                                   std::size_t step_symbols,
+                                   std::size_t groups, std::uint64_t seed) {
+  const std::size_t spsym = phy().samples_per_symbol();
+  const std::size_t frame = lora::Modulator(phy()).layout(16).total_samples;
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t cursor = 500;
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (std::size_t k = 0; k < rss_dbm.size(); ++k) {
+      offsets.push_back(cursor + k * step_symbols * spsym);
+    }
+    cursor += (rss_dbm.size() - 1) * step_symbols * spsym + frame + 12 * spsym;
+  }
+  return collision_cfg(std::move(rss_dbm), std::move(offsets), seed);
+}
+
+TEST(SicRescanQueue, BacklogStaysSmallAfterEveryPush) {
+  // Rescans run inline at every block boundary. A region is queued no
+  // earlier than its frame's last sample and is ready at most one
+  // preamble later (cancel regions) or one frame later (re-queued
+  // regions), so the queue only holds regions queued in the last frame
+  // plus one block — whatever the push size or load. In these trains
+  // a group ends more than a frame before the next begins, so only one
+  // group's regions can be queued at once, and each of its frames has
+  // at most one region in flight (its own cancel region, or the
+  // re-queue of the region that revealed the next frame): at most 3
+  // here, and 2 measured. Deferring rescans to finish() would pile up
+  // one region per group instead.
+  constexpr std::size_t kBound = 3;
+  constexpr std::size_t kGroups = 4;
+  const sim::CaptureConfig pileups =
+      collision_train({-55.0, -61.0, -67.0}, 14, kGroups, 77);
+  const sim::CaptureConfig pairs =
+      collision_train({-55.0, -61.0}, 10, kGroups, 55);
+  for (const sim::CaptureConfig* cfg : {&pileups, &pairs}) {
+    const sim::Capture cap = sim::generate_capture(*cfg);
+    ASSERT_EQ(cap.collision_groups, kGroups);
+    for (const std::size_t depth : {std::size_t{2}, std::size_t{6}}) {
+      for (const std::size_t chunk :
+           {std::size_t{997}, std::size_t{16384}, cap.samples.size()}) {
+        stream::StreamConfig sc;
+        sc.saiyan = cfg->saiyan;
+        sc.payload_symbols = cfg->payload_symbols;
+        sc.sic.depth = depth;
+        stream::StreamingDemodulator demod(sc);
+        std::size_t worst = 0;
+        std::span<const dsp::Complex> rest(cap.samples);
+        while (!rest.empty()) {
+          const std::size_t take = std::min(chunk, rest.size());
+          demod.push(rest.first(take));
+          rest = rest.subspan(take);
+          worst = std::max(worst, demod.rescan_backlog());
+        }
+        demod.finish();
+        const std::string at =
+            "tags " + std::to_string(cfg->tag_rss_dbm.size()) + " depth " +
+            std::to_string(depth) + " chunk " + std::to_string(chunk);
+        EXPECT_LE(worst, kBound) << at;
+        EXPECT_GE(demod.collisions_resolved(),
+                  kGroups * (cfg->tag_rss_dbm.size() - 1))
+            << at;
+        EXPECT_EQ(demod.ingest().rescans_dropped, 0u) << at;
+        EXPECT_EQ(demod.ingest().rescans_expired, 0u) << at;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- zero allocation
