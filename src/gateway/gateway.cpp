@@ -66,15 +66,19 @@ struct Job {
   std::shared_ptr<LiveStream> stream;
 };
 
-/// Hot per-worker counters: relaxed atomics on their own cache line,
-/// incremented by exactly one worker, read by any snapshotter.
-struct alignas(64) WorkerCounters {
-  std::atomic<std::uint64_t> frames{0};
-  std::atomic<std::uint64_t> symbols{0};
-  std::atomic<std::uint64_t> samples{0};
-  std::atomic<std::uint64_t> chunks{0};
-  std::atomic<std::uint64_t> jobs{0};
-  std::atomic<std::uint64_t> truncated{0};
+/// Everything a worker reports about itself. Only the worker writes
+/// it; stats(), health() and the watchdog read whole copies through
+/// one seqlock, so counters, ingest health and liveness in a copy
+/// always belong to the same instant.
+struct WorkerRecord {
+  WorkerSnapshot counters;
+  std::uint64_t jobs_done = 0;   ///< of counters.jobs, those that ended kDone
+  stream::IngestStats ingest;    ///< finished jobs plus the running one so far
+  std::uint64_t job = 0;         ///< running job id
+  std::uint64_t started_ns = 0;  ///< running job's start; 0 = no job
+  std::uint64_t beat_ns = 0;     ///< last heartbeat
+  bool live = false;             ///< the running job is a live stream
+  bool waiting = false;          ///< blocked on live input: not aged
 };
 
 struct Subscriber {
@@ -112,24 +116,26 @@ struct Gateway::Impl {
     std::deque<Job> jobs;  // guarded by Impl::mu_
     bool busy = false;     // guarded by Impl::mu_
     std::condition_variable cv;
-    WorkerCounters counters;
-    obs::Seqlock<stream::IngestStats> ingest_pub;
-    stream::IngestStats ingest;  // worker-private accumulator
+    WorkerRecord rec;  // worker-private; readers see `published`
+    obs::Seqlock<WorkerRecord> published;
     std::unique_ptr<stream::StreamingDemodulator> demod;
     DemodKey demod_key;
     std::thread thr;
 
-    // Watchdog-visible liveness state. The worker writes these with
-    // relaxed stores on the chunk path; the watchdog thread polls them.
-    // `cancel` is the cooperative token StreamingDemodulator polls per
-    // block — the one channel that can unstick a wedged push().
+    // Set by the watchdog (under Impl::mu_), cleared by the worker at
+    // job start. `cancel` is the cooperative token StreamingDemodulator
+    // polls per block — the one channel that can unstick a wedged push().
     std::atomic<bool> cancel{false};
     std::atomic<std::uint8_t> cancel_kind{0};  ///< 1=heartbeat, 2=deadline
-    std::atomic<std::uint64_t> heartbeat_ns{0};
-    std::atomic<std::uint64_t> job_start_ns{0};  ///< 0 = idle
-    std::atomic<std::uint64_t> current_job{0};
-    std::atomic<bool> job_is_stream{false};
     std::atomic<std::uint64_t> cancels{0};  ///< watchdog fires on this worker
+
+    void publish() { published.publish(rec); }
+    /// Enter or leave the live-input wait, with a fresh heartbeat.
+    void set_waiting(bool on) {
+      rec.waiting = on;
+      rec.beat_ns = now_ns();
+      publish();
+    }
   };
 
   mutable std::mutex mu_;  // job queues, live streams, cfg pointer
@@ -142,8 +148,6 @@ struct Gateway::Impl {
   std::unordered_map<StreamId, std::shared_ptr<LiveStream>> streams_;
 
   std::atomic<std::uint64_t> jobs_enqueued{0};
-  std::atomic<std::uint64_t> jobs_done{0};
-  std::atomic<std::uint64_t> jobs_failed{0};
   std::atomic<std::uint64_t> streams_open{0};
   std::atomic<std::uint64_t> markers_expected{0};
 
@@ -217,16 +221,15 @@ struct Gateway::Impl {
         gen = cfg_gen;
       }
       const bool live = job.stream != nullptr;
-      // Arm the liveness state before the job body runs: clear any
-      // cancel left over from the previous job, then publish start /
-      // heartbeat so the watchdog ages this job from zero.
+      // Arm the job before its body runs: clear any cancel left over
+      // from the previous job, then publish the start so the watchdog
+      // ages this job from zero.
       w.cancel.store(false, std::memory_order_relaxed);
       w.cancel_kind.store(0, std::memory_order_relaxed);
-      w.current_job.store(job.id, std::memory_order_relaxed);
-      w.job_is_stream.store(live, std::memory_order_relaxed);
-      const std::uint64_t t_start = now_ns();
-      w.heartbeat_ns.store(t_start, std::memory_order_relaxed);
-      w.job_start_ns.store(t_start, std::memory_order_release);
+      w.rec.job = job.id;
+      w.rec.live = live;
+      w.rec.started_ns = w.rec.beat_ns = now_ns();
+      w.publish();
       // Explicit B/E rather than a ScopedTimer: if the job wedges and a
       // trace is dumped mid-flight, the dangling 'B' shows the open job.
       obs::trace_begin(live ? "stream_job" : "trace_job");
@@ -246,17 +249,13 @@ struct Gateway::Impl {
         st.ingest = opened.error().ingest == stream::IngestError::kNone
                         ? stream::IngestError::kBadHeader
                         : opened.error().ingest;
-        w.ingest.count(st.ingest);
-        w.ingest_pub.publish(w.ingest);
+        w.rec.ingest.count(st.ingest);
       }
       obs::trace_end(live ? "stream_job" : "trace_job");
-      w.job_start_ns.store(0, std::memory_order_release);
-      w.counters.jobs.fetch_add(1, std::memory_order_relaxed);
-      if (st.state == JobState::kDone) {
-        jobs_done.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        jobs_failed.fetch_add(1, std::memory_order_relaxed);
-      }
+      w.rec.started_ns = 0;
+      ++w.rec.counters.jobs;
+      if (st.state == JobState::kDone) ++w.rec.jobs_done;
+      w.publish();
       record_outcome(job.id, std::move(st));
       {
         std::lock_guard<std::mutex> lk(mu_);
@@ -286,30 +285,17 @@ struct Gateway::Impl {
     kStopped,    ///< gateway shutdown: abandon the job without a flush
   };
 
-  /// Trace replay. A resync, or a recover-mode EOF that discarded a
-  /// corrupt tail, is a gap the demodulator must realign across.
+  /// Trace replay, fed to the demodulator by the stream layer's rule.
   struct TraceSource {
     static constexpr bool kFromTrace = true;
     stream::TraceReader reader;
 
-    /// The trace knows what receiver it was recorded for; the gateway's
-    /// stream knobs (thresholds, seeds, SIC policy) come from config.
     void configure(stream::StreamConfig& sc) const {
-      sc.saiyan =
-          core::SaiyanConfig::make(reader.meta().phy, reader.meta().mode);
-      sc.payload_symbols = reader.meta().payload_symbols;
+      stream::configure_for_trace(reader.meta(), sc);
     }
     Fill next(stream::StreamingDemodulator& demod, dsp::Signal& chunk) {
-      const std::uint64_t skipped_before = reader.stats().bytes_skipped;
-      const stream::ChunkStatus st = reader.next_chunk(chunk);
-      const bool more = st == stream::ChunkStatus::kOk ||
-                        st == stream::ChunkStatus::kResync;
-      if (st == stream::ChunkStatus::kResync ||
-          (st == stream::ChunkStatus::kEof &&
-           reader.stats().bytes_skipped > skipped_before)) {
-        demod.note_gap(reader.last_gap_samples());
-      }
-      return more ? Fill::kChunk : Fill::kEnd;
+      return stream::next_trace_chunk(reader, demod, chunk) ? Fill::kChunk
+                                                            : Fill::kEnd;
     }
     void fold(stream::IngestStats& into) const { into.merge(reader.stats()); }
     void close() {}
@@ -325,21 +311,24 @@ struct Gateway::Impl {
     void configure(stream::StreamConfig&) const {}
     Fill next(stream::StreamingDemodulator&, dsp::Signal& chunk) {
       std::unique_lock<std::mutex> lk(im.mu_);
-      for (;;) {
-        if (im.stop_) return Fill::kStopped;
-        if (w.cancel.load(std::memory_order_relaxed)) return Fill::kCancelled;
-        if (!live->chunks.empty()) {
-          chunk = std::move(live->chunks.front());
-          live->chunks.pop_front();
-          return Fill::kChunk;
-        }
-        if (live->closed) return Fill::kEnd;
-        // Bounded waits so a stream merely idling (no chunks offered)
-        // keeps its heartbeat fresh — the watchdog must distinguish
-        // "waiting for input" from "wedged in a decode".
-        w.cv.wait_for(lk, std::chrono::milliseconds(50));
-        w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+      const auto ready = [&] {
+        return im.stop_ || w.cancel.load(std::memory_order_relaxed) ||
+               !live->chunks.empty() || live->closed;
+      };
+      if (!ready()) {
+        // The watchdog does not age a worker waiting for input, so the
+        // wait needs no timeout. A cancel is stored and notified under
+        // mu_: it lands before ready() or wakes the wait, never between.
+        w.set_waiting(true);
+        w.cv.wait(lk, ready);
+        w.set_waiting(false);
       }
+      if (im.stop_) return Fill::kStopped;
+      if (w.cancel.load(std::memory_order_relaxed)) return Fill::kCancelled;
+      if (live->chunks.empty()) return Fill::kEnd;
+      chunk = std::move(live->chunks.front());
+      live->chunks.pop_front();
+      return Fill::kChunk;
     }
     void fold(stream::IngestStats&) const {}
     /// Retire the stream. After a cancel this tears down a still-open
@@ -375,6 +364,14 @@ struct Gateway::Impl {
                  sc.saiyan.phy},
         sc);
     const std::uint64_t truncated_before = demod.truncated_packets();
+    // The record's ingest is `base` (earlier jobs, this job's shed
+    // frames and cancel) plus this job's source and demodulator so far.
+    stream::IngestStats base = w.rec.ingest;
+    const auto settle = [&] {
+      w.rec.ingest = base;
+      src.fold(w.rec.ingest);
+      w.rec.ingest.merge(demod.ingest());
+    };
     JobStatus st;
     st.state = JobState::kDone;
     dsp::Signal chunk;
@@ -393,15 +390,12 @@ struct Gateway::Impl {
           if (demod.cancelled()) break;
           rest = rest.subspan(take);
         }
-        w.counters.chunks.fetch_add(1, std::memory_order_relaxed);
-        w.counters.samples.fetch_add(chunk.size(), std::memory_order_relaxed);
-        emit_frames(w, demod, gcfg, job_id, t0);
-        // Live view: persistent counters plus this job's so far.
-        stream::IngestStats view = w.ingest;
-        src.fold(view);
-        view.merge(demod.ingest());
-        w.ingest_pub.publish(view);
-        w.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+        ++w.rec.counters.chunks;
+        w.rec.counters.samples += chunk.size();
+        emit_frames(w, demod, gcfg, job_id, t0, base);
+        settle();
+        w.rec.beat_ns = now_ns();
+        w.publish();
         if (gcfg.chunk_hook) {
           gcfg.chunk_hook({w.index, job_id, chunk_index, &w.cancel});
         }
@@ -411,10 +405,8 @@ struct Gateway::Impl {
         // Abandon the job with what was counted so far. The worker
         // lives on; its demodulator is reset before the next job.
         src.close();
-        ++w.ingest.jobs_cancelled;
-        src.fold(w.ingest);
-        w.ingest.merge(demod.ingest());
-        w.ingest_pub.publish(w.ingest);
+        ++base.jobs_cancelled;
+        settle();
         st.state = JobState::kCancelled;
         st.message = w.cancel_kind.load(std::memory_order_relaxed) == 2
                          ? "job cancelled: deadline exceeded"
@@ -428,20 +420,18 @@ struct Gateway::Impl {
     }
     const Clock::time_point t_flush = Clock::now();
     demod.finish();
-    emit_frames(w, demod, gcfg, job_id, t_flush);
-    w.counters.truncated.fetch_add(demod.truncated_packets() -
-                                       truncated_before,
-                                   std::memory_order_relaxed);
-    src.fold(w.ingest);
-    w.ingest.merge(demod.ingest());
-    w.ingest_pub.publish(w.ingest);
+    emit_frames(w, demod, gcfg, job_id, t_flush, base);
+    w.rec.counters.truncated += demod.truncated_packets() - truncated_before;
+    settle();
     src.close();
     return st;
   }
 
+  /// Deliver the demodulator's new frames; frames a full subscriber
+  /// queue sheds are counted into `ingest`.
   void emit_frames(Worker& w, stream::StreamingDemodulator& demod,
                    const GatewayConfig& gcfg, std::uint64_t job_id,
-                   Clock::time_point t_chunk) {
+                   Clock::time_point t_chunk, stream::IngestStats& ingest) {
     const std::span<const stream::DecodedPacket> pkts = demod.packets();
     if (pkts.empty()) return;
     const std::uint64_t lat = us_since(t_chunk);
@@ -450,8 +440,8 @@ struct Gateway::Impl {
         demod.config().saiyan.phy.symbol_alphabet();
     for (const stream::DecodedPacket& p : pkts) {
       latency_.record(lat);
-      w.counters.frames.fetch_add(1, std::memory_order_relaxed);
-      w.counters.symbols.fetch_add(p.n_symbols, std::memory_order_relaxed);
+      ++w.rec.counters.frames;
+      w.rec.counters.symbols += p.n_symbols;
       FrameRecord fr;
       fr.job = job_id;
       fr.worker = w.index;
@@ -494,12 +484,12 @@ struct Gateway::Impl {
         }
         link_telemetry_.record_frame(d);
       }
-      deliver(w, fr);
+      deliver(fr, ingest);
     }
     demod.clear_packets();
   }
 
-  void deliver(Worker& w, const FrameRecord& fr) {
+  void deliver(const FrameRecord& fr, stream::IngestStats& ingest) {
     std::lock_guard<std::mutex> lk(subs_mu_);
     for (const std::shared_ptr<Subscriber>& sp : subs_) {
       Subscriber& s = *sp;
@@ -508,7 +498,7 @@ struct Gateway::Impl {
       if (s.q.size() >= s.cap) {
         // Backpressure: the slow subscriber sheds its own frames; the
         // worker moves on immediately.
-        ++w.ingest.frames_dropped_subscriber;
+        ++ingest.frames_dropped_subscriber;
         continue;
       }
       s.q.push_back(fr);
@@ -549,12 +539,13 @@ struct Gateway::Impl {
   }
 
   /// Watchdog + degradation controller. One thread, one poll cadence:
-  /// each tick it (a) ages every busy worker's heartbeat and job start
-  /// against the configured bounds and fires the worker's cancel token
-  /// at most once per job, and (b) when the ladder is on (p99 high
-  /// watermark set) feeds it the *windowed* p99 latency (histogram
-  /// bucket delta since the previous tick) and publishes the resulting
-  /// level for workers to adopt at their next chunk.
+  /// each tick it (a) ages every busy worker's job start, and its
+  /// heartbeat unless it waits for live input, against the configured
+  /// bounds and fires the worker's cancel token at most once per job,
+  /// and (b) when the ladder is on (p99 high watermark set) feeds it
+  /// the *windowed* p99 latency (histogram bucket delta since the
+  /// previous tick) and publishes the resulting level for workers to
+  /// adopt at their next chunk.
   void watchdog_main() {
     obs::set_thread_name("watchdog");
     DegradationLadder ladder(base_cfg.degradation);
@@ -576,28 +567,30 @@ struct Gateway::Impl {
       const std::uint64_t now = now_ns();
       for (const auto& wp : workers_) {
         Worker& w = *wp;
-        const std::uint64_t start =
-            w.job_start_ns.load(std::memory_order_acquire);
+        const WorkerRecord r = w.published.read();
         // Idle, or this job was already cancelled (the token stays set
         // until the worker arms the next job) — nothing to supervise.
-        if (start == 0 || w.cancel.load(std::memory_order_relaxed)) continue;
+        if (r.started_ns == 0 || w.cancel.load(std::memory_order_relaxed)) {
+          continue;
+        }
         std::uint8_t kind = 0;
-        if (hb_ns != 0) {
-          const std::uint64_t hb =
-              w.heartbeat_ns.load(std::memory_order_relaxed);
-          if (now > hb && now - hb >= hb_ns) kind = 1;
+        if (hb_ns != 0 && !r.waiting && now > r.beat_ns &&
+            now - r.beat_ns >= hb_ns) {
+          kind = 1;
         }
         // Deadlines apply to finite work (trace replays); a live
         // stream is open-ended by design and only heartbeat-supervised.
-        if (kind == 0 && dl_ns != 0 &&
-            !w.job_is_stream.load(std::memory_order_relaxed) && now > start &&
-            now - start >= dl_ns) {
+        if (kind == 0 && dl_ns != 0 && !r.live && now > r.started_ns &&
+            now - r.started_ns >= dl_ns) {
           kind = 2;
         }
         if (kind == 0) continue;
-        w.cancel_kind.store(kind, std::memory_order_relaxed);
-        w.cancel.store(true, std::memory_order_release);
-        w.cv.notify_all();
+        {
+          std::lock_guard<std::mutex> lk(mu_);
+          w.cancel_kind.store(kind, std::memory_order_relaxed);
+          w.cancel.store(true, std::memory_order_release);
+          w.cv.notify_all();
+        }
         w.cancels.fetch_add(1, std::memory_order_relaxed);
         (kind == 1 ? watchdog_cancels_ : deadline_cancels_)
             .fetch_add(1, std::memory_order_relaxed);
@@ -607,8 +600,7 @@ struct Gateway::Impl {
           char buf[160];
           std::snprintf(buf, sizeof(buf),
                         "watchdog: cancelling job %llu on worker %u (%s)",
-                        static_cast<unsigned long long>(
-                            w.current_job.load(std::memory_order_relaxed)),
+                        static_cast<unsigned long long>(r.job),
                         w.index,
                         kind == 1 ? "heartbeat timeout" : "deadline exceeded");
           emit_event(buf);
@@ -899,8 +891,6 @@ GatewayStats Gateway::stats() const {
   s.workers = im.workers_.size();
   s.subscribers = im.n_subs.load(std::memory_order_relaxed);
   s.jobs_enqueued = im.jobs_enqueued.load(std::memory_order_relaxed);
-  s.jobs_done = im.jobs_done.load(std::memory_order_relaxed);
-  s.jobs_failed = im.jobs_failed.load(std::memory_order_relaxed);
   s.streams_open = im.streams_open.load(std::memory_order_relaxed);
   s.config_reloads = im.config_reloads.load(std::memory_order_relaxed);
   s.markers_expected = im.markers_expected.load(std::memory_order_relaxed);
@@ -911,20 +901,16 @@ GatewayStats Gateway::stats() const {
       im.degradation_transitions_.load(std::memory_order_relaxed);
   s.per_worker.reserve(im.workers_.size());
   for (const auto& wp : im.workers_) {
-    const WorkerCounters& c = wp->counters;
-    WorkerSnapshot ws;
-    ws.frames = c.frames.load(std::memory_order_relaxed);
-    ws.symbols = c.symbols.load(std::memory_order_relaxed);
-    ws.samples = c.samples.load(std::memory_order_relaxed);
-    ws.chunks = c.chunks.load(std::memory_order_relaxed);
-    ws.jobs = c.jobs.load(std::memory_order_relaxed);
-    ws.truncated = c.truncated.load(std::memory_order_relaxed);
+    const WorkerRecord r = wp->published.read();
+    const WorkerSnapshot& ws = r.counters;
+    s.jobs_done += r.jobs_done;
+    s.jobs_failed += ws.jobs - r.jobs_done;
     s.frames_decoded += ws.frames;
     s.symbols_decoded += ws.symbols;
     s.samples_consumed += ws.samples;
     s.chunks_ingested += ws.chunks;
     s.truncated_frames += ws.truncated;
-    s.ingest.merge(wp->ingest_pub.read());
+    s.ingest.merge(r.ingest);
     s.per_worker.push_back(ws);
   }
   if (s.uptime_s > 0.0) {
@@ -987,19 +973,20 @@ GatewayHealth Gateway::health() const {
   const std::uint64_t now = now_ns();
   h.workers.reserve(im.workers_.size());
   for (const auto& wp : im.workers_) {
-    const Impl::Worker& w = *wp;
+    const WorkerRecord r = wp->published.read();
     WorkerHealth wh;
-    const std::uint64_t start = w.job_start_ns.load(std::memory_order_acquire);
-    wh.busy = start != 0;
+    wh.busy = r.started_ns != 0;  // a job is assigned
     if (wh.busy) {
-      wh.job = w.current_job.load(std::memory_order_relaxed);
-      wh.job_age_ms = now > start ? (now - start) / 1'000'000 : 0;
-      const std::uint64_t hb = w.heartbeat_ns.load(std::memory_order_relaxed);
-      wh.heartbeat_age_ms = now > hb ? (now - hb) / 1'000'000 : 0;
+      wh.job = r.job;
+      wh.job_age_ms =
+          now > r.started_ns ? (now - r.started_ns) / 1'000'000 : 0;
+      // Like the watchdog, health does not age a worker waiting for input.
+      wh.heartbeat_age_ms =
+          !r.waiting && now > r.beat_ns ? (now - r.beat_ns) / 1'000'000 : 0;
     }
-    wh.cancels = w.cancels.load(std::memory_order_relaxed);
-    wh.jobs_completed = w.counters.jobs.load(std::memory_order_relaxed);
-    h.jobs_cancelled += w.ingest_pub.read().jobs_cancelled;
+    wh.cancels = wp->cancels.load(std::memory_order_relaxed);
+    wh.jobs_completed = r.counters.jobs;
+    h.jobs_cancelled += r.ingest.jobs_cancelled;
     h.workers.push_back(wh);
   }
   return h;

@@ -21,8 +21,8 @@
 //     through a bounded queue. A slow subscriber drops its own frames
 //     (IngestStats::frames_dropped_subscriber) — it never stalls a
 //     worker or another subscriber.
-//   * Live statistics: stats() assembles a coherent snapshot from
-//     per-worker atomics and seqlocks without stopping anything (see
+//   * Live statistics: stats() assembles a coherent snapshot from one
+//     seqlocked record per worker without stopping anything (see
 //     gateway_stats.hpp).
 //   * reload(): swap the serving config. In-flight jobs keep the
 //     config they started with — no span is dropped, exactly the

@@ -2,15 +2,14 @@
 //
 // MDS2's operational lesson (PAPERS.md) is that statistics queries
 // must not perturb the serving path: an operator polling `stats` once
-// a second must cost the workers nothing. Two mechanisms deliver that:
-//
-//   * hot counters (frames, samples, latency histogram buckets) are
-//     per-worker relaxed atomics, padded to their own cache line —
-//     a worker increments without synchronizing with anyone;
-//   * the composite IngestStats block (too wide for one atomic) is
-//     published through a per-worker obs::Seqlock: writers never
-//     wait; readers retry, which only matters while a worker is
-//     mid-publish.
+// a second must cost the workers nothing. Each worker keeps one
+// private record (its WorkerSnapshot counters, jobs done, IngestStats
+// and liveness) and publishes it whole through an obs::Seqlock at job
+// start, chunk end, job end and around a live-input wait. Writers
+// never wait; readers retry, which only matters while a worker is
+// mid-publish. A snapshot reads one copy per worker, so each worker's
+// counters in it belong to one instant. Histograms with many writers
+// (latency, stages) stay relaxed atomics.
 //
 // The `key value` renderers declared here are defined, with the
 // Prometheus exposition, in gateway_metrics.cpp.

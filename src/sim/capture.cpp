@@ -260,32 +260,10 @@ ReplayStats score_replay(const stream::StreamingDemodulator& demod,
 ReplayStats replay_trace(const std::string& path, const ReplayConfig& cfg) {
   stream::TraceReader reader(path, cfg.resync);
   stream::StreamConfig sc = cfg.stream;
-  sc.saiyan = core::SaiyanConfig::make(reader.meta().phy, reader.meta().mode);
-  sc.payload_symbols = reader.meta().payload_symbols;
+  stream::configure_for_trace(reader.meta(), sc);
   stream::StreamingDemodulator demod(sc);
-
   dsp::Signal chunk;
-  for (;;) {
-    const std::uint64_t skipped_before = reader.stats().bytes_skipped;
-    const stream::ChunkStatus st = reader.next_chunk(chunk);
-    if (st == stream::ChunkStatus::kOk ||
-        st == stream::ChunkStatus::kResync) {
-      // A resync skipped a corrupt region: realign the demodulator's
-      // absolute sample clock before feeding the recovered chunk.
-      if (st == stream::ChunkStatus::kResync) {
-        demod.note_gap(reader.last_gap_samples());
-      }
-      demod.push(chunk);
-      continue;
-    }
-    // kEof, or (strict mode) a corrupted chunk wedging the replay. A
-    // recover-mode EOF can still carry a skipped corrupt tail.
-    if (st == stream::ChunkStatus::kEof &&
-        reader.stats().bytes_skipped > skipped_before) {
-      demod.note_gap(reader.last_gap_samples());
-    }
-    break;
-  }
+  while (stream::next_trace_chunk(reader, demod, chunk)) demod.push(chunk);
   demod.finish();
   ReplayStats stats =
       score_replay(demod, reader.markers(),

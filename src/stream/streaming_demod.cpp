@@ -468,4 +468,21 @@ bool StreamingDemodulator::admit_span(const PacketSpan& span) {
   return true;
 }
 
+void configure_for_trace(const TraceMeta& meta, StreamConfig& sc) {
+  sc.saiyan = core::SaiyanConfig::make(meta.phy, meta.mode);
+  sc.payload_symbols = meta.payload_symbols;
+}
+
+bool next_trace_chunk(TraceReader& reader, StreamingDemodulator& demod,
+                      dsp::Signal& chunk) {
+  const std::uint64_t skipped_before = reader.stats().bytes_skipped;
+  const ChunkStatus st = reader.next_chunk(chunk);
+  if (st == ChunkStatus::kResync ||
+      (st == ChunkStatus::kEof &&
+       reader.stats().bytes_skipped > skipped_before)) {
+    demod.note_gap(reader.last_gap_samples());
+  }
+  return st == ChunkStatus::kOk || st == ChunkStatus::kResync;
+}
+
 }  // namespace saiyan::stream

@@ -74,6 +74,7 @@
 #include "stream/ingest_stats.hpp"
 #include "stream/packet_scanner.hpp"
 #include "stream/sample_ring.hpp"
+#include "stream/trace.hpp"
 
 namespace saiyan::stream {
 
@@ -296,5 +297,17 @@ class StreamingDemodulator {
   std::size_t frames_cancelled_ = 0;
   IngestStats ingest_;
 };
+
+// Feeding a recorded trace to a demodulator: one rule for every replay.
+
+/// The receiver the trace was recorded for replaces `sc`'s saiyan
+/// config and frame length; every other knob stays the caller's.
+void configure_for_trace(const TraceMeta& meta, StreamConfig& sc);
+
+/// Read the next chunk into `chunk`; false once the trace is exhausted
+/// (EOF, or a strict-mode corrupt chunk). A resync, or a recover-mode
+/// EOF that skipped a corrupt tail, is reported to `demod` as a gap.
+bool next_trace_chunk(TraceReader& reader, StreamingDemodulator& demod,
+                      dsp::Signal& chunk);
 
 }  // namespace saiyan::stream

@@ -888,6 +888,58 @@ TEST_F(GatewayFile, HeartbeatTimeoutTearsDownWedgedLiveStream) {
   EXPECT_EQ(st.ingest.jobs_cancelled, 1u);
 }
 
+// A live stream idle between tag bursts waits for input; it is not
+// wedged. The watchdog must leave it alone however short the heartbeat
+// timeout, while a wedged stream (above) is still torn down.
+TEST(GatewayLiveStream, IdleStreamOutlivesHeartbeatTimeout) {
+  gateway::GatewayConfig cfg = base_config();
+  cfg.workers = 1;
+  cfg.watchdog.poll_ms = 5;
+  cfg.watchdog.heartbeat_timeout_ms = 20;
+  auto created = gateway::Gateway::create(cfg);
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+
+  // A worker's first job builds its demodulator (and, in a fresh
+  // process, the receiver templates), which can outlast a 20 ms
+  // heartbeat on a loaded machine. One throwaway stream goes first,
+  // whatever its outcome; only the idle stream after it is under test.
+  const std::span<const dsp::Complex> samples(capture().samples);
+  const gateway::StreamId warm = gw.open_stream();
+  (void)gw.push(warm, samples.first(1000));
+  (void)gw.close_stream(warm);
+  ASSERT_TRUE(gw.drain().ok());
+  const gateway::GatewayStats before = gw.stats();
+
+  // Chunks shorter than a scan block: the pushes themselves cost the
+  // worker next to nothing.
+  const gateway::StreamId sid = gw.open_stream();
+  ASSERT_TRUE(gw.push(sid, samples.first(1000)).ok());
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (gw.stats().chunks_ingested == before.chunks_ingested &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(gw.stats().chunks_ingested, before.chunks_ingested + 1);
+
+  // Elapsed wall time is the property under test: a longer idle can
+  // only expose a watchdog that ages a waiting worker.
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(10 * cfg.watchdog.heartbeat_timeout_ms));
+  const auto again = gw.push(sid, samples.subspan(1000, 1000));
+  ASSERT_TRUE(again.ok()) << again.message();
+  ASSERT_TRUE(gw.close_stream(sid).ok());
+  ASSERT_TRUE(gw.drain().ok());
+
+  const gateway::GatewayStats st = gw.stats();
+  EXPECT_EQ(st.watchdog_cancels, before.watchdog_cancels);
+  EXPECT_EQ(st.jobs_done, before.jobs_done + 1)
+      << "the stream job must end kDone";
+  EXPECT_EQ(st.jobs_failed, before.jobs_failed);
+  EXPECT_EQ(st.chunks_ingested, before.chunks_ingested + 2);
+}
+
 TEST_F(GatewayFile, JobStatusReportsTypedOutcomes) {
   gateway::GatewayConfig cfg = base_config();
   cfg.workers = 1;
@@ -1059,6 +1111,46 @@ TEST_F(GatewayFile, HealthSnapshotCarriesTheDocumentedKeys) {
                           "degradation_level", "ingest.jobs_cancelled"}) {
     EXPECT_NE(stats_text.find(key), std::string::npos) << key;
   }
+}
+
+// Each worker publishes one record, so every stats() snapshot sees
+// each worker at one instant: counters that move together are never
+// seen apart, however often the scrape lands mid-job.
+TEST_F(GatewayFile, StatsSnapshotsStayCoherentUnderLoad) {
+  gateway::GatewayConfig cfg = base_config();
+  cfg.workers = 2;
+  auto created = gateway::Gateway::create(cfg);
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+
+  std::atomic<bool> stop{false};
+  std::uint64_t snapshots = 0;
+  std::uint64_t torn = 0;
+  std::thread scraper([&] {
+    while (!stop.load()) {
+      const gateway::GatewayStats st = gw.stats();
+      std::uint64_t jobs = 0;
+      for (const gateway::WorkerSnapshot& w : st.per_worker) jobs += w.jobs;
+      ++snapshots;
+      if (st.chunks_ingested != st.ingest.chunks_ok ||
+          st.jobs_done + st.jobs_failed != jobs) {
+        ++torn;
+      }
+    }
+  });
+  constexpr std::uint64_t kJobs = 40;
+  for (std::uint64_t j = 0; j < kJobs; ++j) {
+    EXPECT_TRUE(gw.enqueue_trace(path_).ok());
+  }
+  EXPECT_TRUE(gw.drain().ok());
+  stop.store(true);
+  scraper.join();
+
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(torn, 0u) << torn << " of " << snapshots << " snapshots torn";
+  const gateway::GatewayStats st = gw.stats();
+  EXPECT_EQ(st.jobs_done, kJobs);
+  EXPECT_EQ(st.frames_decoded, kJobs * capture().markers.size());
 }
 
 TEST(GatewayStatsPrimitives, StatsCellPublishesCoherentSnapshots) {
