@@ -221,15 +221,11 @@ struct Gateway::Impl {
         gen = cfg_gen;
       }
       const bool live = job.stream != nullptr;
-      // Arm the job before its body runs: clear any cancel left over
-      // from the previous job, then publish the start so the watchdog
-      // ages this job from zero.
+      // Clear any cancel left over from the previous job before this
+      // one runs. run_job() publishes the start once the demodulator
+      // is built, so the watchdog never ages the build.
       w.cancel.store(false, std::memory_order_relaxed);
       w.cancel_kind.store(0, std::memory_order_relaxed);
-      w.rec.job = job.id;
-      w.rec.live = live;
-      w.rec.started_ns = w.rec.beat_ns = now_ns();
-      w.publish();
       // Explicit B/E rather than a ScopedTimer: if the job wedges and a
       // trace is dumped mid-flight, the dangling 'B' shows the open job.
       obs::trace_begin(live ? "stream_job" : "trace_job");
@@ -363,6 +359,11 @@ struct Gateway::Impl {
         DemodKey{gen, Source::kFromTrace, sc.saiyan.mode, sc.payload_symbols,
                  sc.saiyan.phy},
         sc);
+    // The job's clocks start here: the watchdog ages it from zero.
+    w.rec.job = job_id;
+    w.rec.live = !Source::kFromTrace;
+    w.rec.started_ns = w.rec.beat_ns = now_ns();
+    w.publish();
     const std::uint64_t truncated_before = demod.truncated_packets();
     // The record's ingest is `base` (earlier jobs, this job's shed
     // frames and cancel) plus this job's source and demodulator so far.
@@ -975,7 +976,7 @@ GatewayHealth Gateway::health() const {
   for (const auto& wp : im.workers_) {
     const WorkerRecord r = wp->published.read();
     WorkerHealth wh;
-    wh.busy = r.started_ns != 0;  // a job is assigned
+    wh.busy = r.started_ns != 0;  // a job is running
     if (wh.busy) {
       wh.job = r.job;
       wh.job_age_ms =

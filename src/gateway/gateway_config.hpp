@@ -59,7 +59,9 @@ struct WatchdogConfig {
   /// long (a chunk wedged inside the demodulator). 0 = disabled.
   std::uint64_t heartbeat_timeout_ms = 0;
   /// Soft per-job deadline: cancel any job busy longer than this, even
-  /// one still making progress. 0 = disabled.
+  /// one still making progress. 0 = disabled. Both clocks start when
+  /// the job's demodulator is ready: building it (receiver templates
+  /// on a worker's first job) is never aged.
   std::uint64_t job_deadline_ms = 0;
 
   bool operator==(const WatchdogConfig&) const = default;

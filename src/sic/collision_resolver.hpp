@@ -8,8 +8,9 @@
 // weaker frame was simply lost. CollisionResolver turns that collision
 // into captures with the classic decode → cancel → rescan loop:
 //
-//   1. a frame decodes (from the residual ring — see
-//      stream::StreamingDemodulator) exactly as it always did;
+//   1. a frame decodes (from the stream's one RF ring, which cancels
+//      write into — see stream::StreamingDemodulator) exactly as it
+//      always did;
 //   2. cancel(): its transmit waveform is reconstructed from the
 //      decoded symbols (lora::Remodulator), fitted to the residual by
 //      least squares (complex amplitude + DC offset, searching a ±

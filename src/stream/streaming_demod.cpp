@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <cstring>
 #include <stdexcept>
 
 #include "dsp/utils.hpp"
@@ -53,15 +52,13 @@ StreamingDemodulator::StreamingDemodulator(const StreamConfig& cfg)
   // the reach: a re-queued rescan of frame A's span only runs after
   // the frame it revealed (up to one frame later) is cancelled in
   // turn, so each depth level adds up to a frame of retention.
-  const std::size_t reach = frame_len_ + preamble_len_ + 2 * block_;
+  // Cancellation writes into this one ring, so scan, decode and rescan
+  // all read it.
+  std::size_t reach = frame_len_ + preamble_len_ + 2 * block_;
   if (cfg_.sic.depth > 0) {
     sic_.emplace(cfg_.saiyan, cfg_.sic, cfg_.payload_symbols);
-    // Only the residual ring needs the chain-extended reach: with SIC
-    // on, decodes and rescans read residual_, while rf_ serves the
-    // block-sized scan views at the write head.
-    residual_.reserve(reach +
-                      std::min<std::size_t>(cfg_.sic.depth, 6) * frame_len_ +
-                      2 * block_);
+    reach +=
+        std::min<std::size_t>(cfg_.sic.depth, 6) * frame_len_ + 2 * block_;
     rescans_.reserve(32);
   }
   rf_.reserve(reach);
@@ -85,7 +82,6 @@ std::size_t StreamingDemodulator::push(std::span<const dsp::Complex> chunk) {
         static_cast<std::size_t>(received_ - next_block_start_);
     const std::size_t take = std::min(chunk.size() - i, block_ - filled);
     rf_.append(chunk.subspan(i, take));
-    if (sic_) residual_.append(chunk.subspan(i, take));
     received_ += take;
     i += take;
     if (received_ - next_block_start_ == block_) {
@@ -125,14 +121,18 @@ void StreamingDemodulator::note_gap(std::uint64_t lost_samples) {
   ++ingest_.gaps;
   ingest_.gap_samples += lost_samples;
   // Frames whose last sample already arrived decode normally first —
-  // only the block-boundary latency separates them from "done".
+  // only the block-boundary latency separates them from "done". This
+  // is the one place a cancel can write into [next_block_start_,
+  // received_), which the scanner has not read yet. That is safe: the
+  // desync below suppresses every lag before the resume point, so no
+  // score from those samples reaches a span.
   decode_ready(/*flush=*/false);
   // Whatever is still pending straddles the gap: its frame end lies
   // beyond the samples we actually have, and the missing span will be
   // zeros. Abandon those spans (a SIC rescan must not re-frame them).
   for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
     ++ingest_.spans_dropped;
-    if (sic_) remember_start(pending_[i].packet_start);
+    remember_start(pending_[i].packet_start);
   }
   pending_.clear();
   pending_head_ = 0;
@@ -155,7 +155,6 @@ void StreamingDemodulator::note_gap(std::uint64_t lost_samples) {
 
 void StreamingDemodulator::reset() {
   rf_.clear();
-  residual_.clear();
   scanner_.reset();
   pending_.clear();
   pending_head_ = 0;
@@ -207,32 +206,29 @@ void StreamingDemodulator::decode_ready(bool flush) {
     progress = false;
     while (pending_head_ < pending_.size()) {
       const PacketSpan span = pending_[pending_head_];
-      const std::uint64_t frame_end = span.packet_start + frame_len_;
-      if (frame_end <= received_) {
+      if (span.packet_start + frame_len_ <= received_) {
         if (degradation_ >= 3) {
           // Last degradation rung: the span is complete but decode is
           // the work being shed — drop it whole, visibly.
           ++ingest_.spans_shed;
-          if (sic_) remember_start(span.packet_start);
         } else {
           decode_span(span);
         }
         progress = true;
       } else if (flush) {
         ++truncated_;  // capture ended mid-frame
-        // Still a known frame: a flushed rescan of the span that
-        // revealed it must not frame it a second time.
-        if (sic_) remember_start(span.packet_start);
       } else {
         break;
       }
+      // Decoded, shed or truncated, it is a known frame: a rescan of
+      // the span that revealed it must not frame it a second time.
+      remember_start(span.packet_start);
       ++pending_head_;
     }
     if (pending_head_ == pending_.size()) {
       pending_.clear();
       pending_head_ = 0;
     }
-    if (!sic_) break;  // no rescan stage; a single decode pass suffices
     // Rescans run here, inline, at every block boundary. A region is
     // queued once its frame has decoded and is ready one preamble
     // (cancel) or one frame (re-queue) later, so the queue only holds
@@ -261,10 +257,10 @@ void StreamingDemodulator::decode_span(const PacketSpan& span) {
   // The per-packet stream derives from (seed, decode index) exactly
   // like a sweep batch, so decoding the same framed span through a
   // stand-alone BatchDemodulator reproduces this packet bit for bit.
-  // SIC decodes read the residual ring, whose content equals the raw
-  // capture everywhere no cancelled frame overlapped.
+  // The ring equals the raw capture everywhere no cancelled frame
+  // overlapped.
   const std::span<const dsp::Complex> frame =
-      (sic_ ? residual_ : rf_).view(span.packet_start, frame_len_);
+      rf_.view(span.packet_start, frame_len_);
   const std::uint64_t seed_index =
       cfg_.seed_by_offset ? span.packet_start : packet_counter_;
   std::span<const std::uint32_t> syms;
@@ -291,18 +287,14 @@ void StreamingDemodulator::decode_span(const PacketSpan& span) {
   symbols_.insert(symbols_.end(), syms.begin(), syms.end());
   packets_.push_back(p);
   ++packet_counter_;
-  if (sic_) {
-    remember_start(span.packet_start);
-    if (span.sic_depth > 0) ++collisions_resolved_;
-    const std::size_t eff_depth = effective_sic_depth();
-    if (span.sic_depth < eff_depth) {
-      cancel_frame(span);
-    } else if (span.sic_depth < cfg_.sic.depth) {
-      // The degradation ladder capped the chain below its configured
-      // depth: a shed cancellation. The frame itself is already
-      // decoded and delivered.
-      ++ingest_.sic_shed;
-    }
+  if (span.sic_depth > 0) ++collisions_resolved_;
+  if (span.sic_depth < effective_sic_depth()) {
+    cancel_frame(span);
+  } else if (span.sic_depth < cfg_.sic.depth) {
+    // The degradation ladder capped the chain below its configured
+    // depth: a shed cancellation. The frame itself is already decoded
+    // and delivered.
+    ++ingest_.sic_shed;
   }
 }
 
@@ -357,7 +349,7 @@ void StreamingDemodulator::fill_diag(const PacketSpan& span,
 std::size_t StreamingDemodulator::effective_sic_depth() const {
   // The ladder's first rung halves the most expensive work by capping
   // cancellation chains at one pass; rung 2 sheds the stage entirely.
-  if (!sic_ || degradation_ >= 2) return 0;
+  if (degradation_ >= 2) return 0;
   if (degradation_ >= 1) return std::min<std::size_t>(cfg_.sic.depth, 1);
   return cfg_.sic.depth;
 }
@@ -371,24 +363,21 @@ void StreamingDemodulator::cancel_frame(const PacketSpan& span) {
   obs::ScopedTimer timer("sic_cancel",
                          stage_hist(cfg_, obs::Stage::kSicCancel));
   // Copy the frame span (with alignment padding where available) out
-  // of the residual ring, subtract the reconstructed waveform, write
-  // the residual back.
+  // of the ring, subtract the reconstructed waveform, write the
+  // residual back in place.
   const std::uint64_t radius = sic::kAlignRadius;
   const std::uint64_t lo =
       std::max(span.packet_start >= radius ? span.packet_start - radius : 0,
-               residual_.begin());
+               rf_.begin());
   const std::uint64_t hi =
       std::min(span.packet_start + frame_len_ + radius, received_);
-  const std::size_t len = static_cast<std::size_t>(hi - lo);
-  const std::span<const dsp::Complex> view = residual_.view(lo, len);
-  cancel_scratch_.resize(len);
-  std::memcpy(cancel_scratch_.data(), view.data(),
-              len * sizeof(dsp::Complex));
-  const DecodedPacket& decoded = packets_.back();
+  const std::span<const dsp::Complex> view =
+      rf_.view(lo, static_cast<std::size_t>(hi - lo));
+  cancel_scratch_.assign(view.begin(), view.end());
   sic_->cancel(cancel_scratch_,
                static_cast<std::size_t>(span.packet_start - lo),
-               symbols(decoded));
-  residual_.overwrite(lo, cancel_scratch_);
+               symbols(packets_.back()));
+  rf_.overwrite(lo, cancel_scratch_);
   ++frames_cancelled_;
   RescanRegion region;
   region.start = span.packet_start;
@@ -403,17 +392,17 @@ bool StreamingDemodulator::process_rescan(const RescanRegion& region) {
   obs::ScopedTimer timer("sic_rescan",
                          stage_hist(cfg_, obs::Stage::kSicRescan));
   // A region flushed before its ready_at simply scans the clamped span.
-  const std::uint64_t start = std::max(region.start, residual_.begin());
+  const std::uint64_t start = std::max(region.start, rf_.begin());
   const std::uint64_t end =
       std::min<std::uint64_t>(region.start + region.len, received_);
   if (end <= start || end - start < preamble_len_) {
-    // Aged off the residual ring (or never materialized) before it
-    // could be scanned — under load shedding this is expected loss.
+    // Aged off the ring (or never materialized) before it could be
+    // scanned — under load shedding this is expected loss.
     if (start > region.start) ++ingest_.rescans_expired;
     return false;
   }
   const std::size_t len = static_cast<std::size_t>(end - start);
-  const std::span<const dsp::Complex> view = residual_.view(start, len);
+  const std::span<const dsp::Complex> view = rf_.view(start, len);
   const std::optional<sic::RescanHit> hit = sic_->rescan(view);
   if (!hit.has_value()) return false;
   const std::uint64_t abs = start + hit->offset;

@@ -33,21 +33,20 @@
 //     steady-state size; callers that drain packets between pushes
 //     keep the result buffers from growing.
 //
-// Collision resolution (cfg.sic.depth > 0): decodes read from a
-// second, *residual* ring that starts as a copy of the capture. After
-// a frame at cancellation depth d < depth decodes, its reconstructed
-// waveform is least-squares-subtracted from the residual ring
+// Collision resolution (cfg.sic.depth > 0) works in place on the RF
+// ring. After a frame at cancellation depth d < depth decodes, its
+// reconstructed waveform is least-squares-subtracted from the ring
 // (sic::CollisionResolver::cancel) and its span re-scanned
 // (CollisionResolver::rescan): a weaker preamble that was buried under
 // the frame — invisible to the mixed-stream scanner, whose Pearson
 // score it cannot clear there — now stands clear on the residual, gets
-// framed at depth d+1 and decodes like any other packet, from a span
-// the stronger frame has already been removed from. Chains iterate up
-// to cfg.sic.depth. Subtraction only ever touches a decoded frame's
-// own span, and per-packet stream seeds are consumed in decode order,
-// so a capture without overlaps decodes bit-identically with SIC on or
-// off; with depth == 0 the machinery is bypassed entirely (the pre-SIC
-// decode path, bit for bit).
+// framed at depth d+1 and decodes like any other packet. Chains
+// iterate up to cfg.sic.depth. The scanner reads each block before any
+// decode can cancel into it (see note_gap() for the one exception).
+// Subtraction only ever touches a decoded frame's own span, and
+// per-packet stream seeds are consumed in decode order, so a capture
+// without overlaps decodes bit-identically with SIC on or off. Depth 0
+// is the same path with no cancellation.
 //
 // The scan front end always runs the *vanilla* reference chain
 // (SAW -> LNA gain -> envelope detector, no CFS, no receiver noise):
@@ -237,7 +236,7 @@ class StreamingDemodulator {
   const core::BatchDemodulator& batch() const { return batch_; }
 
  private:
-  /// A cancelled span queued for re-detection once the residual ring
+  /// A cancelled span queued for re-detection once the ring
   /// holds [start, start + len) and the revealing frame's cancellation
   /// is in (ready_at ≤ received_).
   struct RescanRegion {
@@ -266,8 +265,7 @@ class StreamingDemodulator {
   PacketScanner scanner_;
   std::optional<sic::CollisionResolver> sic_;  // set when cfg.sic.depth > 0
 
-  RfRing rf_;                         // raw capture (scan + plain decode)
-  RfRing residual_;                   // SIC: capture minus cancelled frames
+  RfRing rf_;                         // capture minus cancelled frames
   std::vector<PacketSpan> confirmed_; // scanner output, before admission
   std::vector<PacketSpan> pending_;   // admitted, waiting for frame end
   std::size_t pending_head_ = 0;
@@ -275,7 +273,7 @@ class StreamingDemodulator {
   std::size_t rescan_head_ = 0;
   std::vector<DecodedPacket> packets_;
   std::vector<std::uint32_t> symbols_;
-  dsp::Signal cancel_scratch_;        // residual span copy for cancel()
+  dsp::Signal cancel_scratch_;        // frame span copy for cancel()
   dsp::Signal gap_fill_;              // zero block for note_gap()
   std::array<std::uint64_t, 8> recent_starts_{};  // decoded-frame dedupe
   std::size_t recent_count_ = 0;

@@ -527,36 +527,58 @@ TEST_F(GatewayFile, ReloadKeepsInFlightJobsAndCountsSwaps) {
 TEST_F(GatewayFile, SlowSubscriberShedsFramesWithoutStallingWorkers) {
   gateway::GatewayConfig cfg = base_config();
   cfg.limits.subscriber_queue = 1;  // smallest legal queue
+  // The slow handler holds its first frame on a latch until the job is
+  // done. After each chunk the worker waits for that chunk's frames to
+  // reach the handlers (the capture's frames end more than a trace
+  // chunk apart, so a chunk emits at most one): the fast subscriber
+  // keeps up, the slow one's second frame finds its queue empty and
+  // every later one finds it full.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> holding{false};
+  std::atomic<std::size_t> delivered{0};
+  Collector fast;
+  gateway::Gateway* gwp = nullptr;
+  cfg.chunk_hook = [&](const gateway::GatewayConfig::ChunkHookInfo&) {
+    const std::uint64_t decoded = gwp->stats().frames_decoded;
+    while ((decoded != 0 && !holding.load()) ||
+           fast.take().size() < decoded) {
+      std::this_thread::yield();
+    }
+  };
   auto created = gateway::Gateway::create(cfg);
   ASSERT_TRUE(created.ok()) << created.message();
   auto& gw = *created.value();
-
-  std::atomic<std::size_t> delivered{0};
+  gwp = &gw;
   gw.subscribe([&](const gateway::FrameRecord&) {
     delivered.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    holding.store(true);
+    released.wait();
   });
-  Collector fast;
   gw.subscribe(fast.handler());
 
-  const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(gw.enqueue_trace(path_).ok());
+  const auto job = gw.enqueue_trace(path_);
+  ASSERT_TRUE(job.ok()) << job.message();
+  // Workers never wait on the slow handler: the job finishes while the
+  // handler still holds its first frame.
+  gateway::JobState state = gateway::JobState::kPending;
+  while ((state = gw.job_status(job.value()).value().state) ==
+         gateway::JobState::kPending) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(state, gateway::JobState::kDone);
+  EXPECT_EQ(delivered.load(), 1u);
+  release.set_value();
   ASSERT_TRUE(gw.drain().ok());
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   const gateway::GatewayStats st = gw.stats();
   const std::size_t total = capture().markers.size();
   EXPECT_EQ(st.frames_decoded, total);
-  // The fast subscriber saw everything; the slow one shed the excess
-  // and every shed frame is accounted for.
+  // The fast subscriber saw everything; the slow one kept the frame in
+  // its handler plus one queued and shed the rest, all accounted for.
   EXPECT_EQ(fast.take().size(), total);
-  EXPECT_GT(st.ingest.frames_dropped_subscriber, 0u);
+  EXPECT_EQ(st.ingest.frames_dropped_subscriber, total - 2);
   EXPECT_EQ(delivered.load() + st.ingest.frames_dropped_subscriber, total);
-  // Workers never waited on the sleeping handler: the replay plus
-  // drain must complete in far less than total * 40 ms.
-  EXPECT_LT(wall, 0.040 * static_cast<double>(total) * 2);
 }
 
 TEST_F(GatewayFile, UnsubscribeDeliversQueuedFramesFirst) {
@@ -938,6 +960,29 @@ TEST(GatewayLiveStream, IdleStreamOutlivesHeartbeatTimeout) {
       << "the stream job must end kDone";
   EXPECT_EQ(st.jobs_failed, before.jobs_failed);
   EXPECT_EQ(st.chunks_ingested, before.chunks_ingested + 2);
+}
+
+// A worker's first job builds its demodulator (and, in a fresh
+// process, the receiver templates) before it reads any input. The job's
+// clocks start once the demodulator is ready, so a heartbeat timeout
+// far below the build time leaves the job alone. ctest runs each test
+// in its own process, so the build here is cold.
+TEST(GatewayLiveStream, ColdDemodulatorBuildIsNotAged) {
+  gateway::GatewayConfig cfg = base_config();
+  cfg.workers = 1;
+  cfg.watchdog.poll_ms = 1;
+  cfg.watchdog.heartbeat_timeout_ms = 5;
+  auto created = gateway::Gateway::create(cfg);
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+
+  const gateway::StreamId sid = gw.open_stream();
+  ASSERT_TRUE(gw.close_stream(sid).ok());
+  ASSERT_TRUE(gw.drain().ok());
+  const gateway::GatewayStats st = gw.stats();
+  EXPECT_EQ(st.jobs_done, 1u) << "the stream job must end kDone";
+  EXPECT_EQ(st.jobs_failed, 0u);
+  EXPECT_EQ(st.watchdog_cancels, 0u);
 }
 
 TEST_F(GatewayFile, JobStatusReportsTypedOutcomes) {

@@ -24,6 +24,8 @@
 #include <sstream>
 
 #include "core/batch_demod.hpp"
+#include "fault/fault_injector.hpp"
+#include "lora/modulator.hpp"
 #include "sim/capture.hpp"
 #include "stream/sample_ring.hpp"
 #include "stream/trace.hpp"
@@ -664,6 +666,75 @@ TEST(StreamGolden, SpanListsAndSymbolsArePinned) {
   stream::StreamingDemodulator sic(sc);
   run_stream(sic, pcap.samples, 16384);
   EXPECT_EQ(span_list(sic), read_golden("sic_pileup_spans.txt"));
+}
+
+// One replay of an in-memory trace in recover mode through a reset
+// demodulator: a header line with the gap counters, then one line per
+// frame (start, payload start, SIC depth, collided, score bits,
+// symbols).
+std::string gap_replay(std::string_view trace,
+                       stream::StreamingDemodulator& demod) {
+  stream::TraceReader reader =
+      stream::TraceReader::from_bytes(trace, /*recover=*/true);
+  demod.reset();
+  demod.clear_packets();
+  dsp::Signal chunk;
+  while (stream::next_trace_chunk(reader, demod, chunk)) demod.push(chunk);
+  demod.finish();
+  std::ostringstream os;
+  os << "gaps " << demod.ingest().gaps << " spans_dropped "
+     << demod.ingest().spans_dropped << '\n';
+  char score[40];
+  for (const stream::DecodedPacket& p : demod.packets()) {
+    std::snprintf(score, sizeof(score), "%a", p.score);
+    os << p.packet_start << ' ' << p.payload_start << ' ' << p.sic_depth
+       << ' ' << p.collided << ' ' << score << ' ';
+    for (const std::uint32_t s : demod.symbols(p)) os << s;
+    os << '\n';
+  }
+  return os.str();
+}
+
+// SIC across ingest gaps: a train of three-way pileups replayed clean
+// and then with one corrupt chunk at each chunk index in turn, with
+// SIC off and at depth 2. The 2833-sample chunks put the gaps at every
+// phase of the 8192-sample scan blocks, so some gaps land while a
+// cancellation chain is open and a salvage decode cancels into the
+// partial block in front of the gap, which the scanner has not read
+// yet (5 of the 94 replays). Every frame of every replay is pinned,
+// score bits included.
+TEST(StreamGolden, SicGapReplaysArePinned) {
+  const std::size_t spsym = phy().samples_per_symbol();
+  const std::size_t frame = lora::Modulator(phy()).layout(16).total_samples;
+  sim::CaptureConfig cfg = capture_cfg(3, 1, 16, core::Mode::kSuper, 77);
+  cfg.tag_rss_dbm = {-55.0, -61.0, -67.0};
+  for (const std::uint64_t group : {500ull, 500ull + 40 * spsym + frame}) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      cfg.offsets.push_back(group + 14 * k * spsym);
+    }
+  }
+  const sim::Capture cap = sim::generate_capture(cfg);
+  char path[96];
+  std::snprintf(path, sizeof(path), "saiyan_sic_gaps_%d.sytrc",
+                static_cast<int>(::getpid()));
+  sim::write_capture(cap, cfg, path, /*chunk_samples=*/2833);
+  const std::string clean = fault::read_file(path);
+  std::remove(path);
+  const std::size_t n_chunks = fault::parse_trace_layout(clean).chunks.size();
+
+  std::ostringstream os;
+  for (const std::size_t depth : {std::size_t{0}, std::size_t{2}}) {
+    stream::StreamConfig sc = stream_cfg(cfg);
+    sc.seed_by_offset = true;
+    sc.sic.depth = depth;
+    stream::StreamingDemodulator demod(sc);
+    os << "depth " << depth << " clean\n" << gap_replay(clean, demod);
+    for (std::size_t k = 0; k < n_chunks; ++k) {
+      os << "depth " << depth << " flip " << k << '\n'
+         << gap_replay(fault::flip_chunk_bit(clean, k), demod);
+    }
+  }
+  EXPECT_EQ(os.str(), read_golden("sic_gap_spans.txt"));
 }
 
 #if SAIYAN_ALLOC_COUNTER
