@@ -68,7 +68,10 @@ void drive_scanner(const std::uint8_t* data, std::size_t size) {
       core::SaiyanConfig::make(fuzz_phy(), core::Mode::kVanilla);
   static core::ReceiverChain chain(cfg);
   static core::PreambleDetector detector(chain);
-  static stream::PacketScanner scanner(detector, 0.6);
+  // The coarse gate is armed for the 8-symbol blocks the streaming
+  // demodulator feeds; inputs that pick that block size exercise it.
+  static stream::PacketScanner scanner(
+      detector, 0.6, 8 * fuzz_phy().samples_per_symbol());
   scanner.reset();
 
   if (size < 4) return;

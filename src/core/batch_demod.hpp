@@ -55,7 +55,7 @@ struct DemodWorkspace {
   bool preamble_found = false;
   double preamble_score = 0.0;
   double sampler_rate_hz = 0.0;
-  frontend::ThresholdPair thresholds;
+  frontend::ThresholdPair thresholds;  ///< as DemodResult::thresholds
 };
 
 /// A demodulator bound to its workspace: the packets/sec engine behind

@@ -79,14 +79,11 @@ void SaiyanDemodulator::decode_from_envelope_ws(
   ws.preamble_score = 0.0;
   ws.sampler_rate_hz = 0.0;
   ws.symbols.clear();
-  ws.thresholds =
-      hint.has_value()
-          ? *hint
-          : auto_thresholds(env, cfg.threshold_gap_db, ws.threshold_scratch);
 
   if (cfg.mode == Mode::kSuper) {
     // Correlation path: timing and symbols both from the analog
-    // envelope.
+    // envelope. No comparator runs, so no thresholds are estimated.
+    ws.thresholds = hint.value_or(frontend::ThresholdPair{});
     std::size_t start = 0;
     if (payload_start_fs.has_value()) {
       start = *payload_start_fs;
@@ -107,6 +104,10 @@ void SaiyanDemodulator::decode_from_envelope_ws(
 
   // Comparator path: quantize at the simulation rate, tick at the
   // low-power sampler rate, then edge-decode.
+  ws.thresholds =
+      hint.has_value()
+          ? *hint
+          : auto_thresholds(env, cfg.threshold_gap_db, ws.threshold_scratch);
   frontend::DoubleThresholdComparator comp(ws.thresholds.u_high,
                                            ws.thresholds.u_low);
   comp.quantize_into(env, ws.bits_fs);

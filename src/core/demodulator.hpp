@@ -29,6 +29,10 @@ struct DemodResult {
   double preamble_score = 0.0;
   std::vector<std::uint32_t> symbols;
   double sampler_rate_hz = 0.0;
+  /// Comparator thresholds the decode used: the hint, else estimated
+  /// from the packet. Super mode runs no comparator — it decodes from
+  /// the correlator — so it estimates none and reports the hint, or
+  /// {} without one.
   frontend::ThresholdPair thresholds;
 };
 

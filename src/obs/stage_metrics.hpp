@@ -21,7 +21,7 @@
 namespace saiyan::obs {
 
 enum class Stage : std::uint8_t {
-  kScan = 0,      ///< blockwise envelope + incremental preamble scan
+  kScan = 0,      ///< per block: ring ingest + envelope + preamble scan
   kDecode,        ///< framed span through the warm BatchDemodulator
   kSicCancel,     ///< remodulate + least-squares subtract one frame
   kSicRescan,     ///< re-detect buried preambles on a cancelled span

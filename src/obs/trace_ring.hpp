@@ -127,11 +127,14 @@ inline void reset_for_test() {}
 /// time) — per-stage latency stats are always on; only the timeline is
 /// optional. When neither a histogram is attached nor tracing enabled,
 /// construction is two loads and the destructor is a no-op.
+/// `carried_us` is earlier work of the same stage that ran outside the
+/// scope (a scan block's ring ingest, timed per append): it is added
+/// to the histogram record, while the timeline span covers the scope.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const char* name,
-                       LatencyHistogram* hist = nullptr) noexcept
-      : name_(name), hist_(hist) {
+  explicit ScopedTimer(const char* name, LatencyHistogram* hist = nullptr,
+                       std::uint64_t carried_us = 0) noexcept
+      : name_(name), hist_(hist), carried_us_(carried_us) {
 #if SAIYAN_TRACING
     traced_ = enabled();
     if (hist_ != nullptr || traced_) start_us_ = now_us();
@@ -148,11 +151,11 @@ class ScopedTimer {
     if (hist_ == nullptr && !traced_) return;
     const std::uint64_t end = now_us();
     const std::uint64_t dur = end - start_us_;
-    if (hist_ != nullptr) hist_->record(dur);
+    if (hist_ != nullptr) hist_->record(dur + carried_us_);
     if (traced_) emit_complete_(name_, start_us_, dur);
 #else
     if (hist_ == nullptr) return;
-    hist_->record(steady_now_us_() - start_us_);
+    hist_->record(steady_now_us_() - start_us_ + carried_us_);
 #endif
   }
 
@@ -166,6 +169,7 @@ class ScopedTimer {
 
   const char* name_;
   LatencyHistogram* hist_;
+  std::uint64_t carried_us_;
   std::uint64_t start_us_ = 0;
 #if SAIYAN_TRACING
   bool traced_ = false;

@@ -20,15 +20,62 @@ std::size_t refractory_samples(const core::PreambleDetector& detector) {
   return spsym + spsym / 4;
 }
 
+constexpr std::size_t kD = PacketScanner::kGateDecimation;
+
+/// Box-car average of consecutive kD-sample groups of `in` into `out`
+/// (in.size() == kD * out.size()).
+void decimate(std::span<const double> in, std::span<double> out) {
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < kD; ++i) acc += in[kD * k + i];
+    out[k] = acc * (1.0 / static_cast<double>(kD));
+  }
+}
+
+/// The gate's template: the zero-mean reference envelope decimated like
+/// the stream, with the mean the averaging leaves removed again.
+dsp::RealSignal decimated_template(const dsp::RealSignal& tmpl) {
+  dsp::RealSignal out(tmpl.size() / kD);
+  decimate(std::span<const double>(tmpl).first(kD * out.size()), out);
+  double mean = 0.0;
+  for (const double v : out) mean += v;
+  mean /= static_cast<double>(out.size());
+  for (double& v : out) v -= mean;
+  return out;
+}
+
+/// Pearson score of a window from its signed correlation with a
+/// zero-mean template and the window's sum and sum of squares. The
+/// variance floor is *relative* to the window energy: the envelope
+/// lives at nanovolt scale, and an absolute floor would silently
+/// dominate the denominator and make the score amplitude-proportional
+/// instead of scale-invariant.
+double pearson(double corr, double sum, double sum2, std::size_t w,
+               double tmpl_energy) {
+  const double var = sum2 - sum * sum / static_cast<double>(w);
+  const double var_floor = sum2 * 1e-9 + 1e-300;
+  return corr / std::sqrt(std::max(var, var_floor) * tmpl_energy);
+}
+
 }  // namespace
 
 PacketScanner::PacketScanner(const core::PreambleDetector& detector,
-                             double min_score)
+                             double min_score, std::size_t block_samples)
     : det_(detector),
       min_score_(min_score),
       tmpl_len_(detector.envelope_template_zero_mean().size()),
       tmpl_energy_(detector.envelope_correlator().energy()),
-      refractory_(refractory_samples(detector)) {}
+      refractory_(refractory_samples(detector)),
+      gate_block_(block_samples) {
+  if (block_samples == 0) return;
+  env_.reserve(tmpl_len_ + block_samples);
+  if (block_samples % kD != 0 || tmpl_len_ % kD != 0) return;
+  gate_.emplace(decimated_template(detector.envelope_template_zero_mean()));
+  // One decimated block of lags plus one neighbor on each side.
+  gate_hist_.assign(block_samples / kD + gate_->size() + 1, 0.0);
+  // Warm the correlator at the one window length it will see.
+  gate_->correlate_signed_into(gate_hist_, gate_corr_);
+}
 
 void PacketScanner::reset() {
   env_.clear();
@@ -38,6 +85,9 @@ void PacketScanner::reset() {
   candidate_ = {};
   prev_score_ = 0.0;
   next_score_pending_ = false;
+  gate_count_ = 0;
+  gate_aligned_ = true;
+  blocks_skipped_ = 0;
 }
 
 void PacketScanner::desync(std::uint64_t resume_lag) {
@@ -64,9 +114,18 @@ std::size_t PacketScanner::push_block(std::span<const double> env_block,
     env_.reserve(needed);
   }
   env_.append(env_block);
+  gate_feed(env_block);
 
   const std::uint64_t env_count = env_.end();
   if (env_count < tmpl_len_) return 0;  // not enough for a single lag yet
+
+  const std::uint64_t lag_end = env_count - tmpl_len_ + 1;
+  if (!have_candidate_ && gate_clears(env_block.size(), next_lag_, lag_end)) {
+    next_lag_ = lag_end;
+    prev_score_ = 0.0;
+    ++blocks_skipped_;
+    return 0;
+  }
 
   const std::size_t w = tmpl_len_;
   const std::span<const double> window =
@@ -94,14 +153,7 @@ std::size_t PacketScanner::push_block(std::span<const double> env_block,
       have_candidate_ = false;
       ++emitted;
     }
-    // The variance floor must be *relative* to the window energy: the
-    // envelope lives at nanovolt scale, and an absolute floor would
-    // silently dominate the denominator and make the score
-    // amplitude-proportional instead of scale-invariant.
-    const double var = sum2 - sum * sum / static_cast<double>(w);
-    const double var_floor = sum2 * 1e-9 + 1e-300;
-    const double score =
-        corr_[j] / std::sqrt(std::max(var, var_floor) * tmpl_energy_);
+    const double score = pearson(corr_[j], sum, sum2, w, tmpl_energy_);
     // Telemetry neighbor capture: the lag right after the candidate
     // peak fills score_next (the refractory is > one symbol, so this
     // always lands before the candidate can confirm). Never read by
@@ -129,6 +181,65 @@ std::size_t PacketScanner::push_block(std::span<const double> env_block,
   }
   next_lag_ += corr_.size();
   return emitted;
+}
+
+void PacketScanner::gate_feed(std::span<const double> env_block) {
+  if (!gate_ || !gate_aligned_) return;
+  if (env_block.size() % kD != 0) {
+    // The decimation grid no longer matches the absolute stream.
+    gate_aligned_ = false;
+    return;
+  }
+  const std::size_t cap = gate_hist_.size();
+  std::size_t n = env_block.size() / kD;
+  if (n >= cap) {
+    env_block = env_block.last(kD * cap);
+  } else {
+    std::copy(gate_hist_.begin() + static_cast<std::ptrdiff_t>(n),
+              gate_hist_.end(), gate_hist_.begin());
+  }
+  gate_count_ += n;
+  n = std::min(n, cap);
+  decimate(env_block, std::span<double>(gate_hist_).last(n));
+}
+
+bool PacketScanner::gate_clears(std::size_t block_len, std::uint64_t first,
+                                std::uint64_t end) {
+  const std::size_t cap = gate_hist_.size();
+  if (!gate_ || !gate_aligned_ || block_len != gate_block_ ||
+      gate_count_ < cap) {
+    return false;
+  }
+  // Decimated lags [lo, hi] bracket every full-rate lag of the block
+  // with one neighbor on each side; the history holds lags
+  // [base, gate_count_ - template].
+  const std::size_t w = gate_->size();
+  const std::uint64_t base = gate_count_ - cap;
+  const std::uint64_t lo = first / kD >= 1 ? first / kD - 1 : 0;
+  const std::uint64_t hi = std::min((end - 1) / kD + 1, gate_count_ - w);
+  if (lo < base) return false;
+
+  gate_->correlate_signed_into(gate_hist_, gate_corr_);
+  double sum = 0.0;
+  double sum2 = 0.0;
+  for (std::size_t i = 0; i < w; ++i) {
+    sum += gate_hist_[i];
+    sum2 += gate_hist_[i] * gate_hist_[i];
+  }
+  const double floor = min_score_ - kGateMargin;
+  for (std::size_t j = 0; j < gate_corr_.size(); ++j) {
+    if (base + j >= lo && base + j <= hi &&
+        pearson(gate_corr_[j], sum, sum2, w, gate_->energy()) >= floor) {
+      return false;
+    }
+    if (j + w < cap) {
+      const double in = gate_hist_[j + w];
+      const double out = gate_hist_[j];
+      sum += in - out;
+      sum2 += in * in - out * out;
+    }
+  }
+  return true;
 }
 
 std::size_t PacketScanner::finish(std::vector<PacketSpan>& out) {

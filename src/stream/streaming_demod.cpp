@@ -1,6 +1,7 @@
 #include "stream/streaming_demod.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <stdexcept>
@@ -28,6 +29,12 @@ bool near(std::uint64_t a, std::uint64_t b, std::uint64_t tol) {
   return a + tol >= b && b + tol >= a;
 }
 
+/// Scan blocks are eight symbols. Blocks tile the absolute stream, so
+/// this also bounds detection latency.
+std::size_t scan_block_samples(const core::SaiyanConfig& cfg) {
+  return 8 * cfg.phy.samples_per_symbol();
+}
+
 }  // namespace
 
 StreamingDemodulator::StreamingDemodulator(const StreamConfig& cfg)
@@ -35,16 +42,14 @@ StreamingDemodulator::StreamingDemodulator(const StreamConfig& cfg)
       batch_(cfg.saiyan),
       scan_chain_(core::scan_config(cfg.saiyan)),
       scan_detector_(scan_chain_),
-      scanner_(scan_detector_, cfg.min_score) {
+      scanner_(scan_detector_, cfg.min_score, scan_block_samples(cfg.saiyan)) {
   if (cfg_.payload_symbols == 0) {
     throw std::invalid_argument("StreamingDemodulator: payload_symbols == 0");
   }
   const std::size_t spsym = cfg_.saiyan.phy.samples_per_symbol();
   preamble_len_ = scanner_.template_size();
   frame_len_ = preamble_len_ + cfg_.payload_symbols * spsym;
-  // Scan blocks are eight symbols. Blocks tile the absolute stream, so
-  // this also bounds detection latency.
-  block_ = 8 * spsym;
+  block_ = scan_block_samples(cfg_.saiyan);
   // Retention bound: a frame decodes at the first block boundary after
   // its last sample, so the ring must reach back frame + one block
   // from the write head; the extra preamble length is slack for
@@ -81,7 +86,7 @@ std::size_t StreamingDemodulator::push(std::span<const dsp::Complex> chunk) {
     const std::size_t filled =
         static_cast<std::size_t>(received_ - next_block_start_);
     const std::size_t take = std::min(chunk.size() - i, block_ - filled);
-    rf_.append(chunk.subspan(i, take));
+    ingest(chunk.subspan(i, take));
     received_ += take;
     i += take;
     if (received_ - next_block_start_ == block_) {
@@ -153,8 +158,22 @@ void StreamingDemodulator::note_gap(std::uint64_t lost_samples) {
   }
 }
 
+void StreamingDemodulator::ingest(std::span<const dsp::Complex> samples) {
+  if (cfg_.stage_metrics == nullptr) {
+    rf_.append(samples);
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  rf_.append(samples);
+  ingest_ns_ += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 void StreamingDemodulator::reset() {
   rf_.clear();
+  ingest_ns_ = 0;
   scanner_.reset();
   pending_.clear();
   pending_head_ = 0;
@@ -178,9 +197,14 @@ void StreamingDemodulator::process_block(std::uint64_t block_start,
                                          std::size_t len) {
   const std::span<const dsp::Complex> rf_block = rf_.view(block_start, len);
   {
-    // The scan stage proper: envelope + incremental preamble scan.
-    // Decode work triggered below times itself.
-    obs::ScopedTimer t("scan", stage_hist(cfg_, obs::Stage::kScan));
+    // The scan stage: the block's ring ingest (timed per append, the
+    // sub-microsecond remainder carried to the next block), then
+    // envelope + incremental preamble scan. Decode work triggered below
+    // times itself.
+    const std::uint64_t ingest_us = ingest_ns_ / 1000;
+    ingest_ns_ %= 1000;
+    obs::ScopedTimer t("scan", stage_hist(cfg_, obs::Stage::kScan),
+                       ingest_us);
     scan_chain_.reference_envelope_into(rf_block, scan_ws_);
     scanner_.push_block(scan_ws_.env, confirmed_);
   }
@@ -263,6 +287,21 @@ void StreamingDemodulator::decode_span(const PacketSpan& span) {
       rf_.view(span.packet_start, frame_len_);
   const std::uint64_t seed_index =
       cfg_.seed_by_offset ? span.packet_start : packet_counter_;
+  DecodedPacket p;
+  p.packet_start = span.packet_start;
+  p.payload_start = span.payload_start;
+  p.score = span.score;
+  p.first_symbol = static_cast<std::uint32_t>(symbols_.size());
+  p.collided = span.sic_depth > 0;
+  p.sic_assisted = span.sic_depth > 0;
+  p.sic_depth = span.sic_depth;
+  if (cfg_.link_telemetry != nullptr) {
+    // Before the decode, which reads nothing it writes: the frame the
+    // ring just served is still in cache.
+    fill_diag(span, frame, p);
+    last_frame_end_ =
+        std::max(last_frame_end_, span.packet_start + frame_len_);
+  }
   std::span<const std::uint32_t> syms;
   {
     obs::ScopedTimer t("decode", stage_hist(cfg_, obs::Stage::kDecode));
@@ -270,20 +309,7 @@ void StreamingDemodulator::decode_span(const PacketSpan& span) {
                                  dsp::derive_stream_seed(cfg_.seed,
                                                          seed_index));
   }
-  DecodedPacket p;
-  p.packet_start = span.packet_start;
-  p.payload_start = span.payload_start;
-  p.score = span.score;
-  p.first_symbol = static_cast<std::uint32_t>(symbols_.size());
   p.n_symbols = static_cast<std::uint32_t>(syms.size());
-  p.collided = span.sic_depth > 0;
-  p.sic_assisted = span.sic_depth > 0;
-  p.sic_depth = span.sic_depth;
-  if (cfg_.link_telemetry != nullptr) {
-    fill_diag(span, frame, p);
-    last_frame_end_ =
-        std::max(last_frame_end_, span.packet_start + frame_len_);
-  }
   symbols_.insert(symbols_.end(), syms.begin(), syms.end());
   packets_.push_back(p);
   ++packet_counter_;

@@ -234,6 +234,8 @@ class StreamingDemodulator {
   const IngestStats& ingest() const { return ingest_; }
   const StreamConfig& config() const { return cfg_; }
   const core::BatchDemodulator& batch() const { return batch_; }
+  /// The preamble scanner (read-only: its coarse-gate counter).
+  const PacketScanner& scanner() const { return scanner_; }
 
  private:
   /// A cancelled span queued for re-detection once the ring
@@ -246,6 +248,7 @@ class StreamingDemodulator {
     std::uint32_t depth = 0;  ///< depth of spans it may reveal
   };
 
+  void ingest(std::span<const dsp::Complex> samples);
   void process_block(std::uint64_t block_start, std::size_t len);
   void decode_ready(bool flush);
   void decode_span(const PacketSpan& span);
@@ -278,6 +281,9 @@ class StreamingDemodulator {
   std::array<std::uint64_t, 8> recent_starts_{};  // decoded-frame dedupe
   std::size_t recent_count_ = 0;
 
+  // Ring-append time not yet carried into a scan record (only counted
+  // when stage_metrics is set).
+  std::uint64_t ingest_ns_ = 0;
   bool cancelled_ = false;
   std::uint8_t degradation_ = 0;
   // Telemetry only: end of the furthest frame decoded so far — blocks
