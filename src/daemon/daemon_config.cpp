@@ -50,8 +50,8 @@ std::array<Row, 25> key_table(Target& t) {
       {"watchdog_poll_ms", &g.watchdog.poll_ms},
       {"watchdog_heartbeat_timeout_ms", &g.watchdog.heartbeat_timeout_ms},
       {"watchdog_job_deadline_ms", &g.watchdog.job_deadline_ms},
-      {"degradation_p99_high_us", &g.degradation.p99_high_us},
-      {"degradation_p99_low_us", &g.degradation.p99_low_us},
+      {"degradation_lag_high_ms", &g.degradation.lag_high_ms},
+      {"degradation_lag_low_ms", &g.degradation.lag_low_ms},
       {"degradation_escalate_after", &g.degradation.escalate_after},
       {"degradation_deescalate_after", &g.degradation.deescalate_after},
       {"sic_depth", &g.stream.sic.depth},

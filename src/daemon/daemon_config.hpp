@@ -10,8 +10,8 @@
 //   sic_depth 1
 //   min_score 0.6
 //   payload_symbols 16
-//   degradation_p99_high_us 50000
-//   degradation_p99_low_us 10000
+//   degradation_lag_high_ms 200
+//   degradation_lag_low_ms 50
 //   watchdog_job_deadline_ms 60000
 //   sf 7
 //   bandwidth_hz 500e3

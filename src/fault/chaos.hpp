@@ -5,7 +5,7 @@
 // which worker stalls mid-job, which subscriber goes slow, where in a
 // recording the process "dies". The two compose into the chaos
 // harness the self-healing pillars are tested under — watchdog cancels
-// of stalled workers, degradation under slow delivery, crash recovery
+// of stalled workers, frame shedding under slow delivery, crash recovery
 // of torn segment directories.
 //
 // Determinism is the entire point, and thread interleaving is the
@@ -40,7 +40,7 @@ struct ChaosConfig {
 
   /// P(a given delivered frame is slow-pathed in the subscriber),
   /// and how long the handler sleeps when it is — backpressure that
-  /// drives frames_dropped_subscriber and the degradation ladder.
+  /// drives frames_dropped_subscriber.
   double slow_frame_rate = 0.0;
   std::uint64_t slow_frame_ms = 5;
 

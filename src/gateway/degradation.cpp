@@ -16,17 +16,17 @@ const char* to_string(DegradationLevel level) {
   return "?";
 }
 
-bool DegradationLadder::update(std::uint64_t p99_us) {
+bool DegradationLadder::update(std::uint64_t lag_ms) {
   // Hot at or past the high watermark, cool at or below the low one.
   // In between, both streaks reset and the level holds. An off ladder
   // (0 high) is never hot.
-  const bool on = cfg_.p99_high_us != 0;
-  const bool hot = on && p99_us >= cfg_.p99_high_us;
-  const bool cool = !on || p99_us <= cfg_.p99_low_us;
+  const bool on = cfg_.lag_high_ms != 0;
+  const bool hot = on && lag_ms >= cfg_.lag_high_ms;
+  const bool cool = !on || lag_ms <= cfg_.lag_low_ms;
   if (hot) {
-    cool_polls_ = 0;
-    if (++hot_polls_ >= cfg_.escalate_after) {
-      hot_polls_ = 0;  // a further escalation needs a fresh streak
+    cool_streak_ = 0;
+    if (++hot_streak_ >= cfg_.escalate_after) {
+      hot_streak_ = 0;  // a further escalation needs a fresh streak
       if (level_ < static_cast<std::uint8_t>(DegradationLevel::kDropSpans)) {
         ++level_;
         ++transitions_;
@@ -34,9 +34,9 @@ bool DegradationLadder::update(std::uint64_t p99_us) {
       }
     }
   } else if (cool) {
-    hot_polls_ = 0;
-    if (++cool_polls_ >= cfg_.deescalate_after) {
-      cool_polls_ = 0;
+    hot_streak_ = 0;
+    if (++cool_streak_ >= cfg_.deescalate_after) {
+      cool_streak_ = 0;
       if (level_ > 0) {
         --level_;
         ++transitions_;
@@ -44,8 +44,8 @@ bool DegradationLadder::update(std::uint64_t p99_us) {
       }
     }
   } else {
-    hot_polls_ = 0;
-    cool_polls_ = 0;
+    hot_streak_ = 0;
+    cool_streak_ = 0;
   }
   return false;
 }

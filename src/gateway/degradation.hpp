@@ -12,23 +12,27 @@
 //   level 2  kShedRescans  cancel/rescan stage shed entirely
 //   level 3  kDropSpans    whole framed spans dropped undecoded
 //
-// One signal drives it, sampled by the gateway's watchdog thread each
-// poll: the *windowed* p99 chunk-to-frame latency (the bucket-delta of
-// the seqlock latency histogram between polls — the cumulative
-// histogram would never come back down after one storm). The SIC
-// rescan queue is no signal: rescans run inline on the worker at
-// every block boundary, so it holds only regions queued in the last
-// frame plus one block, whatever the load (stream/streaming_demod.cpp).
-// Escalation needs `escalate_after` consecutive hot polls,
-// de-escalation `deescalate_after` consecutive cool polls, and between
-// the high and low watermarks the level holds — classic hysteresis,
-// so a load level near a threshold does not flap the pipeline on and
-// off every tick.
+// Only live streams shed. A live stream has a deadline: a reply is
+// useful only while the tag can still retransmit. A trace replay has
+// none, so it always runs at level 0 and its frames never depend on
+// host load.
+//
+// One signal drives it: the live stream's own backlog, the samples
+// pushed but not yet dequeued, in ms at the stream's sample rate. Each
+// live job runs its own ladder, fed once per dequeued chunk, so a
+// stream that falls behind degrades only its own worker. The SIC
+// rescan queue is no signal: rescans run inline at every block
+// boundary, so it stays bounded whatever the load
+// (stream/streaming_demod.cpp). Escalation needs `escalate_after`
+// consecutive hot chunks, de-escalation `deescalate_after` consecutive
+// cool chunks, and between the high and low watermarks the level holds
+// — classic hysteresis, so a backlog near a threshold does not flap
+// the pipeline on and off every chunk.
 //
 // DegradationLadder itself is a pure, single-threaded controller —
-// level is a deterministic function of the update() input sequence —
-// so hysteresis behavior is pinned by plain unit tests; the
-// concurrency lives entirely in the gateway's watchdog loop.
+// level is a deterministic function of the update() input sequence,
+// and so of the push schedule — so it is pinned by plain unit tests
+// and by gateway tests that drive it through pushes.
 #pragma once
 
 #include <cstdint>
@@ -47,28 +51,28 @@ const char* to_string(DegradationLevel level);
 /// Thresholds and hysteresis for the ladder. Fixed at
 /// Gateway::create().
 struct DegradationConfig {
-  /// Windowed-p99-latency signal (microseconds): hot when the p99
-  /// reaches `p99_high_us`, cool when it is back at or below
-  /// `p99_low_us`. 0 high = the ladder is off and never degrades.
-  std::uint64_t p99_high_us = 0;
-  std::uint64_t p99_low_us = 0;
-  /// Consecutive hot polls before stepping one level up.
+  /// Live-backlog signal (milliseconds of samples queued): hot when
+  /// the backlog reaches `lag_high_ms`, cool when it is back at or
+  /// below `lag_low_ms`. 0 high = the ladder is off and never degrades.
+  std::uint64_t lag_high_ms = 0;
+  std::uint64_t lag_low_ms = 0;
+  /// Consecutive hot chunks before stepping one level up.
   std::uint32_t escalate_after = 2;
-  /// Consecutive cool polls before stepping one level down.
+  /// Consecutive cool chunks before stepping one level down.
   std::uint32_t deescalate_after = 10;
 
   bool operator==(const DegradationConfig&) const = default;
 };
 
-/// Pure hysteresis state machine over the windowed-p99 signal.
-/// Single-threaded: the gateway's watchdog thread owns it; everyone
-/// else sees the level through an atomic the watchdog publishes.
+/// Pure hysteresis state machine over the live-backlog signal.
+/// Single-threaded: a live job's worker owns it; everyone else sees
+/// the level through the worker's published record.
 class DegradationLadder {
  public:
   explicit DegradationLadder(const DegradationConfig& cfg) : cfg_(cfg) {}
 
-  /// One controller poll. Returns true when the level changed.
-  bool update(std::uint64_t p99_us);
+  /// One dequeued chunk. Returns true when the level changed.
+  bool update(std::uint64_t lag_ms);
 
   DegradationLevel level() const {
     return static_cast<DegradationLevel>(level_);
@@ -78,8 +82,8 @@ class DegradationLadder {
  private:
   DegradationConfig cfg_;
   std::uint8_t level_ = 0;
-  std::uint32_t hot_polls_ = 0;
-  std::uint32_t cool_polls_ = 0;
+  std::uint32_t hot_streak_ = 0;
+  std::uint32_t cool_streak_ = 0;
   std::uint64_t transitions_ = 0;
 };
 

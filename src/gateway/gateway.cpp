@@ -1,7 +1,6 @@
 #include "gateway/gateway.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -52,9 +51,10 @@ struct DemodKey {
 };
 
 struct LiveStream {
-  StreamId id = 0;
+  StreamId id = 0;                 // the stream's job id
   std::uint32_t worker = 0;        // index of the worker that runs it
   std::deque<dsp::Signal> chunks;  // guarded by Impl::mu_
+  std::uint64_t queued = 0;        // samples in `chunks` (Impl::mu_)
   bool closed = false;             // guarded by Impl::mu_
 };
 
@@ -79,6 +79,9 @@ struct WorkerRecord {
   std::uint64_t beat_ns = 0;     ///< last heartbeat
   bool live = false;             ///< the running job is a live stream
   bool waiting = false;          ///< blocked on live input: not aged
+  std::uint8_t degradation_level = 0;  ///< running live job's rung
+  std::uint64_t degradation_transitions = 0;  ///< lifetime, this worker
+  std::uint64_t lag_ms = 0;  ///< live backlog at the last dequeue
 };
 
 struct Subscriber {
@@ -143,7 +146,6 @@ struct Gateway::Impl {
   bool stop_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::uint64_t next_job_ = 0;
-  std::uint64_t next_stream_ = 1;
   std::uint64_t rr_ = 0;
   std::unordered_map<StreamId, std::shared_ptr<LiveStream>> streams_;
 
@@ -158,9 +160,6 @@ struct Gateway::Impl {
   std::thread watchdog_thr_;
   std::atomic<std::uint64_t> watchdog_cancels_{0};
   std::atomic<std::uint64_t> deadline_cancels_{0};
-  std::atomic<std::uint8_t> degradation_level_{0};
-  std::atomic<std::uint64_t> degradation_transitions_{0};
-  std::atomic<std::uint64_t> window_p99_us_{0};
   /// drain()s in progress (guarded by mu_). reload() is *rejected*
   /// while nonzero — the drain/reload race gets a defined order.
   int draining_ = 0;
@@ -248,7 +247,10 @@ struct Gateway::Impl {
         w.rec.ingest.count(st.ingest);
       }
       obs::trace_end(live ? "stream_job" : "trace_job");
+      // A ladder lives only as long as its live job.
       w.rec.started_ns = 0;
+      w.rec.degradation_level = 0;
+      w.rec.lag_ms = 0;
       ++w.rec.counters.jobs;
       if (st.state == JobState::kDone) ++w.rec.jobs_done;
       w.publish();
@@ -298,14 +300,17 @@ struct Gateway::Impl {
   };
 
   /// Live stream: chunks queued by Gateway::push, handed over under mu_.
+  /// The job's own degradation ladder sheds work when the stream falls
+  /// behind its producer.
   struct LiveSource {
     static constexpr bool kFromTrace = false;
     Impl& im;
     Worker& w;
     std::shared_ptr<LiveStream> live;
+    DegradationLadder ladder{im.base_cfg.degradation};
 
     void configure(stream::StreamConfig&) const {}
-    Fill next(stream::StreamingDemodulator&, dsp::Signal& chunk) {
+    Fill next(stream::StreamingDemodulator& demod, dsp::Signal& chunk) {
       std::unique_lock<std::mutex> lk(im.mu_);
       const auto ready = [&] {
         return im.stop_ || w.cancel.load(std::memory_order_relaxed) ||
@@ -324,6 +329,28 @@ struct Gateway::Impl {
       if (live->chunks.empty()) return Fill::kEnd;
       chunk = std::move(live->chunks.front());
       live->chunks.pop_front();
+      live->queued -= chunk.size();
+      const double queued = static_cast<double>(live->queued);
+      lk.unlock();
+      // The ladder's signal is what is still queued behind this chunk,
+      // in ms of sample time: how far the worker trails the producer.
+      w.rec.lag_ms = static_cast<std::uint64_t>(
+          queued * 1000.0 / demod.config().saiyan.phy.sample_rate_hz);
+      if (ladder.update(w.rec.lag_ms)) {
+        ++w.rec.degradation_transitions;
+        obs::trace_instant("degradation_transition");
+        if (im.base_cfg.on_event) {
+          char buf[160];
+          std::snprintf(buf, sizeof(buf),
+                        "degradation: worker %u level -> %u (%s), lag=%llums",
+                        w.index, static_cast<unsigned>(ladder.level()),
+                        to_string(ladder.level()),
+                        static_cast<unsigned long long>(w.rec.lag_ms));
+          im.emit_event(buf);
+        }
+      }
+      w.rec.degradation_level = static_cast<std::uint8_t>(ladder.level());
+      demod.set_degradation(w.rec.degradation_level);
       return Fill::kChunk;
     }
     void fold(stream::IngestStats&) const {}
@@ -342,10 +369,11 @@ struct Gateway::Impl {
     }
   };
 
-  /// The one job loop, for either source: per chunk it adopts the
-  /// ladder's level, pushes the chunk through the worker's warm
-  /// demodulator, delivers frames, beats the heartbeat, runs the chunk
-  /// hook, and honours the watchdog's cancel token.
+  /// The one job loop, for either source: per chunk it pushes the
+  /// chunk through the worker's warm demodulator, delivers frames,
+  /// publishes the record (heartbeat, counters, ladder rung), runs the
+  /// chunk hook, and honours the watchdog's cancel token. Only a live
+  /// source moves the demodulator off level 0.
   template <typename Source>
   JobStatus run_job(Worker& w, Source& src, std::uint64_t job_id,
                     const GatewayConfig& gcfg, std::uint64_t gen) {
@@ -381,8 +409,6 @@ struct Gateway::Impl {
       if (fill == Fill::kStopped) return st;
       if (fill == Fill::kEnd) break;
       if (fill == Fill::kChunk) {
-        demod.set_degradation(
-            degradation_level_.load(std::memory_order_relaxed));
         const Clock::time_point t0 = Clock::now();
         std::span<const dsp::Complex> rest(chunk);
         while (!rest.empty()) {
@@ -539,20 +565,11 @@ struct Gateway::Impl {
     if (base_cfg.on_event) base_cfg.on_event(std::string(msg));
   }
 
-  /// Watchdog + degradation controller. One thread, one poll cadence:
-  /// each tick it (a) ages every busy worker's job start, and its
+  /// Watchdog: each poll ages every busy worker's job start, and its
   /// heartbeat unless it waits for live input, against the configured
-  /// bounds and fires the worker's cancel token at most once per job,
-  /// and (b) when the ladder is on (p99 high watermark set) feeds it
-  /// the *windowed* p99 latency (histogram bucket delta since the
-  /// previous tick) and publishes the resulting level for workers to
-  /// adopt at their next chunk.
+  /// bounds and fires the worker's cancel token at most once per job.
   void watchdog_main() {
     obs::set_thread_name("watchdog");
-    DegradationLadder ladder(base_cfg.degradation);
-    std::array<std::uint64_t, obs::LatencyHistogram::kBuckets> prev{};
-    std::array<std::uint64_t, obs::LatencyHistogram::kBuckets> cur{};
-    std::array<std::uint64_t, obs::LatencyHistogram::kBuckets> delta{};
     const std::uint64_t hb_ns =
         base_cfg.watchdog.heartbeat_timeout_ms * 1'000'000ull;
     const std::uint64_t dl_ns =
@@ -607,33 +624,6 @@ struct Gateway::Impl {
           emit_event(buf);
         }
       }
-      if (base_cfg.degradation.p99_high_us != 0) {
-        latency_.snapshot_counts(cur);
-        for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
-          delta[i] = cur[i] - prev[i];
-        }
-        prev = cur;
-        const std::uint64_t p99 =
-            obs::LatencyHistogram::quantile_from_counts(delta, 0.99);
-        window_p99_us_.store(p99, std::memory_order_relaxed);
-        if (ladder.update(p99)) {
-          const DegradationLevel lvl = ladder.level();
-          degradation_level_.store(static_cast<std::uint8_t>(lvl),
-                                   std::memory_order_relaxed);
-          degradation_transitions_.store(ladder.transitions(),
-                                         std::memory_order_relaxed);
-          obs::trace_instant("degradation_transition");
-          if (base_cfg.on_event) {
-            char buf[160];
-            std::snprintf(
-                buf, sizeof(buf),
-                "degradation: level -> %u (%s), p99=%lluus",
-                static_cast<unsigned>(lvl), to_string(lvl),
-                static_cast<unsigned long long>(p99));
-            emit_event(buf);
-          }
-        }
-      }
     }
   }
 };
@@ -656,7 +646,7 @@ Gateway::Gateway(const GatewayConfig& cfg) : impl_(new Impl(cfg)) {
     w.thr = std::thread([this, &w] { impl_->worker_main(w); });
   }
   if (cfg.watchdog.heartbeat_timeout_ms != 0 ||
-      cfg.watchdog.job_deadline_ms != 0 || cfg.degradation.p99_high_us != 0) {
+      cfg.watchdog.job_deadline_ms != 0) {
     impl_->watchdog_thr_ = std::thread([this] { impl_->watchdog_main(); });
   }
 }
@@ -718,16 +708,14 @@ saiyan::Result<std::uint64_t> Gateway::enqueue_trace(const std::string& path) {
 
 StreamId Gateway::open_stream() {
   auto ls = std::make_shared<LiveStream>();
-  std::uint64_t job_id;
   Impl::Worker* target;
   {
     std::lock_guard<std::mutex> lk(impl_->mu_);
-    ls->id = impl_->next_stream_++;
+    ls->id = impl_->next_job_++;
     impl_->streams_.emplace(ls->id, ls);
-    job_id = impl_->next_job_++;
     target = impl_->workers_[impl_->rr_++ % impl_->workers_.size()].get();
     ls->worker = target->index;
-    target->jobs.push_back(Job{job_id, {}, ls});
+    target->jobs.push_back(Job{ls->id, {}, ls});
   }
   impl_->jobs_enqueued.fetch_add(1, std::memory_order_relaxed);
   impl_->streams_open.fetch_add(1, std::memory_order_relaxed);
@@ -745,6 +733,7 @@ saiyan::Result<Unit> Gateway::push(StreamId stream,
       return fail("push: unknown or closed stream " + std::to_string(stream));
     }
     it->second->chunks.emplace_back(chunk.begin(), chunk.end());
+    it->second->queued += chunk.size();
     owner = it->second->worker;
   }
   impl_->workers_[owner]->cv.notify_all();
@@ -897,9 +886,6 @@ GatewayStats Gateway::stats() const {
   s.markers_expected = im.markers_expected.load(std::memory_order_relaxed);
   s.watchdog_cancels = im.watchdog_cancels_.load(std::memory_order_relaxed);
   s.deadline_cancels = im.deadline_cancels_.load(std::memory_order_relaxed);
-  s.degradation_level = im.degradation_level_.load(std::memory_order_relaxed);
-  s.degradation_transitions =
-      im.degradation_transitions_.load(std::memory_order_relaxed);
   s.per_worker.reserve(im.workers_.size());
   for (const auto& wp : im.workers_) {
     const WorkerRecord r = wp->published.read();
@@ -912,6 +898,9 @@ GatewayStats Gateway::stats() const {
     s.chunks_ingested += ws.chunks;
     s.truncated_frames += ws.truncated;
     s.ingest.merge(r.ingest);
+    s.degradation_level =
+        std::max<std::uint32_t>(s.degradation_level, r.degradation_level);
+    s.degradation_transitions += r.degradation_transitions;
     s.per_worker.push_back(ws);
   }
   if (s.uptime_s > 0.0) {
@@ -963,14 +952,8 @@ GatewayHealth Gateway::health() const {
   GatewayHealth h;
   h.uptime_s = std::chrono::duration<double>(Clock::now() - im.start_).count();
   h.config_generation = im.cfg_gen.load(std::memory_order_relaxed);
-  h.degradation_level = im.degradation_level_.load(std::memory_order_relaxed);
-  h.degradation_name =
-      to_string(static_cast<DegradationLevel>(h.degradation_level));
-  h.degradation_transitions =
-      im.degradation_transitions_.load(std::memory_order_relaxed);
   h.watchdog_cancels = im.watchdog_cancels_.load(std::memory_order_relaxed);
   h.deadline_cancels = im.deadline_cancels_.load(std::memory_order_relaxed);
-  h.window_p99_us = im.window_p99_us_.load(std::memory_order_relaxed);
   const std::uint64_t now = now_ns();
   h.workers.reserve(im.workers_.size());
   for (const auto& wp : im.workers_) {
@@ -987,9 +970,15 @@ GatewayHealth Gateway::health() const {
     }
     wh.cancels = wp->cancels.load(std::memory_order_relaxed);
     wh.jobs_completed = r.counters.jobs;
+    wh.degradation_level = r.degradation_level;
+    wh.lag_ms = r.lag_ms;
     h.jobs_cancelled += r.ingest.jobs_cancelled;
+    h.degradation_level = std::max(h.degradation_level, wh.degradation_level);
+    h.degradation_transitions += r.degradation_transitions;
     h.workers.push_back(wh);
   }
+  h.degradation_name =
+      to_string(static_cast<DegradationLevel>(h.degradation_level));
   return h;
 }
 

@@ -71,7 +71,7 @@ struct FrameRecord {
 };
 
 using SubscriberId = std::uint64_t;
-using StreamId = std::uint64_t;
+using StreamId = std::uint64_t;  ///< a live stream's job id
 using FrameHandler = std::function<void(const FrameRecord&)>;
 
 /// Lifecycle of a job as seen through Gateway::job_status().
@@ -116,9 +116,11 @@ class Gateway {
   saiyan::Result<std::uint64_t> enqueue_trace(const std::string& path);
 
   /// Open a live sample stream (socket ingest, in-process feeding).
-  /// The stream is pinned to one worker; its frames carry the returned
-  /// id in FrameRecord::job. Decoding uses the configured
-  /// stream.saiyan PHY.
+  /// The stream is pinned to one worker. The returned id is the
+  /// stream's job id: its frames carry it in FrameRecord::job, and
+  /// job_status() reports its outcome. Decoding uses the configured
+  /// stream.saiyan PHY. When the stream falls behind its pushes, its
+  /// own degradation ladder sheds work (see DegradationConfig).
   StreamId open_stream();
 
   /// Append a chunk (copied) to a live stream. Fails on an unknown or

@@ -44,9 +44,9 @@ saiyan::Result<Unit> GatewayConfig::validate() const {
   if (watchdog.poll_ms == 0 || watchdog.poll_ms > 60'000) {
     return bad_field("watchdog.poll_ms", "must be in [1, 60000]");
   }
-  if (degradation.p99_low_us > degradation.p99_high_us) {
-    return bad_field("degradation.p99_low_us",
-                     "must be <= degradation.p99_high_us");
+  if (degradation.lag_low_ms > degradation.lag_high_ms) {
+    return bad_field("degradation.lag_low_ms",
+                     "must be <= degradation.lag_high_ms");
   }
   if (degradation.escalate_after == 0) {
     return bad_field("degradation.escalate_after", "must be >= 1");

@@ -18,7 +18,8 @@
 // whichever layer noticed three calls later.
 //
 // Overload has one policy: the degradation ladder (`degradation`)
-// sheds SIC and decode work when the windowed p99 runs hot, and
+// sheds SIC and decode work on a live stream whose backlog runs hot,
+// and
 // `limits` bounds delivery. The SIC rescan queue needs no cap: it
 // drains inline on the worker (stream/streaming_demod.cpp).
 #pragma once
@@ -53,7 +54,7 @@ struct GatewayLimits {
 /// picks up the next job with a fresh demodulator. Fixed at
 /// Gateway::create() (like `workers`): reload() rejects changes.
 struct WatchdogConfig {
-  /// Supervision poll period. Also the degradation ladder's tick.
+  /// Supervision poll period.
   std::uint64_t poll_ms = 20;
   /// Cancel a job whose worker has not beaten its heartbeat for this
   /// long (a chunk wedged inside the demodulator). 0 = disabled.
@@ -126,7 +127,8 @@ struct GatewayConfig {
   LinkTelemetryConfig link;
 
   /// Operational event sink (ladder transitions, watchdog cancels).
-  /// Called from the watchdog thread; must be thread-safe and fast.
+  /// Called from worker threads and the watchdog thread; must be
+  /// thread-safe and fast.
   /// Null = events are counted but not reported.
   std::function<void(const std::string&)> on_event;
 

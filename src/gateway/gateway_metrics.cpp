@@ -409,7 +409,6 @@ std::string GatewayHealth::to_text() const {
   append_stat(out, "watchdog_cancels", watchdog_cancels);
   append_stat(out, "deadline_cancels", deadline_cancels);
   append_stat(out, "jobs_cancelled", jobs_cancelled);
-  append_stat(out, "window_p99_us", window_p99_us);
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const WorkerHealth& w = workers[i];
     const std::string p = "worker." + std::to_string(i) + ".";
@@ -418,6 +417,9 @@ std::string GatewayHealth::to_text() const {
     append_stat(out, p + "job_age_ms", w.job_age_ms);
     append_stat(out, p + "heartbeat_age_ms", w.heartbeat_age_ms);
     append_stat(out, p + "cancels", w.cancels);
+    append_stat(out, p + "degradation_level",
+                static_cast<std::uint64_t>(w.degradation_level));
+    append_stat(out, p + "lag_ms", w.lag_ms);
     append_stat(out, p + "jobs_completed", w.jobs_completed);
   }
   return out;

@@ -111,8 +111,8 @@ struct GatewayStats {
   std::uint64_t trace_events_dropped = 0;
 
   /// Self-healing pillar (see docs/ROBUSTNESS.md): watchdog cancels by
-  /// cause, and the degradation ladder's current rung + lifetime
-  /// transition count.
+  /// cause, the highest ladder rung any worker's live stream is on, and
+  /// the ladder transitions summed over workers.
   std::uint64_t watchdog_cancels = 0;  ///< heartbeat-timeout cancels
   std::uint64_t deadline_cancels = 0;  ///< job-deadline cancels
   std::uint32_t degradation_level = 0;
@@ -170,6 +170,8 @@ struct WorkerHealth {
   std::uint64_t heartbeat_age_ms = 0;  ///< since the last heartbeat
   std::uint64_t cancels = 0;           ///< watchdog cancels fired here
   std::uint64_t jobs_completed = 0;    ///< lifetime jobs finished here
+  std::uint32_t degradation_level = 0;  ///< running live job's ladder rung
+  std::uint64_t lag_ms = 0;  ///< live backlog at the last dequeued chunk
 };
 
 /// Self-healing snapshot produced by Gateway::health() — the payload
@@ -179,13 +181,12 @@ struct WorkerHealth {
 struct GatewayHealth {
   double uptime_s = 0.0;              ///< since Gateway construction
   std::uint64_t config_generation = 0;  ///< bumps on every reload
-  std::uint32_t degradation_level = 0;
+  std::uint32_t degradation_level = 0;  ///< highest rung over workers
   std::string degradation_name;  ///< to_string(DegradationLevel)
-  std::uint64_t degradation_transitions = 0;
+  std::uint64_t degradation_transitions = 0;  ///< summed over workers
   std::uint64_t watchdog_cancels = 0;
   std::uint64_t deadline_cancels = 0;
   std::uint64_t jobs_cancelled = 0;   ///< jobs abandoned after a cancel
-  std::uint64_t window_p99_us = 0;    ///< controller's last windowed p99
   std::vector<WorkerHealth> workers;
 
   /// `key value` lines, same dialect as GatewayStats::to_text().

@@ -56,9 +56,8 @@ class LatencyHistogram {
     }
   }
 
-  /// Relaxed snapshot of the raw bucket counts. The degradation
-  /// controller diffs two snapshots to get a *windowed* histogram —
-  /// the cumulative one would never cool down after a single storm.
+  /// Relaxed snapshot of the raw bucket counts: what a stats snapshot
+  /// derives its quantiles and Prometheus bucket series from.
   void snapshot_counts(std::array<std::uint64_t, kBuckets>& out) const {
     for (std::size_t i = 0; i < kBuckets; ++i) {
       out[i] = buckets_[i].load(std::memory_order_relaxed);

@@ -198,28 +198,30 @@ void StreamingDemodulator::process_block(std::uint64_t block_start,
   const std::span<const dsp::Complex> rf_block = rf_.view(block_start, len);
   {
     // The scan stage: the block's ring ingest (timed per append, the
-    // sub-microsecond remainder carried to the next block), then
-    // envelope + incremental preamble scan. Decode work triggered below
-    // times itself.
+    // sub-microsecond remainder carried to the next block), envelope +
+    // incremental preamble scan, span admission and the idle block's
+    // noise-floor sample. Decode work triggered below times itself.
     const std::uint64_t ingest_us = ingest_ns_ / 1000;
     ingest_ns_ %= 1000;
     obs::ScopedTimer t("scan", stage_hist(cfg_, obs::Stage::kScan),
                        ingest_us);
     scan_chain_.reference_envelope_into(rf_block, scan_ws_);
     scanner_.push_block(scan_ws_.env, confirmed_);
-  }
-  for (const PacketSpan& span : confirmed_) admit_span(span);
-  confirmed_.clear();
-  if (cfg_.link_telemetry != nullptr) {
-    // Noise-floor sampling from inter-frame idle spans: a block is
-    // idle when no confirmed span is in flight, the scanner holds no
-    // rising candidate, and every decoded frame ended before it. An
-    // undetected preamble onset can slip through; the tracker's power
-    // gate rejects it. Purely observational — decode never sees this.
-    const bool idle = pending_head_ == pending_.size() &&
-                      !scanner_.has_candidate() &&
-                      block_start >= last_frame_end_;
-    if (idle) cfg_.link_telemetry->sample_noise(dsp::signal_power(rf_block));
+    for (const PacketSpan& span : confirmed_) admit_span(span);
+    confirmed_.clear();
+    if (cfg_.link_telemetry != nullptr) {
+      // Noise-floor sampling from inter-frame idle spans: a block is
+      // idle when no confirmed span is in flight, the scanner holds no
+      // rising candidate, and every decoded frame ended before it. An
+      // undetected preamble onset can slip through; the tracker's power
+      // gate rejects it. Purely observational — decode never sees this.
+      const bool idle = pending_head_ == pending_.size() &&
+                        !scanner_.has_candidate() &&
+                        block_start >= last_frame_end_;
+      if (idle) {
+        cfg_.link_telemetry->sample_noise(dsp::signal_power(rf_block));
+      }
+    }
   }
   decode_ready(/*flush=*/false);
 }
@@ -283,8 +285,6 @@ void StreamingDemodulator::decode_span(const PacketSpan& span) {
   // stand-alone BatchDemodulator reproduces this packet bit for bit.
   // The ring equals the raw capture everywhere no cancelled frame
   // overlapped.
-  const std::span<const dsp::Complex> frame =
-      rf_.view(span.packet_start, frame_len_);
   const std::uint64_t seed_index =
       cfg_.seed_by_offset ? span.packet_start : packet_counter_;
   DecodedPacket p;
@@ -295,16 +295,20 @@ void StreamingDemodulator::decode_span(const PacketSpan& span) {
   p.collided = span.sic_depth > 0;
   p.sic_assisted = span.sic_depth > 0;
   p.sic_depth = span.sic_depth;
-  if (cfg_.link_telemetry != nullptr) {
-    // Before the decode, which reads nothing it writes: the frame the
-    // ring just served is still in cache.
-    fill_diag(span, frame, p);
-    last_frame_end_ =
-        std::max(last_frame_end_, span.packet_start + frame_len_);
-  }
   std::span<const std::uint32_t> syms;
   {
+    // The decode stage: the frame's view of the ring (a stitch when it
+    // wraps), its link diagnostics and the symbol decode.
     obs::ScopedTimer t("decode", stage_hist(cfg_, obs::Stage::kDecode));
+    const std::span<const dsp::Complex> frame =
+        rf_.view(span.packet_start, frame_len_);
+    if (cfg_.link_telemetry != nullptr) {
+      // Before the decode, which reads nothing it writes: the frame the
+      // ring just served is still in cache.
+      fill_diag(span, frame, p);
+      last_frame_end_ =
+          std::max(last_frame_end_, span.packet_start + frame_len_);
+    }
     syms = batch_.decode_aligned(frame, preamble_len_, cfg_.payload_symbols,
                                  dsp::derive_stream_seed(cfg_.seed,
                                                          seed_index));

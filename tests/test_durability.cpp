@@ -320,8 +320,8 @@ TEST_F(SegmentDir, RecoveryReportTextCarriesTheDocumentedKeys) {
 
 TEST(DegradationLadder, EscalatesAfterSustainedPressureOnly) {
   gateway::DegradationConfig cfg;
-  cfg.p99_high_us = 5000;
-  cfg.p99_low_us = 1000;
+  cfg.lag_high_ms = 5000;
+  cfg.lag_low_ms = 1000;
   cfg.escalate_after = 2;
   cfg.deescalate_after = 3;
   gateway::DegradationLadder ladder(cfg);
@@ -362,8 +362,8 @@ TEST(DegradationLadder, LatencySignalGatesOnlyWhenConfigured) {
   EXPECT_EQ(off.level(), gateway::DegradationLevel::kHealthy);
   EXPECT_EQ(off.transitions(), 0u);
 
-  cfg.p99_high_us = 5000;
-  cfg.p99_low_us = 1000;
+  cfg.lag_high_ms = 5000;
+  cfg.lag_low_ms = 1000;
   cfg.deescalate_after = 1;
   gateway::DegradationLadder with_lat(cfg);
   EXPECT_TRUE(with_lat.update(6000));
@@ -378,8 +378,8 @@ TEST(DegradationLadder, LatencySignalGatesOnlyWhenConfigured) {
 
 TEST(DegradationLadder, SamePollSequenceSameTransitions) {
   gateway::DegradationConfig cfg;
-  cfg.p99_high_us = 80'000;
-  cfg.p99_low_us = 20'000;
+  cfg.lag_high_ms = 80'000;
+  cfg.lag_low_ms = 20'000;
   cfg.escalate_after = 2;
   cfg.deescalate_after = 2;
   // A fixed chaos seed drives a fixed pressure sequence (a stall of N

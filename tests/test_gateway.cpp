@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -286,12 +287,13 @@ TEST(DaemonConfig, ParsesAndValidates) {
   ASSERT_FALSE(range.ok());
   EXPECT_NE(range.message().find("workers"), std::string::npos);
 
-  // Overload shedding is the p99-driven degradation ladder's; the old
-  // shed knob, the rescan-queue cap, the ladder switch and its backlog
-  // watermarks are unknown keys.
+  // Overload shedding is the live-backlog degradation ladder's; the
+  // old shed knob, the rescan-queue cap, the ladder switch and its
+  // backlog and p99 watermarks are unknown keys.
   for (const char* key :
        {"sic_shed_queue", "sic_max_rescan_queue", "degradation",
-        "degradation_backlog_high", "degradation_backlog_low"}) {
+        "degradation_backlog_high", "degradation_backlog_low",
+        "degradation_p99_high_us", "degradation_p99_low_us"}) {
     {
       std::ofstream out(path);
       out << "workers 2\n" << key << " 1\n";
@@ -326,8 +328,8 @@ TEST(DaemonConfig, EveryKeyLandsInItsField) {
       "watchdog_poll_ms 11\n"
       "watchdog_heartbeat_timeout_ms 1234\n"
       "watchdog_job_deadline_ms 4321\n"
-      "degradation_p99_high_us 900\n"
-      "degradation_p99_low_us 300\n"
+      "degradation_lag_high_ms 900\n"
+      "degradation_lag_low_ms 300\n"
       "degradation_escalate_after 4\n"
       "degradation_deescalate_after 6\n"
       "sic_depth 2\n"
@@ -356,8 +358,8 @@ TEST(DaemonConfig, EveryKeyLandsInItsField) {
   EXPECT_EQ(g.watchdog.poll_ms, 11u);
   EXPECT_EQ(g.watchdog.heartbeat_timeout_ms, 1234u);
   EXPECT_EQ(g.watchdog.job_deadline_ms, 4321u);
-  EXPECT_EQ(g.degradation.p99_high_us, 900u);
-  EXPECT_EQ(g.degradation.p99_low_us, 300u);
+  EXPECT_EQ(g.degradation.lag_high_ms, 900u);
+  EXPECT_EQ(g.degradation.lag_low_ms, 300u);
   EXPECT_EQ(g.degradation.escalate_after, 4u);
   EXPECT_EQ(g.degradation.deescalate_after, 6u);
   EXPECT_EQ(g.stream.sic.depth, 2u);
@@ -922,15 +924,7 @@ TEST(GatewayLiveStream, IdleStreamOutlivesHeartbeatTimeout) {
   ASSERT_TRUE(created.ok()) << created.message();
   auto& gw = *created.value();
 
-  // A worker's first job builds its demodulator (and, in a fresh
-  // process, the receiver templates), which can outlast a 20 ms
-  // heartbeat on a loaded machine. One throwaway stream goes first,
-  // whatever its outcome; only the idle stream after it is under test.
   const std::span<const dsp::Complex> samples(capture().samples);
-  const gateway::StreamId warm = gw.open_stream();
-  (void)gw.push(warm, samples.first(1000));
-  (void)gw.close_stream(warm);
-  ASSERT_TRUE(gw.drain().ok());
   const gateway::GatewayStats before = gw.stats();
 
   // Chunks shorter than a scan block: the pushes themselves cost the
@@ -983,6 +977,184 @@ TEST(GatewayLiveStream, ColdDemodulatorBuildIsNotAged) {
   EXPECT_EQ(st.jobs_done, 1u) << "the stream job must end kDone";
   EXPECT_EQ(st.jobs_failed, 0u);
   EXPECT_EQ(st.watchdog_cancels, 0u);
+}
+
+// A live stream is a job: open_stream() returns its job id, so the
+// stream's own outcome reads back like a trace replay's.
+TEST(GatewayLiveStream, JobStatusReportsTheStreamsOwnOutcome) {
+  auto created = gateway::Gateway::create(base_config());
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+
+  const gateway::StreamId sid = gw.open_stream();
+  ASSERT_TRUE(gw.close_stream(sid).ok());
+  ASSERT_TRUE(gw.drain().ok());
+  auto st = gw.job_status(sid);
+  ASSERT_TRUE(st.ok()) << st.message();
+  EXPECT_EQ(st.value().state, gateway::JobState::kDone);
+}
+
+/// Chunk-hook latch for one live stream: counts the chunks its worker
+/// has finished and holds the worker in the hook of the stream's first
+/// chunk until released, so the test can queue a backlog behind it.
+class StreamLatch {
+ public:
+  /// Install as the config's chunk hook; call watch() once the stream
+  /// is open.
+  std::function<void(const gateway::GatewayConfig::ChunkHookInfo&)> hook() {
+    return [this](const gateway::GatewayConfig::ChunkHookInfo& info) {
+      if (info.job != job_.load()) return;
+      std::unique_lock<std::mutex> lk(m_);
+      done_ = info.chunk_index + 1;
+      cv_.notify_all();
+      // Bounded, so a failed test cannot wedge the gateway's teardown.
+      cv_.wait_for(lk, std::chrono::seconds(60), [&] { return open_; });
+    };
+  }
+  void watch(std::uint64_t job) { job_.store(job); }
+  void release() {
+    std::lock_guard<std::mutex> lk(m_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  /// Wait until the worker has finished `n` chunks of the stream.
+  bool wait_done(std::uint64_t n) {
+    std::unique_lock<std::mutex> lk(m_);
+    return cv_.wait_for(lk, std::chrono::seconds(60),
+                        [&] { return done_ >= n; });
+  }
+
+ private:
+  std::atomic<std::uint64_t> job_{~0ull};
+  std::mutex m_;
+  std::condition_variable cv_;
+  std::uint64_t done_ = 0;
+  bool open_ = false;
+};
+
+/// Live chunks of 2 ms at 4 MHz: twice the 1 ms high watermark the
+/// ladder tests set, so any chunk still queued makes a dequeue hot.
+constexpr std::size_t kLiveChunk = 8192;
+
+/// The i-th live chunk: the next 2 ms of the test capture, wrapping.
+std::span<const dsp::Complex> live_chunk(std::uint64_t i) {
+  const dsp::Signal& s = capture().samples;
+  return std::span(s).subspan(i * kLiveChunk % (s.size() - kLiveChunk),
+                              kLiveChunk);
+}
+
+/// Hold the stream's worker in its first chunk while `backlog` more
+/// chunks queue behind it, then let it run through them. Every backlog
+/// chunk but the last is dequeued with another queued behind it.
+void push_held_backlog(gateway::Gateway& gw, gateway::StreamId sid,
+                       StreamLatch& latch, std::uint64_t backlog) {
+  ASSERT_TRUE(gw.push(sid, live_chunk(0)).ok());
+  ASSERT_TRUE(latch.wait_done(1)) << "the stream's first chunk never ran";
+  for (std::uint64_t i = 1; i <= backlog; ++i) {
+    ASSERT_TRUE(gw.push(sid, live_chunk(i)).ok());
+  }
+  latch.release();
+  ASSERT_TRUE(latch.wait_done(1 + backlog)) << "the backlog never drained";
+}
+
+// The ladder is a pure function of the push schedule. A backlog queued
+// behind a held worker climbs one rung per `escalate_after` hot chunks;
+// chunks pushed one at a time, each consumed before the next, are cool
+// and walk it down one rung per `deescalate_after`.
+TEST(GatewayLiveStream, LadderEscalatesAndRecoversThroughPushes) {
+  gateway::GatewayConfig cfg = base_config();
+  cfg.workers = 1;
+  cfg.degradation.lag_high_ms = 1;
+  const gateway::DegradationConfig& dc = cfg.degradation;
+  StreamLatch latch;
+  cfg.chunk_hook = latch.hook();
+  auto created = gateway::Gateway::create(cfg);
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+
+  const gateway::StreamId sid = gw.open_stream();
+  latch.watch(sid);
+  constexpr std::uint64_t kTop = 3;  // kDropSpans
+  const std::uint64_t backlog = kTop * dc.escalate_after + 1;
+  ASSERT_NO_FATAL_FAILURE(push_held_backlog(gw, sid, latch, backlog));
+  gateway::GatewayHealth h = gw.health();
+  EXPECT_EQ(h.workers[0].degradation_level, kTop);
+  EXPECT_EQ(h.workers[0].lag_ms, 0u);
+  EXPECT_EQ(h.degradation_transitions, kTop);
+
+  std::uint64_t done = 1 + backlog;
+  for (std::uint64_t i = 0; i < kTop * dc.deescalate_after; ++i) {
+    ASSERT_TRUE(gw.push(sid, live_chunk(done)).ok());
+    ASSERT_TRUE(latch.wait_done(++done));
+  }
+  h = gw.health();
+  EXPECT_EQ(h.degradation_level, 0u);
+  EXPECT_EQ(h.degradation_name,
+            gateway::to_string(gateway::DegradationLevel::kHealthy));
+  EXPECT_EQ(h.degradation_transitions, 2 * kTop);
+
+  ASSERT_TRUE(gw.close_stream(sid).ok());
+  ASSERT_TRUE(gw.drain().ok());
+  const gateway::GatewayStats st = gw.stats();
+  EXPECT_EQ(st.degradation_level, 0u);
+  EXPECT_EQ(st.degradation_transitions, 2 * kTop);
+  EXPECT_EQ(st.chunks_ingested, done);
+  auto js = gw.job_status(sid);
+  ASSERT_TRUE(js.ok()) << js.message();
+  EXPECT_EQ(js.value().state, gateway::JobState::kDone);
+}
+
+// Only a live stream sheds, and only on its own worker: while worker
+// 0's stream sits on the top rung, a trace replayed on worker 1 decodes
+// bit-identically to the offline pass.
+TEST(GatewayLiveStream, TraceReplayIgnoresALiveWorkersRung) {
+  const std::string path =
+      "saiyan_gw_rung_" + std::to_string(::getpid()) + ".sytrc";
+  sim::write_capture(capture(), capture_cfg(), path);
+  gateway::GatewayConfig cfg = base_config();
+  cfg.workers = 2;
+  cfg.degradation.lag_high_ms = 1;
+  const std::vector<FrameKey> expected = offline_reference(path, cfg);
+  ASSERT_FALSE(expected.empty());
+  StreamLatch latch;
+  cfg.chunk_hook = latch.hook();
+  auto created = gateway::Gateway::create(cfg);
+  ASSERT_TRUE(created.ok()) << created.message();
+  auto& gw = *created.value();
+  Collector col;
+  gw.subscribe(col.handler());
+
+  // Jobs go round-robin: the stream to worker 0, the trace to worker 1.
+  const gateway::StreamId sid = gw.open_stream();
+  latch.watch(sid);
+  ASSERT_NO_FATAL_FAILURE(push_held_backlog(
+      gw, sid, latch, 3 * cfg.degradation.escalate_after + 1));
+  ASSERT_EQ(gw.health().workers[0].degradation_level,
+            static_cast<std::uint32_t>(gateway::DegradationLevel::kDropSpans));
+
+  auto trace = gw.enqueue_trace(path);
+  ASSERT_TRUE(trace.ok()) << trace.message();
+  // The stream stays open, and so on its rung, until the replay ends.
+  while (gw.job_status(trace.value()).value().state ==
+         gateway::JobState::kPending) {
+    std::this_thread::yield();
+  }
+  const gateway::GatewayHealth h = gw.health();
+  EXPECT_EQ(h.workers[0].degradation_level,
+            static_cast<std::uint32_t>(gateway::DegradationLevel::kDropSpans));
+  EXPECT_EQ(h.workers[1].degradation_level, 0u);
+  ASSERT_TRUE(gw.close_stream(sid).ok());
+  ASSERT_TRUE(gw.drain().ok());
+  std::remove(path.c_str());
+
+  EXPECT_EQ(gw.job_status(trace.value()).value().state,
+            gateway::JobState::kDone);
+  std::vector<FrameKey> got;
+  for (const gateway::FrameRecord& fr : col.take()) {
+    if (fr.job == trace.value()) got.emplace_back(fr.packet_start, fr.symbols);
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
 }
 
 TEST_F(GatewayFile, JobStatusReportsTypedOutcomes) {
@@ -1073,7 +1245,7 @@ TEST_F(GatewayFile, ReloadRejectsWatchdogAndDegradationChanges) {
   EXPECT_NE(r.message().find("watchdog"), std::string::npos);
 
   gateway::GatewayConfig dg = base_config();
-  dg.degradation.p99_high_us = ~std::uint64_t{0};  // on, never trips
+  dg.degradation.lag_high_ms = ~std::uint64_t{0};  // on, never trips
   r = gw.reload(dg);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.message().find("degradation"), std::string::npos);
@@ -1125,8 +1297,8 @@ TEST_F(GatewayFile, SeededChaosStallsLeaveDecodeBitIdentical) {
 TEST_F(GatewayFile, HealthSnapshotCarriesTheDocumentedKeys) {
   gateway::GatewayConfig cfg = base_config();
   cfg.workers = 2;
-  // An on ladder whose p99 cannot trip starts the supervisor thread.
-  cfg.degradation.p99_high_us = ~std::uint64_t{0};
+  // An on ladder whose lag cannot trip.
+  cfg.degradation.lag_high_ms = ~std::uint64_t{0};
   auto created = gateway::Gateway::create(cfg);
   ASSERT_TRUE(created.ok()) << created.message();
   auto& gw = *created.value();
@@ -1144,11 +1316,13 @@ TEST_F(GatewayFile, HealthSnapshotCarriesTheDocumentedKeys) {
   const std::string text = h.to_text();
   for (const char* key :
        {"degradation_level", "degradation_name", "watchdog_cancels",
-        "deadline_cancels", "jobs_cancelled", "window_p99_us",
-        "worker.0.busy", "worker.1.heartbeat_age_ms"}) {
+        "deadline_cancels", "jobs_cancelled", "worker.0.busy",
+        "worker.1.heartbeat_age_ms", "worker.0.degradation_level",
+        "worker.1.lag_ms"}) {
     EXPECT_NE(text.find(key), std::string::npos) << key << "\n" << text;
   }
   EXPECT_EQ(text.find("rescan_backlog"), std::string::npos) << text;
+  EXPECT_EQ(text.find("window_p99_us"), std::string::npos) << text;
 
   // The stats text grew the self-healing counters too.
   const std::string stats_text = gw.stats().to_text();
