@@ -175,6 +175,27 @@ void BM_SawFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_SawFilter);
 
+// One SAW round trip over the span sizes the serving path filters: the
+// 8192-sample scan block, a 45 312-sample decode frame (a 49 152-point
+// radix-3 transform) and a 57 856-sample SIC rescan region (65 536
+// points). Workspace buffers are reused, as on the worker threads.
+void BM_SawFilterSpan(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const frontend::SawFilter saw;
+  dsp::Rng rng(3);
+  dsp::Signal x(n);
+  for (auto& v : x) v = dsp::Complex(rng.gaussian(), rng.gaussian());
+  dsp::Signal out, scratch;
+  for (auto _ : state) {
+    saw.filter_into(x, 4e6, 433.75e6, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SawFilterSpan)->Arg(8192)->Arg(45312)->Arg(57856);
+
 void BM_EnvelopeDetector(benchmark::State& state) {
   frontend::EnvelopeDetectorConfig cfg;
   cfg.sample_rate_hz = 4e6;

@@ -223,9 +223,40 @@ inline void pretangle_edges(double* z, std::size_t h) {
   z[1] = x0 - xh;
 }
 
-// One fused pass (two radix-2 stages) in portable scalar code.
-// Butterfly k of each sub-block combines elements k, k+q, k+2q, k+3q;
-// twiddle tables are pre-laid-out in access order.
+// One radix-2² butterfly (two radix-2 stages) on x0..x3 at p0..p3 in
+// portable scalar code.
+inline void butterfly4_scalar(double* p0, double* p1, double* p2, double* p3,
+                              double war, double wai, double wbr, double wbi,
+                              double isign) {
+  // Inner radix-2 stage on both halves: a = x0 ± wA·x1, x2 ± wA·x3.
+  const double t1r = p1[0] * war - p1[1] * wai;
+  const double t1i = p1[0] * wai + p1[1] * war;
+  const double a0r = p0[0] + t1r, a0i = p0[1] + t1i;
+  const double a1r = p0[0] - t1r, a1i = p0[1] - t1i;
+  const double t3r = p3[0] * war - p3[1] * wai;
+  const double t3i = p3[0] * wai + p3[1] * war;
+  const double a2r = p2[0] + t3r, a2i = p2[1] + t3i;
+  const double a3r = p2[0] - t3r, a3i = p2[1] - t3i;
+  // Outer stage: pairs (0,2) with wB and (1,3) with wB·w_4.
+  const double u2r = a2r * wbr - a2i * wbi;
+  const double u2i = a2r * wbi + a2i * wbr;
+  p0[0] = a0r + u2r;
+  p0[1] = a0i + u2i;
+  p2[0] = a0r - u2r;
+  p2[1] = a0i - u2i;
+  const double v3r = a3r * wbr - a3i * wbi;
+  const double v3i = a3r * wbi + a3i * wbr;
+  const double u3r = -isign * v3i;  // (∓i)·v3
+  const double u3i = isign * v3r;
+  p1[0] = a1r + u3r;
+  p1[1] = a1i + u3i;
+  p3[0] = a1r - u3r;
+  p3[1] = a1i - u3i;
+}
+
+// One fused pass in natural layout: butterfly k of each sub-block
+// combines elements k, k+q, k+2q, k+3q; twiddle tables are pre-laid-out
+// in access order.
 void fused_pass_scalar(double* x, std::size_t n, std::size_t q,
                        const Complex* twa, const Complex* twb, double isign,
                        double csign) {
@@ -233,39 +264,74 @@ void fused_pass_scalar(double* x, std::size_t n, std::size_t q,
   for (std::size_t i = 0; i < n; i += len) {
     double* base = x + 2 * i;
     for (std::size_t k = 0; k < q; ++k) {
-      const double war = twa[k].real();
-      const double wai = csign * twa[k].imag();
-      const double wbr = twb[k].real();
-      const double wbi = csign * twb[k].imag();
       double* p0 = base + 2 * k;
-      double* p1 = p0 + 2 * q;
-      double* p2 = p1 + 2 * q;
-      double* p3 = p2 + 2 * q;
-      // Inner radix-2 stage on both halves: a = x0 ± wA·x1, x2 ± wA·x3.
-      const double t1r = p1[0] * war - p1[1] * wai;
-      const double t1i = p1[0] * wai + p1[1] * war;
-      const double a0r = p0[0] + t1r, a0i = p0[1] + t1i;
-      const double a1r = p0[0] - t1r, a1i = p0[1] - t1i;
-      const double t3r = p3[0] * war - p3[1] * wai;
-      const double t3i = p3[0] * wai + p3[1] * war;
-      const double a2r = p2[0] + t3r, a2i = p2[1] + t3i;
-      const double a3r = p2[0] - t3r, a3i = p2[1] - t3i;
-      // Outer stage: pairs (0,2) with wB and (1,3) with wB·w_4.
-      const double u2r = a2r * wbr - a2i * wbi;
-      const double u2i = a2r * wbi + a2i * wbr;
-      p0[0] = a0r + u2r;
-      p0[1] = a0i + u2i;
-      p2[0] = a0r - u2r;
-      p2[1] = a0i - u2i;
-      const double v3r = a3r * wbr - a3i * wbi;
-      const double v3i = a3r * wbi + a3i * wbr;
-      const double u3r = -isign * v3i;  // (∓i)·v3
-      const double u3i = isign * v3r;
-      p1[0] = a1r + u3r;
-      p1[1] = a1i + u3i;
-      p3[0] = a1r - u3r;
-      p3[1] = a1i - u3i;
+      butterfly4_scalar(p0, p0 + 2 * q, p0 + 4 * q, p0 + 6 * q, twa[k].real(),
+                        csign * twa[k].imag(), twb[k].real(),
+                        csign * twb[k].imag(), isign);
     }
+  }
+}
+
+// The same pass in the bit-reversal-conjugated layout (forward only):
+// butterfly k of every sub-block shares twiddle pair k, and those
+// butterflies form one contiguous run of r = n/4q elements at
+// bitrev[k], with x1 at offset 2r, x2 at r and x3 at 3r.
+void fused_pass_scrambled_scalar(double* x, std::size_t n, std::size_t q,
+                                 const std::uint32_t* bitrev,
+                                 const Complex* twa, const Complex* twb) {
+  const std::size_t run = n / (4 * q);
+  for (std::size_t k = 0; k < q; ++k) {
+    const double war = twa[k].real(), wai = twa[k].imag();
+    const double wbr = twb[k].real(), wbi = twb[k].imag();
+    double* base = x + 2 * bitrev[k];
+    for (std::size_t j = 0; j < run; ++j) {
+      double* p0 = base + 2 * j;
+      butterfly4_scalar(p0, p0 + 4 * run, p0 + 2 * run, p0 + 6 * run, war, wai,
+                        wbr, wbi, -1.0);
+    }
+  }
+}
+
+// The scrambled forward's twiddle-free first pass: for an odd number of
+// stages one radix-2 pass pairing i with i + n/2, else the 4-point
+// butterflies with x0..x3 at offsets 0, n/2, n/4, 3n/4.
+void first_pass_scrambled_scalar(double* x, std::size_t n, bool radix2) {
+  if (radix2) {
+    const std::size_t h = n / 2;
+    for (std::size_t i = 0; i < h; ++i) {
+      double* a = x + 2 * i;
+      double* b = x + 2 * (i + h);
+      const double br = b[0];
+      const double bi = b[1];
+      const double ar = a[0];
+      const double ai = a[1];
+      a[0] = ar + br;
+      a[1] = ai + bi;
+      b[0] = ar - br;
+      b[1] = ai - bi;
+    }
+    return;
+  }
+  const std::size_t r = n / 4;
+  for (std::size_t i = 0; i < r; ++i) {
+    double* p0 = x + 2 * i;
+    double* p1 = p0 + 4 * r;
+    double* p2 = p0 + 2 * r;
+    double* p3 = p0 + 6 * r;
+    const double a0r = p0[0] + p1[0], a0i = p0[1] + p1[1];
+    const double a1r = p0[0] - p1[0], a1i = p0[1] - p1[1];
+    const double a2r = p2[0] + p3[0], a2i = p2[1] + p3[1];
+    const double a3r = p2[0] - p3[0], a3i = p2[1] - p3[1];
+    p0[0] = a0r + a2r;
+    p0[1] = a0i + a2i;
+    p2[0] = a0r - a2r;
+    p2[1] = a0i - a2i;
+    const double u3r = a3i;  // -i·a3
+    const double u3i = -a3r;
+    p1[0] = a1r + u3r;
+    p1[1] = a1i + u3i;
+    p3[0] = a1r - u3r;
+    p3[1] = a1i - u3i;
   }
 }
 
@@ -282,6 +348,31 @@ __attribute__((target("avx2,fma"), always_inline)) inline __m256d cmul_avx2(
   return _mm256_fmaddsub_pd(a, wre, _mm256_mul_pd(aswap, wim));
 }
 
+// One radix-2² butterfly on two lanes at once (the arithmetic of
+// butterfly4_scalar with FMA complex multiplies). Multiply-by-(∓i) is
+// a re/im swap then one lane's sign flip (i_mask).
+__attribute__((target("avx2,fma"), always_inline)) inline void butterfly4_avx2(
+    double* p0, double* p1, double* p2, double* p3, __m256d wa, __m256d wb,
+    __m256d i_mask) {
+  const __m256d x0 = _mm256_loadu_pd(p0);
+  const __m256d x1 = _mm256_loadu_pd(p1);
+  const __m256d x2 = _mm256_loadu_pd(p2);
+  const __m256d x3 = _mm256_loadu_pd(p3);
+  const __m256d t1 = cmul_avx2(x1, wa);
+  const __m256d a0 = _mm256_add_pd(x0, t1);
+  const __m256d a1 = _mm256_sub_pd(x0, t1);
+  const __m256d t3 = cmul_avx2(x3, wa);
+  const __m256d a2 = _mm256_add_pd(x2, t3);
+  const __m256d a3 = _mm256_sub_pd(x2, t3);
+  const __m256d u2 = cmul_avx2(a2, wb);
+  _mm256_storeu_pd(p0, _mm256_add_pd(a0, u2));
+  _mm256_storeu_pd(p2, _mm256_sub_pd(a0, u2));
+  const __m256d v3 = cmul_avx2(a3, wb);
+  const __m256d u3 = _mm256_xor_pd(_mm256_permute_pd(v3, 0x5), i_mask);
+  _mm256_storeu_pd(p1, _mm256_add_pd(a1, u3));
+  _mm256_storeu_pd(p3, _mm256_sub_pd(a1, u3));
+}
+
 // AVX2+FMA variant of the fused pass: two butterflies (four complex
 // lanes) per iteration. Compiled with a function-level target
 // attribute and selected at runtime, so the default build stays
@@ -293,10 +384,8 @@ __attribute__((target("avx2,fma"))) void fused_pass_avx2(
   // Conjugate twiddles for the inverse transform (negate imag lanes).
   const __m256d conj_mask =
       inverse ? _mm256_setr_pd(0.0, -0.0, 0.0, -0.0) : _mm256_setzero_pd();
-  // Multiply-by-(∓i) = swap re/im then flip one lane's sign.
   const __m256d i_mask = inverse ? _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0)
                                  : _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-  
   for (std::size_t i = 0; i < n; i += len) {
     double* base = x + 2 * i;
     for (std::size_t k = 0; k < q; k += 2) {
@@ -305,34 +394,110 @@ __attribute__((target("avx2,fma"))) void fused_pass_avx2(
       const __m256d wb = _mm256_xor_pd(
           _mm256_loadu_pd(reinterpret_cast<const double*>(twb + k)), conj_mask);
       double* p0 = base + 2 * k;
-      double* p1 = p0 + 2 * q;
-      double* p2 = p1 + 2 * q;
-      double* p3 = p2 + 2 * q;
-      const __m256d x0 = _mm256_loadu_pd(p0);
-      const __m256d x1 = _mm256_loadu_pd(p1);
-      const __m256d x2 = _mm256_loadu_pd(p2);
-      const __m256d x3 = _mm256_loadu_pd(p3);
-      const __m256d t1 = cmul_avx2(x1, wa);
-      const __m256d a0 = _mm256_add_pd(x0, t1);
-      const __m256d a1 = _mm256_sub_pd(x0, t1);
-      const __m256d t3 = cmul_avx2(x3, wa);
-      const __m256d a2 = _mm256_add_pd(x2, t3);
-      const __m256d a3 = _mm256_sub_pd(x2, t3);
-      const __m256d u2 = cmul_avx2(a2, wb);
-      _mm256_storeu_pd(p0, _mm256_add_pd(a0, u2));
-      _mm256_storeu_pd(p2, _mm256_sub_pd(a0, u2));
-      const __m256d v3 = cmul_avx2(a3, wb);
-      const __m256d u3 = _mm256_xor_pd(_mm256_permute_pd(v3, 0x5), i_mask);
-      _mm256_storeu_pd(p1, _mm256_add_pd(a1, u3));
-      _mm256_storeu_pd(p3, _mm256_sub_pd(a1, u3));
+      butterfly4_avx2(p0, p0 + 2 * q, p0 + 4 * q, p0 + 6 * q, wa, wb, i_mask);
     }
   }
 }
 
-// FFT dispatch is by CPUID alone (simd::set_isa does not reach it):
-// these butterflies use FMA and are allowed to round differently from
-// the portable path, unlike the dsp/simd.hpp kernels.
-bool have_avx2_fma() { return simd::cpu_has_avx2_fma(); }
+// first_pass_scrambled_scalar two butterflies at a time (n >= 8). Adds,
+// subtracts and sign flips only, so no FMA question arises.
+__attribute__((target("avx2"))) void first_pass_scrambled_avx2(
+    double* x, std::size_t n, bool radix2) {
+  if (radix2) {
+    const std::size_t h = n / 2;
+    for (std::size_t i = 0; i < h; i += 2) {
+      double* a = x + 2 * i;
+      double* b = x + 2 * (i + h);
+      const __m256d av = _mm256_loadu_pd(a);
+      const __m256d bv = _mm256_loadu_pd(b);
+      _mm256_storeu_pd(a, _mm256_add_pd(av, bv));
+      _mm256_storeu_pd(b, _mm256_sub_pd(av, bv));
+    }
+    return;
+  }
+  const std::size_t r = n / 4;
+  const __m256d i_mask = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+  for (std::size_t i = 0; i < r; i += 2) {
+    double* p0 = x + 2 * i;
+    double* p1 = p0 + 4 * r;
+    double* p2 = p0 + 2 * r;
+    double* p3 = p0 + 6 * r;
+    const __m256d x0 = _mm256_loadu_pd(p0);
+    const __m256d x1 = _mm256_loadu_pd(p1);
+    const __m256d x2 = _mm256_loadu_pd(p2);
+    const __m256d x3 = _mm256_loadu_pd(p3);
+    const __m256d a0 = _mm256_add_pd(x0, x1);
+    const __m256d a1 = _mm256_sub_pd(x0, x1);
+    const __m256d a2 = _mm256_add_pd(x2, x3);
+    const __m256d a3 = _mm256_sub_pd(x2, x3);
+    _mm256_storeu_pd(p0, _mm256_add_pd(a0, a2));
+    _mm256_storeu_pd(p2, _mm256_sub_pd(a0, a2));
+    const __m256d u3 = _mm256_xor_pd(_mm256_permute_pd(a3, 0x5), i_mask);
+    _mm256_storeu_pd(p1, _mm256_add_pd(a1, u3));
+    _mm256_storeu_pd(p3, _mm256_sub_pd(a1, u3));
+  }
+}
+
+// cmul_avx2 on one complex value: the same per-lane FMA arithmetic.
+__attribute__((target("avx2,fma"), always_inline)) inline __m128d cmul_avx2_1(
+    __m128d a, __m128d w) {
+  const __m128d wre = _mm_movedup_pd(w);
+  const __m128d wim = _mm_permute_pd(w, 0x3);
+  const __m128d aswap = _mm_permute_pd(a, 0x1);
+  return _mm_fmaddsub_pd(a, wre, _mm_mul_pd(aswap, wim));
+}
+
+// fused_pass_scrambled_scalar with the AVX2+FMA arithmetic of
+// fused_pass_avx2: the run's twiddle pair is broadcast and each
+// iteration takes two butterflies of the run. The last pass has runs of
+// one butterfly, which take 128-bit vectors with the same per-lane
+// arithmetic.
+__attribute__((target("avx2,fma"))) void fused_pass_scrambled_avx2(
+    double* x, std::size_t n, std::size_t q, const std::uint32_t* bitrev,
+    const Complex* twa, const Complex* twb) {
+  const std::size_t run = n / (4 * q);
+  if (run >= 2) {
+    const __m256d i_mask = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+    for (std::size_t k = 0; k < q; ++k) {
+      const __m256d wa =
+          _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(twa + k));
+      const __m256d wb =
+          _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(twb + k));
+      double* base = x + 2 * bitrev[k];
+      for (std::size_t j = 0; j < run; j += 2) {
+        double* p0 = base + 2 * j;
+        butterfly4_avx2(p0, p0 + 4 * run, p0 + 2 * run, p0 + 6 * run, wa, wb,
+                        i_mask);
+      }
+    }
+    return;
+  }
+  // Runs of one butterfly: x0, x2, x1, x3 are adjacent. A 256-bit
+  // variant with lane shuffles measured slower than this one.
+  const __m128d i_mask = _mm_setr_pd(0.0, -0.0);
+  for (std::size_t k = 0; k < q; ++k) {
+    const __m128d wa = _mm_loadu_pd(reinterpret_cast<const double*>(twa + k));
+    const __m128d wb = _mm_loadu_pd(reinterpret_cast<const double*>(twb + k));
+    double* p0 = x + 2 * bitrev[k];
+    const __m128d x0 = _mm_loadu_pd(p0);
+    const __m128d x2 = _mm_loadu_pd(p0 + 2);
+    const __m128d x1 = _mm_loadu_pd(p0 + 4);
+    const __m128d x3 = _mm_loadu_pd(p0 + 6);
+    const __m128d t1 = cmul_avx2_1(x1, wa);
+    const __m128d a0 = _mm_add_pd(x0, t1);
+    const __m128d a1 = _mm_sub_pd(x0, t1);
+    const __m128d t3 = cmul_avx2_1(x3, wa);
+    const __m128d a2 = _mm_add_pd(x2, t3);
+    const __m128d a3 = _mm_sub_pd(x2, t3);
+    const __m128d u2 = cmul_avx2_1(a2, wb);
+    _mm_storeu_pd(p0, _mm_add_pd(a0, u2));
+    _mm_storeu_pd(p0 + 2, _mm_sub_pd(a0, u2));
+    const __m128d v3 = cmul_avx2_1(a3, wb);
+    const __m128d u3 = _mm_xor_pd(_mm_permute_pd(v3, 0x1), i_mask);
+    _mm_storeu_pd(p0 + 4, _mm_add_pd(a1, u3));
+    _mm_storeu_pd(p0 + 6, _mm_sub_pd(a1, u3));
+  }
+}
 
 // Radix-3 split passes, two k per iteration. De-interleave gathers the
 // three decimated sequences with cross-lane permutes; the combine
@@ -470,6 +635,11 @@ __attribute__((target("avx2"))) void real_pretangle_avx2_impl(
 }
 #endif  // SAIYAN_FFT_AVX2
 
+// FFT dispatch is by CPUID alone (simd::set_isa does not reach it): the
+// radix-2 butterflies use FMA and are allowed to round differently from
+// the portable path, unlike the dsp/simd.hpp kernels.
+bool have_avx2_fma() { return simd::cpu_has_avx2_fma(); }
+
 }  // namespace
 
 namespace detail {
@@ -564,17 +734,9 @@ bool real_pretangle_avx2(Complex* z, const Complex* tw, std::size_t h) {
 // operating on the re/im parts directly keeps the loop branch-lean and
 // lets the compiler vectorize it. Fusing stage pairs halves the number
 // of passes over the working set, which is what the large transforms
-// are bound by.
-void FftPlan::transform_pow2(Complex* xc, bool inverse) const {
+// are bound by. The input is in bit-reversed order.
+void FftPlan::pow2_passes(double* x, bool inverse, bool avx2) const {
   const std::size_t n = n_;
-  double* x = reinterpret_cast<double*>(xc);
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) {
-      std::swap(x[2 * i], x[2 * j]);
-      std::swap(x[2 * i + 1], x[2 * j + 1]);
-    }
-  }
   // Sub-transform size already completed; grows 4x per fused pass.
   std::size_t m = 1;
   std::size_t log2n = 0;
@@ -622,20 +784,61 @@ void FftPlan::transform_pow2(Complex* xc, bool inverse) const {
   }
   const Complex* twa = stage_twa_.data();
   const Complex* twb = stage_twb_.data();
-  while (m < n) {
-    const std::size_t q = m;  // quarter of the new sub-size
+  for (; m < n; m *= 4) {
+    const std::size_t q = m;  // quarter of the new sub-size, >= 2 here
 #ifdef SAIYAN_FFT_AVX2
-    if (q >= 2 && have_avx2_fma()) {
+    if (avx2) {
       fused_pass_avx2(x, n, q, twa, twb, inverse);
     } else {
       fused_pass_scalar(x, n, q, twa, twb, isign, csign);
     }
 #else
+    (void)avx2;
     fused_pass_scalar(x, n, q, twa, twb, isign, csign);
 #endif
     twa += q;
     twb += q;
-    m = 4 * q;
+  }
+}
+
+// The forward passes of pow2_passes run on the bit-reversal conjugate
+// of its layout: the value pow2_passes keeps at i is kept at bitrev(i).
+// A natural-order input is then already "bit-reversed", each butterfly
+// computes what it computes there, and bin k ends at bitrev(k). A pass's
+// butterflies that share a twiddle pair sit in one contiguous run, so
+// the twiddles are loaded once per run instead of once per butterfly.
+void FftPlan::pow2_passes_scrambled(double* x, bool avx2) const {
+  const std::size_t n = n_;
+  if (n < 2) return;
+  std::size_t log2n = 0;
+  while ((std::size_t{1} << log2n) < n) ++log2n;
+  const bool radix2 = (log2n & 1) != 0;
+#ifdef SAIYAN_FFT_AVX2
+  if (avx2 && n >= 8) {
+    first_pass_scrambled_avx2(x, n, radix2);
+  } else {
+    first_pass_scrambled_scalar(x, n, radix2);
+  }
+#else
+  first_pass_scrambled_scalar(x, n, radix2);
+#endif
+  std::size_t m = radix2 ? 2 : 4;
+  const Complex* twa = stage_twa_.data();
+  const Complex* twb = stage_twb_.data();
+  for (; m < n; m *= 4) {
+    const std::size_t q = m;
+#ifdef SAIYAN_FFT_AVX2
+    if (avx2) {
+      fused_pass_scrambled_avx2(x, n, q, bitrev_.data(), twa, twb);
+    } else {
+      fused_pass_scrambled_scalar(x, n, q, bitrev_.data(), twa, twb);
+    }
+#else
+    (void)avx2;
+    fused_pass_scrambled_scalar(x, n, q, bitrev_.data(), twa, twb);
+#endif
+    twa += q;
+    twb += q;
   }
 }
 
@@ -646,20 +849,76 @@ void FftPlan::transform_pow2(Complex* xc, bool inverse) const {
 // dispatch to AVX2 variants that are bit-identical to the scalar
 // references (detail::radix3_*), so the radix-3 spectrum — unlike the
 // FMA radix-2 butterflies — is ISA-invariant.
-void FftPlan::transform_radix3(Complex* x, Signal& scratch, bool inverse) const {
+//
+// Scrambled, the forward runs the sub-transforms scrambled and combines
+// position p of each third (bin k = bitrev(p)) with the twiddles stored
+// at p, so its reads and writes stay contiguous and bin t·m + k lands at
+// t·m + p. The inverse gathers each sub-transform's bit-reversed input
+// straight from that layout, replacing the de-interleave and the three
+// swap loops.
+void FftPlan::transform_radix3(Complex* x, Signal& scratch, bool inverse,
+                               bool scrambled, bool avx2) const {
   const std::size_t m = n_ / 3;
   scratch.resize(n_);
   Complex* s = scratch.data();
-  if (!detail::radix3_deinterleave_avx2(x, s, m)) {
-    detail::radix3_deinterleave_scalar(x, s, m);
+  const Complex* tw = tw3_.data();
+  if (scrambled && inverse) {
+    const std::uint32_t* gather = scrambled_radix3().gather.data();
+    for (std::size_t j = 0; j < n_; ++j) s[j] = x[gather[j]];
+  } else {
+    if (!(avx2 && detail::radix3_deinterleave_avx2(x, s, m))) {
+      detail::radix3_deinterleave_scalar(x, s, m);
+    }
   }
-  third_->transform_pow2(s, inverse);
-  third_->transform_pow2(s + m, inverse);
-  third_->transform_pow2(s + 2 * m, inverse);
+  for (std::size_t r = 0; r < 3; ++r) {
+    third_->transform_pow2(s + r * m, inverse, scrambled, avx2);
+  }
+  if (scrambled && !inverse) tw = scrambled_radix3().tw.data();
+  if (!(avx2 && detail::radix3_combine_avx2(x, s, tw, m, inverse))) {
+    detail::radix3_combine_scalar(x, s, tw, m, inverse);
+  }
+}
 
-  if (!detail::radix3_combine_avx2(x, s, tw3_.data(), m, inverse)) {
-    detail::radix3_combine_scalar(x, s, tw3_.data(), m, inverse);
+const FftPlan::ScrambledRadix3& FftPlan::scrambled_radix3() const {
+  std::call_once(scrambled_once_, [this] {
+    const std::size_t m = n_ / 3;
+    const std::vector<std::uint32_t>& rev = third_->bitrev_;
+    scrambled_.tw.resize(2 * m);
+    for (std::size_t p = 0; p < m; ++p) {
+      scrambled_.tw[2 * p] = tw3_[2 * rev[p]];
+      scrambled_.tw[2 * p + 1] = tw3_[2 * rev[p] + 1];
+    }
+    // Slot i of sub-sequence r takes bin 3·bitrev(i) + r; the scrambled
+    // forward stored bin t·m + k at t·m + bitrev(k).
+    scrambled_.gather.resize(n_);
+    for (std::size_t r = 0; r < 3; ++r) {
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::size_t bin = 3 * rev[i] + r;
+        scrambled_.gather[r * m + i] =
+            static_cast<std::uint32_t>(bin / m * m + rev[bin % m]);
+      }
+    }
+  });
+  return scrambled_;
+}
+
+void FftPlan::transform_pow2(Complex* xc, bool inverse, bool scrambled,
+                             bool avx2) const {
+  double* x = reinterpret_cast<double*>(xc);
+  if (scrambled && !inverse) {
+    pow2_passes_scrambled(x, avx2);
+    return;
   }
+  if (!scrambled) {
+    for (std::size_t i = 1; i < n_; ++i) {
+      const std::size_t j = bitrev_[i];
+      if (i < j) {
+        std::swap(x[2 * i], x[2 * j]);
+        std::swap(x[2 * i + 1], x[2 * j + 1]);
+      }
+    }
+  }
+  pow2_passes(x, inverse, avx2);
 }
 
 void FftPlan::bluestein(Complex* x, bool inverse) const {
@@ -692,11 +951,12 @@ void FftPlan::bluestein(Complex* x, bool inverse) const {
   }
 }
 
-void FftPlan::transform(Complex* x, Signal& scratch, bool inverse) const {
+void FftPlan::transform(Complex* x, Signal& scratch, bool inverse,
+                        bool scrambled, bool avx2) const {
   if (pow2_) {
-    transform_pow2(x, inverse);
+    transform_pow2(x, inverse, scrambled, avx2);
   } else if (radix3_) {
-    transform_radix3(x, scratch, inverse);
+    transform_radix3(x, scratch, inverse, scrambled, avx2);
   } else {
     bluestein(x, inverse);
   }
@@ -704,12 +964,12 @@ void FftPlan::transform(Complex* x, Signal& scratch, bool inverse) const {
 
 void FftPlan::forward(Signal& x, Signal& scratch) const {
   if (x.size() != n_) throw std::invalid_argument("FftPlan::forward: size mismatch");
-  transform(x.data(), scratch, false);
+  transform(x.data(), scratch, false, false, have_avx2_fma());
 }
 
 void FftPlan::inverse_raw(Signal& x, Signal& scratch) const {
   if (x.size() != n_) throw std::invalid_argument("FftPlan::inverse: size mismatch");
-  transform(x.data(), scratch, true);
+  transform(x.data(), scratch, true, false, have_avx2_fma());
 }
 
 void FftPlan::inverse(Signal& x, Signal& scratch) const {
@@ -717,6 +977,41 @@ void FftPlan::inverse(Signal& x, Signal& scratch) const {
   const double scale = 1.0 / static_cast<double>(n_);
   for (Complex& v : x) v *= scale;
 }
+
+void FftPlan::forward_scrambled(Signal& x, Signal& scratch) const {
+  if (x.size() != n_) throw std::invalid_argument("FftPlan::forward: size mismatch");
+  transform(x.data(), scratch, false, true, have_avx2_fma());
+}
+
+void FftPlan::inverse_raw_scrambled(Signal& x, Signal& scratch) const {
+  if (x.size() != n_) throw std::invalid_argument("FftPlan::inverse: size mismatch");
+  transform(x.data(), scratch, true, true, have_avx2_fma());
+}
+
+std::size_t FftPlan::scrambled_bin(std::size_t p) const {
+  if (pow2_) return bitrev_[p];
+  if (radix3_) {
+    const std::size_t m = n_ / 3;
+    return p / m * m + third_->bitrev_[p % m];
+  }
+  return p;
+}
+
+namespace detail {
+
+void transform_scalar(const FftPlan& plan, Signal& x, Signal& scratch,
+                      bool inverse, bool scrambled) {
+  plan.transform(x.data(), scratch, inverse, scrambled, false);
+}
+
+bool transform_avx2(const FftPlan& plan, Signal& x, Signal& scratch,
+                    bool inverse, bool scrambled) {
+  if (!have_avx2_fma()) return false;
+  plan.transform(x.data(), scratch, inverse, scrambled, true);
+  return true;
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -778,7 +1073,7 @@ void FftPlan::forward_real_half(std::span<const double> x, Signal& out,
   std::copy(x.begin(), x.end(), z);
   std::fill(z + x.size(), z + n_, 0.0);
   const RealPath& rp = real_path();
-  rp.half->transform(out.data(), scratch, false);
+  rp.half->transform(out.data(), scratch, false, false, have_avx2_fma());
   if (!detail::real_untangle_avx2(out.data(), rp.tw.data(), h)) {
     detail::real_untangle_scalar(out.data(), rp.tw.data(), h);
   }
@@ -803,7 +1098,7 @@ void FftPlan::inverse_real_raw(Signal& spec, RealSignal& out, Signal& scratch) c
   if (!detail::real_pretangle_avx2(spec.data(), rp.tw.data(), h)) {
     detail::real_pretangle_scalar(spec.data(), rp.tw.data(), h);
   }
-  rp.half->transform(spec.data(), scratch, true);
+  rp.half->transform(spec.data(), scratch, true, false, have_avx2_fma());
   // z[j] = n·(x[2j] + i·x[2j+1]): unpacking is the same copy backwards.
   const double* z = reinterpret_cast<const double*>(spec.data());
   out.assign(z, z + n_);

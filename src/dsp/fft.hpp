@@ -23,6 +23,19 @@
 // and unpacks its inverse into n real samples. The n/2 plan and the
 // untangle twiddles are built on a plan's first real transform, so
 // lengths that only ever run complex transforms never pay for them.
+//
+// A scrambled round trip serves filters that scale each bin and
+// transform back (the SAW model, frontend/saw_filter.hpp):
+// forward_scrambled leaves the bins where the butterflies produce them
+// (position p holds bin scrambled_bin(p)) and inverse_raw_scrambled
+// starts from that order, so neither transform runs the bit-reversal
+// permutation, which costs a third or more of a power-of-two transform.
+// The forward runs the same butterflies on the same operands in the
+// bit-reversal-conjugated layout and the inverse skips only its
+// permutation, so every output bit equals the natural round trip's with
+// the per-bin table permuted the same way. 3·2^k lengths scramble within
+// each third and replace the inverse's de-interleave and swap loops with
+// one gather; Bluestein lengths keep natural order.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +48,24 @@
 #include "dsp/types.hpp"
 
 namespace saiyan::dsp {
+
+class FftPlan;
+
+namespace detail {
+/// The plan's transform of x (size() values) with the radix-2
+/// butterflies forced onto the portable scalar passes or the AVX2+FMA
+/// passes, for the scrambled/natural bit-equality tests: each ISA's
+/// scrambled round trip must match its own natural one bit for bit.
+/// inverse = false with scrambled = true is forward_scrambled;
+/// inverse = true is the unnormalized inverse (inverse_raw or
+/// inverse_raw_scrambled). transform_avx2 returns false on hosts
+/// without AVX2+FMA. Declared ahead of FftPlan, whose private kernels
+/// they run as friends.
+void transform_scalar(const FftPlan& plan, Signal& x, Signal& scratch,
+                      bool inverse, bool scrambled);
+bool transform_avx2(const FftPlan& plan, Signal& x, Signal& scratch,
+                    bool inverse, bool scrambled);
+}  // namespace detail
 
 /// Precomputed transform of one fixed length. Immutable after
 /// construction; safe to share across threads.
@@ -61,6 +92,22 @@ class FftPlan {
   /// fold the scale into another per-bin table (the SAW filter bakes
   /// it into its gain table, saving one full sweep per packet).
   void inverse_raw(Signal& x, Signal& scratch) const;
+
+  /// In-place forward DFT that leaves position p holding bin
+  /// scrambled_bin(p) — for callers that scale every bin by a table
+  /// stored in the same order and then call inverse_raw_scrambled.
+  /// Each bin's value is bit-identical to forward()'s.
+  void forward_scrambled(Signal& x, Signal& scratch) const;
+
+  /// inverse_raw of a spectrum laid out as forward_scrambled leaves it;
+  /// the output is in natural order and bit-identical to inverse_raw of
+  /// the same bins in natural order.
+  void inverse_raw_scrambled(Signal& x, Signal& scratch) const;
+
+  /// Bin held at position p (< size()) of a forward_scrambled spectrum:
+  /// the bit reversal of p for powers of two, p's third plus the bit
+  /// reversal of its offset within the third for 3·2^k, p otherwise.
+  std::size_t scrambled_bin(std::size_t p) const;
 
   /// Forward DFT of a real sequence, zero-padded to size(). Writes the
   /// full N-bin spectrum into `out`: forward_real_half, then bins
@@ -95,11 +142,37 @@ class FftPlan {
   };
   const RealPath& real_path() const;
 
-  /// Dispatch to the length's kernel over x[0..n).
-  void transform(Complex* x, Signal& scratch, bool inverse) const;
-  void transform_pow2(Complex* x, bool inverse) const;
-  void transform_radix3(Complex* x, Signal& scratch, bool inverse) const;
+  /// State of the scrambled 3·2^k round trip, built on first use.
+  struct ScrambledRadix3 {
+    std::vector<Complex> tw;  ///< tw3_ at k = bitrev(p), stored at p
+    std::vector<std::uint32_t> gather;  ///< input position per sub-sequence slot
+  };
+  const ScrambledRadix3& scrambled_radix3() const;
+
+  /// Dispatch to the length's kernel over x[0..n). `scrambled` selects
+  /// the permutation-free round trip (a forward that leaves the bins in
+  /// scrambled_bin order, an inverse that starts from it); `avx2` the
+  /// AVX2+FMA radix-2 butterflies, which callers pass as the CPUID
+  /// answer and the detail:: entry points force.
+  void transform(Complex* x, Signal& scratch, bool inverse, bool scrambled,
+                 bool avx2) const;
+  /// The power-of-two kernel: the bit-reversal permutation (natural
+  /// order only), then the DIT passes over the bit-reversed input
+  /// (natural output). The scrambled forward runs the passes in the
+  /// bit-reversal-conjugated layout instead (natural input,
+  /// bit-reversed output).
+  void transform_pow2(Complex* x, bool inverse, bool scrambled,
+                      bool avx2) const;
+  void pow2_passes(double* x, bool inverse, bool avx2) const;
+  void pow2_passes_scrambled(double* x, bool avx2) const;
+  void transform_radix3(Complex* x, Signal& scratch, bool inverse,
+                        bool scrambled, bool avx2) const;
   void bluestein(Complex* x, bool inverse) const;
+
+  friend void detail::transform_scalar(const FftPlan&, Signal&, Signal&,
+                                       bool, bool);
+  friend bool detail::transform_avx2(const FftPlan&, Signal&, Signal&, bool,
+                                     bool);
 
   std::size_t n_;
   bool pow2_;
@@ -123,6 +196,10 @@ class FftPlan {
   // Real path (even n), built by real_path().
   mutable std::once_flag real_once_;
   mutable RealPath real_;
+
+  // Scrambled radix-3 round trip, built by scrambled_radix3().
+  mutable std::once_flag scrambled_once_;
+  mutable ScrambledRadix3 scrambled_;
 };
 
 /// Shared plan for length n from the process-wide cache (thread-safe).

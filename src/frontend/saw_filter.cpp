@@ -1,5 +1,6 @@
 #include "frontend/saw_filter.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -36,12 +37,14 @@ double SawFilter::response_db(double rf_frequency_hz) const {
                       std::span<const double>(kGainDb), f_mhz);
 }
 
-const dsp::RealSignal& SawFilter::gain_table(std::size_t n, double fs_hz,
+const dsp::RealSignal& SawFilter::gain_table(const dsp::FftPlan& plan,
+                                             double fs_hz,
                                              double rf_center_hz) const {
   // Evaluating the interpolated response and the dB->amplitude
   // conversion per bin dominates the filter cost at Monte-Carlo packet
   // rates; the table only depends on (n, fs, rf_center), which are
   // fixed within a sweep, so memoize the most recent one.
+  const std::size_t n = plan.size();
   if (gain_cache_.n != n || gain_cache_.fs_hz != fs_hz ||
       gain_cache_.rf_center_hz != rf_center_hz) {
     gain_cache_.n = n;
@@ -49,12 +52,13 @@ const dsp::RealSignal& SawFilter::gain_table(std::size_t n, double fs_hz,
     gain_cache_.rf_center_hz = rf_center_hz;
     gain_cache_.gains.resize(n);
     // The inverse transform's 1/n normalization is baked into the
-    // table (the filter calls inverse_raw), saving one full sweep
-    // over the padded waveform per packet.
+    // table (the filter calls inverse_raw_scrambled), saving one full
+    // sweep over the padded waveform per packet. Entry p scales the bin
+    // the scrambled forward leaves at position p.
     const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const double f = dsp::bin_frequency(k, n, fs_hz);
-      gain_cache_.gains[k] = dsp::db_to_amp(response_db(rf_center_hz + f)) * inv_n;
+    for (std::size_t p = 0; p < n; ++p) {
+      const double f = dsp::bin_frequency(plan.scrambled_bin(p), n, fs_hz);
+      gain_cache_.gains[p] = dsp::db_to_amp(response_db(rf_center_hz + f)) * inv_n;
     }
   }
   return gain_cache_.gains;
@@ -78,14 +82,18 @@ void SawFilter::filter_into(std::span<const dsp::Complex> x, double fs_hz,
   // 3·2^k lengths are planned directly (radix-3 split), so a ~45k
   // packet pads 1.09x to 49152 instead of 1.45x to 65536 — the
   // dominant transform of the receive chain shrinks ~25%.
+  // The round trip never puts the bins in natural order: the gains are
+  // one multiply per bin, stored in the order the forward leaves them.
   const std::size_t n = dsp::next_fast_len(x.size());
-  const dsp::RealSignal& gains = gain_table(n, fs_hz, rf_center_hz);
   const auto plan = dsp::fft_plan(n);
-  out.assign(n, dsp::Complex{});
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i];
-  plan->forward(out, fft_scratch);
+  const dsp::RealSignal& gains = gain_table(*plan, fs_hz, rf_center_hz);
+  out.resize(n);
+  std::copy(x.begin(), x.end(), out.begin());
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(x.size()), out.end(),
+            dsp::Complex{});
+  plan->forward_scrambled(out, fft_scratch);
   dsp::simd::complex_scale_table(out.data(), gains.data(), n);
-  plan->inverse_raw(out, fft_scratch);
+  plan->inverse_raw_scrambled(out, fft_scratch);
   out.resize(x.size());
 }
 

@@ -11,11 +11,21 @@
 // it as a frequency-domain LTI filter to the complex-baseband
 // waveform. Ambient temperature shifts the response according to the
 // substrate's TCF (channel/temperature.hpp).
+//
+// The filter runs FftPlan's scrambled round trip (dsp/fft.hpp): the
+// forward leaves the bins in transform order, the per-bin gain table is
+// stored in that same order, and the inverse starts from it, so no
+// bit-reversal pass runs and the output is bit-identical to a
+// natural-order round trip.
 #pragma once
 
 #include <span>
 
 #include "dsp/types.hpp"
+
+namespace saiyan::dsp {
+class FftPlan;
+}  // namespace saiyan::dsp
 
 namespace saiyan::frontend {
 
@@ -60,10 +70,12 @@ class SawFilter {
   static constexpr double kPassbandEdgeHz = 434.0e6;
 
  private:
-  /// Per-bin amplitude gains for an n-point transform (memoized for
-  /// the most recent geometry — fixed within a sweep). The cache makes
-  /// instances non-thread-safe; receive chains are per-thread.
-  const dsp::RealSignal& gain_table(std::size_t n, double fs_hz,
+  /// Per-bin amplitude gains for `plan`'s transform, with 1/n folded
+  /// in, in the order forward_scrambled leaves the bins: entry p scales
+  /// bin plan.scrambled_bin(p). Memoized for the most recent geometry
+  /// (fixed within a sweep); the cache makes instances
+  /// non-thread-safe, and receive chains are per-thread.
+  const dsp::RealSignal& gain_table(const dsp::FftPlan& plan, double fs_hz,
                                     double rf_center_hz) const;
 
   double shift_hz_;  // temperature-induced response shift

@@ -156,7 +156,7 @@ const Row<S> kScalars[] = {
     {"deadline_cancels", "saiyan_deadline_cancels_total", kCounter,
      "Jobs cancelled for a blown deadline", field<&S::deadline_cancels>},
     {"degradation_level", "saiyan_degradation_level", kGauge,
-     "Current degradation ladder rung (0=healthy)",
+     "Highest degradation ladder rung over workers (0=healthy)",
      field<&S::degradation_level>},
     {"degradation_transitions", "saiyan_degradation_transitions_total",
      kCounter, "Degradation ladder level changes",

@@ -9,7 +9,7 @@
 // time. Alongside: rotation and fsync policies are deterministic
 // (same input → same segment boundaries and bytes), merge_segments
 // folds a salvage into one servable trace, the degradation ladder's
-// hysteresis is a pure function of its poll sequence, and the chaos
+// hysteresis is a pure function of its backlog-lag sequence, and the chaos
 // scheduler is a pure function of (seed, coordinates) — the property
 // that makes chaos runs replayable.
 #include "stream/trace_segments.hpp"
@@ -326,13 +326,14 @@ TEST(DegradationLadder, EscalatesAfterSustainedPressureOnly) {
   cfg.deescalate_after = 3;
   gateway::DegradationLadder ladder(cfg);
 
-  // One hot poll is not enough (a spike must be *sustained*).
+  // One chunk with the backlog lag at/above lag_high_ms is not enough
+  // (a spike must be *sustained*).
   EXPECT_FALSE(ladder.update(8000));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kHealthy);
-  // The second consecutive hot poll escalates one level.
+  // The second consecutive hot chunk escalates one level.
   EXPECT_TRUE(ladder.update(8000));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kReduceSic);
-  // A mid-band poll (between the watermarks) resets the hot streak.
+  // A mid-band lag (between the watermarks) resets the hot streak.
   EXPECT_FALSE(ladder.update(3000));
   EXPECT_FALSE(ladder.update(8000));
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kReduceSic);
@@ -343,7 +344,8 @@ TEST(DegradationLadder, EscalatesAfterSustainedPressureOnly) {
   for (int i = 0; i < 10; ++i) ladder.update(8000);
   EXPECT_EQ(ladder.level(), gateway::DegradationLevel::kDropSpans);
 
-  // Cooling needs deescalate_after consecutive polls at/below low.
+  // Cooling needs deescalate_after consecutive chunks with the lag
+  // at/below lag_low_ms.
   EXPECT_FALSE(ladder.update(500));
   EXPECT_FALSE(ladder.update(500));
   EXPECT_TRUE(ladder.update(500));
@@ -356,7 +358,7 @@ TEST(DegradationLadder, EscalatesAfterSustainedPressureOnly) {
 TEST(DegradationLadder, LatencySignalGatesOnlyWhenConfigured) {
   gateway::DegradationConfig cfg;
   cfg.escalate_after = 1;
-  // p99 thresholds unset: the ladder is off and never escalates.
+  // Lag watermarks unset: the ladder is off and never escalates.
   gateway::DegradationLadder off(cfg);
   for (int i = 0; i < 10; ++i) EXPECT_FALSE(off.update(1u << 30));
   EXPECT_EQ(off.level(), gateway::DegradationLevel::kHealthy);
@@ -368,8 +370,8 @@ TEST(DegradationLadder, LatencySignalGatesOnlyWhenConfigured) {
   gateway::DegradationLadder with_lat(cfg);
   EXPECT_TRUE(with_lat.update(6000));
   EXPECT_EQ(with_lat.level(), gateway::DegradationLevel::kReduceSic);
-  // A p99 that left the hot band but not the mid band holds the level;
-  // only a poll at/below the low watermark cools it.
+  // A lag that left the hot band but not the mid band holds the level;
+  // only a chunk at/below lag_low_ms cools it.
   EXPECT_FALSE(with_lat.update(1001));
   EXPECT_EQ(with_lat.level(), gateway::DegradationLevel::kReduceSic);
   EXPECT_TRUE(with_lat.update(1000));
@@ -382,9 +384,9 @@ TEST(DegradationLadder, SamePollSequenceSameTransitions) {
   cfg.lag_low_ms = 20'000;
   cfg.escalate_after = 2;
   cfg.deescalate_after = 2;
-  // A fixed chaos seed drives a fixed pressure sequence (a stall of N
-  // ms reads as an N ms p99); the ladder must walk the exact same
-  // levels both times.
+  // A fixed chaos seed drives a fixed backlog-lag sequence, one value
+  // per dequeued chunk (a stall of N ms is fed as a lag of 1000·N ms);
+  // the ladder must walk the exact same levels both times.
   const fault::ChaosConfig chaos_cfg{.seed = 77, .stall_rate = 0.5};
   const fault::ChaosScheduler chaos(chaos_cfg);
   std::vector<std::uint32_t> walk1, walk2;

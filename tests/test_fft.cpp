@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <thread>
@@ -489,6 +491,132 @@ TEST(FftRealInput, SimdUntangleBitIdenticalToScalarAtAllTailLengths) {
 TEST(FftRealInput, SimdPretangleBitIdenticalToScalarAtAllTailLengths) {
   expect_real_pass_bit_identical(detail::real_pretangle_scalar,
                                  detail::real_pretangle_avx2);
+}
+
+// Every power of two from 2 to 2^17 and every 3·2^k up to 98 304: the
+// scan block (8192), the decode SAW (49 152) and the rescan (65 536)
+// lie among them.
+std::vector<std::size_t> scrambled_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 2; n <= (std::size_t{1} << 17); n *= 2) lengths.push_back(n);
+  for (std::size_t n = 3; n <= 98304; n *= 2) lengths.push_back(n);
+  return lengths;
+}
+
+bool same_bits(const Complex& a, const Complex& b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+Signal gaussian_complex(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Signal x(n);
+  for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
+  return x;
+}
+
+using ForcedTransform = bool (*)(const FftPlan&, Signal&, Signal&, bool, bool);
+
+bool run_scalar(const FftPlan& plan, Signal& x, Signal& scratch, bool inverse,
+                bool scrambled) {
+  detail::transform_scalar(plan, x, scratch, inverse, scrambled);
+  return true;
+}
+
+// Position p of the scrambled forward must hold, bit for bit, bin
+// scrambled_bin(p) of the natural forward run on the same ISA.
+void expect_forward_is_the_permuted_forward(ForcedTransform run) {
+  for (std::size_t n : scrambled_lengths()) {
+    const auto plan = fft_plan(n);
+    const Signal x = gaussian_complex(n, n + 3);
+    Signal natural = x, scrambled = x, scratch;
+    if (!run(*plan, natural, scratch, false, false)) GTEST_SKIP() << "no AVX2+FMA host";
+    run(*plan, scrambled, scratch, false, true);
+    std::size_t mismatched = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+      if (!same_bits(scrambled[p], natural[plan->scrambled_bin(p)])) ++mismatched;
+    }
+    EXPECT_EQ(mismatched, 0u) << "n=" << n;
+  }
+}
+
+// The scrambled inverse of the permuted spectrum must equal, bit for
+// bit, the natural unnormalized inverse run on the same ISA.
+void expect_inverse_skips_only_the_permutation(ForcedTransform run) {
+  for (std::size_t n : scrambled_lengths()) {
+    const auto plan = fft_plan(n);
+    const Signal spec = gaussian_complex(n, n + 5);
+    Signal natural = spec, scrambled(n), scratch;
+    for (std::size_t p = 0; p < n; ++p) scrambled[p] = spec[plan->scrambled_bin(p)];
+    if (!run(*plan, natural, scratch, true, false)) GTEST_SKIP() << "no AVX2+FMA host";
+    run(*plan, scrambled, scratch, true, true);
+    std::size_t mismatched = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!same_bits(scrambled[i], natural[i])) ++mismatched;
+    }
+    EXPECT_EQ(mismatched, 0u) << "n=" << n;
+  }
+}
+
+TEST(FftScrambled, ForwardIsThePermutedForward) {
+  expect_forward_is_the_permuted_forward(run_scalar);
+  expect_forward_is_the_permuted_forward(detail::transform_avx2);
+}
+
+TEST(FftScrambled, InverseSkipsOnlyThePermutation) {
+  expect_inverse_skips_only_the_permutation(run_scalar);
+  expect_inverse_skips_only_the_permutation(detail::transform_avx2);
+}
+
+TEST(FftScrambled, PublicRoundTripMatchesTheNaturalOne) {
+  // The CPUID-dispatched entry points, including a Bluestein length
+  // (natural order) and n = 1.
+  for (std::size_t n : {1u, 2u, 3u, 30u, 1000u, 1536u, 8192u, 49152u}) {
+    const auto plan = fft_plan(n);
+    const Signal x = gaussian_complex(n, n + 7);
+    Signal natural = x, scrambled = x, scratch;
+    plan->forward(natural, scratch);
+    plan->forward_scrambled(scrambled, scratch);
+    for (std::size_t p = 0; p < n; ++p) {
+      ASSERT_TRUE(same_bits(scrambled[p], natural[plan->scrambled_bin(p)]))
+          << "n=" << n << " p=" << p;
+    }
+    plan->inverse_raw(natural, scratch);
+    plan->inverse_raw_scrambled(scrambled, scratch);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(same_bits(scrambled[i], natural[i])) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(FftScrambled, ConcurrentFirstUseBuildsTheRadix3TablesOnce) {
+  // The 3·2^k tables are built lazily inside an otherwise immutable,
+  // shared plan: workers that race on a plan's first scrambled
+  // transform must all see the finished tables.
+  const std::size_t n = 1536;
+  const Signal x = gaussian_complex(n, 91);
+  Signal want = x, scratch;
+  {
+    const FftPlan plan(n);
+    plan.forward_scrambled(want, scratch);
+    plan.inverse_raw_scrambled(want, scratch);
+  }
+  for (int round = 0; round < 20; ++round) {
+    const FftPlan plan(n);
+    std::vector<Signal> got(4, x);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      pool.emplace_back([&, t] {
+        Signal own_scratch;
+        plan.forward_scrambled(got[t], own_scratch);
+        plan.inverse_raw_scrambled(got[t], own_scratch);
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    for (const Signal& g : got) ASSERT_EQ(g, want) << "round " << round;
+  }
 }
 
 TEST(FftPlanCache, ConcurrentLookupsReturnOneInstance) {

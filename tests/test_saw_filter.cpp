@@ -1,8 +1,14 @@
 // SAW filter model against the paper's Fig. 5 / Fig. 23 anchors.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "dsp/fft.hpp"
+#include "dsp/rng.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/utils.hpp"
 #include "frontend/saw_filter.hpp"
 #include "lora/chirp.hpp"
@@ -112,6 +118,57 @@ TEST(SawFilter, ChirpBecomesAmplitudeModulated) {
   }
   const double frac = static_cast<double>(best_i) / static_cast<double>(out.size());
   EXPECT_GT(frac, 0.9);  // peak at the tail of the symbol
+}
+
+// The natural-order round trip the filter replaces: forward, a gain
+// table indexed by bin, unnormalized inverse, trim.
+dsp::Signal natural_round_trip(const SawFilter& saw, const dsp::Signal& x,
+                               double fs, double rf_center) {
+  const std::size_t n = dsp::next_fast_len(x.size());
+  const auto plan = dsp::fft_plan(n);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  dsp::RealSignal gains(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double f = dsp::bin_frequency(k, n, fs);
+    gains[k] = dsp::db_to_amp(saw.response_db(rf_center + f)) * inv_n;
+  }
+  dsp::Signal y(n), scratch;
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i];
+  plan->forward(y, scratch);
+  dsp::simd::complex_scale_table(y.data(), gains.data(), n);
+  plan->inverse_raw(y, scratch);
+  y.resize(x.size());
+  return y;
+}
+
+TEST(SawFilter, FilterIntoMatchesTheNaturalOrderRoundTripBitForBit) {
+  // The scan block (8192), decode frame (45 312 -> 49 152) and SIC
+  // rescan region (57 856 -> 65 536), plus odd lengths and lengths that
+  // pad to a power of two or to 3·2^k. Repeated lengths exercise the
+  // memoized gain table, changed ones its rebuild.
+  const SawFilter saw(SawFilterConfig{40.0});
+  const double fs = 4e6;
+  const double rf_center = SawFilter::recommended_rf_center_hz(500e3);
+  dsp::Signal out, scratch;
+  for (std::size_t len : {1u, 2u, 3u, 5u, 7u, 30u, 1000u, 1023u, 1024u, 1025u,
+                          8192u, 8192u, 12289u, 45312u, 57856u, 57856u}) {
+    dsp::Rng rng(len);
+    dsp::Signal x(len);
+    for (dsp::Complex& v : x) v = dsp::Complex(rng.gaussian(), rng.gaussian());
+    saw.filter_into(x, fs, rf_center, out, scratch);
+    const dsp::Signal want = natural_round_trip(saw, x, fs, rf_center);
+    ASSERT_EQ(out.size(), want.size());
+    std::size_t mismatched = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      if (std::bit_cast<std::uint64_t>(out[i].real()) !=
+              std::bit_cast<std::uint64_t>(want[i].real()) ||
+          std::bit_cast<std::uint64_t>(out[i].imag()) !=
+              std::bit_cast<std::uint64_t>(want[i].imag())) {
+        ++mismatched;
+      }
+    }
+    EXPECT_EQ(mismatched, 0u) << "len=" << len;
+  }
 }
 
 TEST(SawFilter, EmptyInput) {
