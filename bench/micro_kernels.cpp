@@ -9,7 +9,9 @@
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/simd.hpp"
+#include "frontend/cfs.hpp"
 #include "frontend/envelope_detector.hpp"
+#include "frontend/lna.hpp"
 #include "dsp/noise.hpp"
 #include "lora/chirp.hpp"
 #include "lora/crc.hpp"
@@ -113,26 +115,6 @@ void BM_ScaleAddGaussian(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaleAddGaussian)->Arg(0)->Arg(1);
 
-void BM_MixLoTable(benchmark::State& state) {
-  // The CFS output mixer against the cached LO table. Out-of-place so
-  // the operands stay representative (in-place would decay x to
-  // denormals/inf over the iteration count).
-  constexpr std::size_t n = 49152;
-  dsp::Rng rng(13);
-  dsp::RealSignal x(n), lo(n), out(n);
-  for (auto& v : x) v = rng.gaussian();
-  for (auto& v : lo) v = rng.gaussian();
-  dsp::simd::set_isa(bench_isa(state.range(0)));
-  for (auto _ : state) {
-    dsp::simd::multiply(x.data(), lo.data(), n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  dsp::simd::set_isa(dsp::simd::Isa::kAuto);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_MixLoTable)->Arg(0)->Arg(1);
-
 void BM_SumSquares(benchmark::State& state) {
   constexpr std::size_t n = 2 * 49152;
   dsp::Rng rng(14);
@@ -208,6 +190,32 @@ void BM_EnvelopeDetector(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnvelopeDetector);
+
+// The noisy CFS front end of one 45 312-sample decode frame: LNA draws
+// + square law, the flicker realization, and the one per-sample pass
+// (impairments, IF bandpass, LO, output low-pass). range(0) selects
+// the ISA as for the per-sample kernels (0 = dispatched, 1 = scalar).
+void BM_NoisyFrontEnd(benchmark::State& state) {
+  constexpr std::size_t n = 45312;
+  const core::SaiyanConfig cfg =
+      core::SaiyanConfig::make(phy(), core::Mode::kSuper);
+  const frontend::CyclicFrequencyShifter cfs(cfg.cfs, cfg.envelope);
+  const frontend::LnaStage lna = frontend::Lna(cfg.lna).stage();
+  dsp::Rng rng(4);
+  const dsp::Signal x = dsp::complex_awgn(n, 1e-10, rng);
+  frontend::FrontendScratch scratch;
+  dsp::RealSignal out;
+  dsp::simd::set_isa(bench_isa(state.range(0)));
+  for (auto _ : state) {
+    cfs.process_ws(x, lna, &rng, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  dsp::simd::set_isa(dsp::simd::Isa::kAuto);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_NoisyFrontEnd)->Arg(0)->Arg(1);
 
 void BM_SaiyanDemodPacket(benchmark::State& state) {
   const auto mode = static_cast<core::Mode>(state.range(0));

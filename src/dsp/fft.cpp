@@ -292,6 +292,53 @@ void fused_pass_scrambled_scalar(double* x, std::size_t n, std::size_t q,
   }
 }
 
+// True when log2(n) is odd: the power-of-two passes then start with a
+// plain radix-2 pass instead of a radix-2² one.
+bool odd_stage_count(std::size_t n) {
+  std::size_t log2n = 0;
+  while ((std::size_t{1} << log2n) < n) ++log2n;
+  return (log2n & 1) != 0;
+}
+
+// pow2_passes' twiddle-free first pass in the natural (bit-reversed
+// input) layout: for an odd number of stages one radix-2 pass over
+// adjacent pairs, else the 4-point butterflies over four adjacent
+// elements, with w_4 = -i (forward) / +i (inverse).
+void first_pass_scalar(double* x, std::size_t n, bool radix2, bool inverse) {
+  if (radix2) {
+    for (std::size_t i = 0; i < n; i += 2) {
+      double* a = x + 2 * i;
+      const double br = a[2];
+      const double bi = a[3];
+      const double ar = a[0];
+      const double ai = a[1];
+      a[0] = ar + br;
+      a[1] = ai + bi;
+      a[2] = ar - br;
+      a[3] = ai - bi;
+    }
+    return;
+  }
+  const double isign = inverse ? 1.0 : -1.0;
+  for (std::size_t i = 0; i < n; i += 4) {
+    double* p = x + 2 * i;
+    const double a0r = p[0] + p[2], a0i = p[1] + p[3];
+    const double a1r = p[0] - p[2], a1i = p[1] - p[3];
+    const double a2r = p[4] + p[6], a2i = p[5] + p[7];
+    const double a3r = p[4] - p[6], a3i = p[5] - p[7];
+    p[0] = a0r + a2r;
+    p[1] = a0i + a2i;
+    p[4] = a0r - a2r;
+    p[5] = a0i - a2i;
+    const double u3r = -isign * a3i;
+    const double u3i = isign * a3r;
+    p[2] = a1r + u3r;
+    p[3] = a1i + u3i;
+    p[6] = a1r - u3r;
+    p[7] = a1i - u3i;
+  }
+}
+
 // The scrambled forward's twiddle-free first pass: for an odd number of
 // stages one radix-2 pass pairing i with i + n/2, else the 4-point
 // butterflies with x0..x3 at offsets 0, n/2, n/4, 3n/4.
@@ -337,6 +384,51 @@ void first_pass_scrambled_scalar(double* x, std::size_t n, bool radix2) {
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define SAIYAN_FFT_AVX2 1
+
+// first_pass_scalar in AVX2. Adds, subtracts and sign flips only (the
+// ±1 multiplies of the scalar pass are exact, so an xor of the sign bit
+// reproduces them), so no FMA question arises and the output is
+// bit-identical to the scalar pass. Radix-2 runs two pairs per
+// iteration (n >= 4); the 4-point butterfly one per iteration.
+__attribute__((target("avx2"))) void first_pass_avx2(double* x, std::size_t n,
+                                                     bool radix2,
+                                                     bool inverse) {
+  if (radix2) {
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      double* p = x + 2 * i;
+      const __m256d v0 = _mm256_loadu_pd(p);      // a0 b0
+      const __m256d v1 = _mm256_loadu_pd(p + 4);  // a1 b1
+      const __m256d a = _mm256_permute2f128_pd(v0, v1, 0x20);  // a0 a1
+      const __m256d b = _mm256_permute2f128_pd(v0, v1, 0x31);  // b0 b1
+      const __m256d s = _mm256_add_pd(a, b);
+      const __m256d d = _mm256_sub_pd(a, b);
+      _mm256_storeu_pd(p, _mm256_permute2f128_pd(s, d, 0x20));
+      _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(s, d, 0x31));
+    }
+    if (i < n) first_pass_scalar(x + 2 * i, n - i, true, inverse);
+    return;
+  }
+  // u3 = (∓i)·a3 = (−isign·a3i, isign·a3r): swap re/im, then flip the
+  // re lane's sign (forward) or the im lane's (inverse) — the high
+  // half only, where a3 sits.
+  const __m256d i_mask = inverse ? _mm256_setr_pd(0.0, 0.0, -0.0, 0.0)
+                                 : _mm256_setr_pd(0.0, 0.0, 0.0, -0.0);
+  for (std::size_t i = 0; i < n; i += 4) {
+    double* p = x + 2 * i;
+    const __m256d v0 = _mm256_loadu_pd(p);      // x0 x1
+    const __m256d v1 = _mm256_loadu_pd(p + 4);  // x2 x3
+    const __m256d lo = _mm256_permute2f128_pd(v0, v1, 0x20);  // x0 x2
+    const __m256d hi = _mm256_permute2f128_pd(v0, v1, 0x31);  // x1 x3
+    const __m256d s = _mm256_add_pd(lo, hi);  // a0 a2
+    const __m256d d = _mm256_sub_pd(lo, hi);  // a1 a3
+    const __m256d u = _mm256_xor_pd(_mm256_permute_pd(d, 0x5), i_mask);
+    const __m256d e = _mm256_permute2f128_pd(s, d, 0x20);  // a0 a1
+    const __m256d f = _mm256_permute2f128_pd(s, u, 0x31);  // a2 u3
+    _mm256_storeu_pd(p, _mm256_add_pd(e, f));      // x0' x1'
+    _mm256_storeu_pd(p + 4, _mm256_sub_pd(e, f));  // x2' x3'
+  }
+}
 
 // Interleaved complex multiply, two lanes at once: the
 // movedup/permute + fmaddsub idiom.
@@ -688,6 +780,25 @@ bool radix3_combine_avx2(Complex* out, const Complex* s, const Complex* tw,
 #endif
 }
 
+void pow2_first_pass_scalar(Complex* x, std::size_t n, bool inverse) {
+  first_pass_scalar(reinterpret_cast<double*>(x), n, odd_stage_count(n),
+                    inverse);
+}
+
+bool pow2_first_pass_avx2(Complex* x, std::size_t n, bool inverse) {
+#ifdef SAIYAN_FFT_AVX2
+  if (!have_avx2_fma()) return false;
+  first_pass_avx2(reinterpret_cast<double*>(x), n, odd_stage_count(n),
+                  inverse);
+  return true;
+#else
+  (void)x;
+  (void)n;
+  (void)inverse;
+  return false;
+#endif
+}
+
 void real_untangle_scalar(Complex* z, const Complex* tw, std::size_t h) {
   double* d = reinterpret_cast<double*>(z);
   for (std::size_t k = 1; 2 * k <= h; ++k) untangle_pair(d, tw, h, k);
@@ -737,51 +848,26 @@ bool real_pretangle_avx2(Complex* z, const Complex* tw, std::size_t h) {
 // are bound by. The input is in bit-reversed order.
 void FftPlan::pow2_passes(double* x, bool inverse, bool avx2) const {
   const std::size_t n = n_;
-  // Sub-transform size already completed; grows 4x per fused pass.
-  std::size_t m = 1;
-  std::size_t log2n = 0;
-  while ((std::size_t{1} << log2n) < n) ++log2n;
-  if (log2n & 1) {
-    // Odd number of stages: one plain radix-2 pass (w = 1 throughout).
-    for (std::size_t i = 0; i < n; i += 2) {
-      double* a = x + 2 * i;
-      const double br = a[2];
-      const double bi = a[3];
-      const double ar = a[0];
-      const double ai = a[1];
-      a[0] = ar + br;
-      a[1] = ai + bi;
-      a[2] = ar - br;
-      a[3] = ai - bi;
-    }
-    m = 2;
+  if (n < 2) return;
+  // Odd number of stages: one plain radix-2 pass (w = 1 throughout);
+  // even: a first fused pass whose twiddles are all 1 — pure 4-point
+  // butterflies.
+  const bool radix2 = odd_stage_count(n);
+#ifdef SAIYAN_FFT_AVX2
+  if (avx2) {
+    first_pass_avx2(x, n, radix2, inverse);
+  } else {
+    first_pass_scalar(x, n, radix2, inverse);
   }
-  // w_4 = exp(∓iπ/2): multiply by -i (forward) / +i (inverse). The
+#else
+  first_pass_scalar(x, n, radix2, inverse);
+#endif
+  // Sub-transform size already completed; grows 4x per fused pass. The
   // inverse transform reuses the forward tables with conjugated
   // twiddles (imag parts negated on the fly).
+  std::size_t m = radix2 ? 2 : 4;
   const double isign = inverse ? 1.0 : -1.0;
   const double csign = inverse ? -1.0 : 1.0;
-  if (m == 1 && m < n) {
-    // First fused pass: every twiddle is 1 — pure 4-point butterflies.
-    for (std::size_t i = 0; i < n; i += 4) {
-      double* p = x + 2 * i;
-      const double a0r = p[0] + p[2], a0i = p[1] + p[3];
-      const double a1r = p[0] - p[2], a1i = p[1] - p[3];
-      const double a2r = p[4] + p[6], a2i = p[5] + p[7];
-      const double a3r = p[4] - p[6], a3i = p[5] - p[7];
-      p[0] = a0r + a2r;
-      p[1] = a0i + a2i;
-      p[4] = a0r - a2r;
-      p[5] = a0i - a2i;
-      const double u3r = -isign * a3i;
-      const double u3i = isign * a3r;
-      p[2] = a1r + u3r;
-      p[3] = a1i + u3i;
-      p[6] = a1r - u3r;
-      p[7] = a1i - u3i;
-    }
-    m = 4;
-  }
   const Complex* twa = stage_twa_.data();
   const Complex* twb = stage_twb_.data();
   for (; m < n; m *= 4) {
@@ -810,9 +896,7 @@ void FftPlan::pow2_passes(double* x, bool inverse, bool avx2) const {
 void FftPlan::pow2_passes_scrambled(double* x, bool avx2) const {
   const std::size_t n = n_;
   if (n < 2) return;
-  std::size_t log2n = 0;
-  while ((std::size_t{1} << log2n) < n) ++log2n;
-  const bool radix2 = (log2n & 1) != 0;
+  const bool radix2 = odd_stage_count(n);
 #ifdef SAIYAN_FFT_AVX2
   if (avx2 && n >= 8) {
     first_pass_scrambled_avx2(x, n, radix2);

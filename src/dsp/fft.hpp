@@ -262,6 +262,16 @@ bool radix3_combine_avx2(Complex* out, const Complex* s, const Complex* tw,
 /// makes the unnormalized n/2-point inverse yield n·x). The AVX2
 /// variants keep the scalar association with no FMA contraction and
 /// return false on hosts without AVX2+FMA.
+/// pow2_passes' twiddle-free first pass over x[0..n) in its natural
+/// (bit-reversed input) layout, n a power of two >= 2: one radix-2 pass
+/// over adjacent pairs for an odd number of stages, else the 4-point
+/// butterflies over four adjacent values. Every inverse transform runs
+/// it. Adds, subtracts and sign flips only, so the AVX2 variant is
+/// bit-identical to the scalar one; it returns false on hosts without
+/// AVX2+FMA.
+void pow2_first_pass_scalar(Complex* x, std::size_t n, bool inverse);
+bool pow2_first_pass_avx2(Complex* x, std::size_t n, bool inverse);
+
 void real_untangle_scalar(Complex* z, const Complex* tw, std::size_t h);
 bool real_untangle_avx2(Complex* z, const Complex* tw, std::size_t h);
 void real_pretangle_scalar(Complex* z, const Complex* tw, std::size_t h);

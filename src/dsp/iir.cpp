@@ -47,15 +47,6 @@ Biquad Biquad::bandpass(double f0_hz, double fs_hz, double q) {
   return Biquad(alpha, 0.0, -alpha, 1 + alpha, -2 * cw, 1 - alpha);
 }
 
-double Biquad::step(double x) {
-  const double y = b0_ * x + b1_ * x1_ + b2_ * x2_ - a1_ * y1_ - a2_ * y2_;
-  x2_ = x1_;
-  x1_ = x;
-  y2_ = y1_;
-  y1_ = y;
-  return y;
-}
-
 RealSignal Biquad::process(std::span<const double> x) {
   RealSignal out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = step(x[i]);
@@ -91,11 +82,6 @@ OnePole::OnePole(double cutoff_hz, double fs_hz) {
   const double rc = 1.0 / (kTwoPi * cutoff_hz);
   const double dt = 1.0 / fs_hz;
   alpha_ = dt / (rc + dt);
-}
-
-double OnePole::step(double x) {
-  y_ += alpha_ * (x - y_);
-  return y_;
 }
 
 RealSignal OnePole::process(std::span<const double> x) {

@@ -22,7 +22,17 @@ class Biquad {
   /// Constant-peak-gain bandpass centered at f0 with quality factor q.
   static Biquad bandpass(double f0_hz, double fs_hz, double q);
 
-  double step(double x);
+  /// One sample. Inline so a caller's per-sample loop keeps the filter
+  /// state in registers (the fused front-end pass runs two of these
+  /// back to back).
+  double step(double x) {
+    const double y = b0_ * x + b1_ * x1_ + b2_ * x2_ - a1_ * y1_ - a2_ * y2_;
+    x2_ = x1_;
+    x1_ = x;
+    y2_ = y1_;
+    y1_ = y;
+    return y;
+  }
   RealSignal process(std::span<const double> x);
   /// Filter in place (x[i] overwritten with y[i]) — the
   /// zero-allocation workspace path. Same values as process().
@@ -47,7 +57,10 @@ class OnePole {
   /// Build from a -3 dB cutoff frequency.
   OnePole(double cutoff_hz, double fs_hz);
 
-  double step(double x);
+  double step(double x) {
+    y_ += alpha_ * (x - y_);
+    return y_;
+  }
   RealSignal process(std::span<const double> x);
   /// Filter in place — same values as process().
   void process_inplace(std::span<double> x);

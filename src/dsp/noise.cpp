@@ -38,13 +38,18 @@ RealSignal real_white_noise(std::size_t n, double power_watts, Rng& rng) {
 
 RealSignal flicker_noise(std::size_t n, double power_watts, Rng& rng) {
   RealSignal out;
-  RealSignal drive;
-  flicker_noise_into(n, power_watts, rng, out, drive);
+  flicker_noise_into(n, power_watts, rng, out);
   return out;
 }
 
 void flicker_noise_into(std::size_t n, double power_watts, Rng& rng,
-                        RealSignal& out, RealSignal& drive_scratch) {
+                        RealSignal& out) {
+  const double gain = flicker_noise_unscaled(n, power_watts, rng, out);
+  simd::scale(out.data(), n, gain, out.data());
+}
+
+double flicker_noise_unscaled(std::size_t n, double power_watts, Rng& rng,
+                              RealSignal& out) {
   if (power_watts < 0.0) throw std::invalid_argument("flicker_noise: negative power");
   // Sum of octave-spaced one-pole low-pass stages driven by white
   // noise, each normalized to equal variance — equal power per
@@ -73,25 +78,31 @@ void flicker_noise_into(std::size_t n, double power_watts, Rng& rng,
   // normalization below the measured effect on the envelope band is
   // negligible: <0.2 dB in 0–200 kHz and ~0.5 dB across sub-bands
   // versus independent drives at fs = 4 MHz (docs/PERFORMANCE.md).
-  // The drive is batch-drawn (same stream order as per-sample draws);
-  // the stage recurrence itself is inherently sequential.
-  drive_scratch.resize(n);
-  simd::fill_gaussian(rng, drive_scratch.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = drive_scratch[i];
-    double acc = 0.0;
-    for (std::size_t s = 0; s < kStages; ++s) {
-      state[s] += alpha[s] * (w - state[s]);
-      acc += gain[s] * state[s];
-    }
-    out[i] = acc;
-  }
-  // Normalize to the requested power.
+  // The drive is drawn a stack block at a time (same stream order as
+  // per-sample draws); the stage recurrence itself is sequential. Each
+  // block runs on local copies of the filter, which the compiler keeps
+  // in registers — through the captured references every store to the
+  // output could alias the state.
+  double* y = out.data();
+  simd::for_each_gaussian_block(
+      rng, n, [&](const double* w, std::size_t i0, std::size_t m) {
+        std::array<double, kStages> st = state;
+        const std::array<double, kStages> a = alpha;
+        const std::array<double, kStages> g = gain;
+        for (std::size_t j = 0; j < m; ++j) {
+          const double wj = w[j];
+          double acc = 0.0;
+          for (std::size_t s = 0; s < kStages; ++s) {
+            st[s] += a[s] * (wj - st[s]);
+            acc += g[s] * st[s];
+          }
+          y[i0 + j] = acc;
+        }
+        state = st;
+      });
+  // The gain that normalizes the realization to the requested power.
   const double p = signal_power(std::span<const double>(out));
-  if (p > 0.0) {
-    const double scale = std::sqrt(power_watts / p);
-    simd::scale(out.data(), n, scale, out.data());
-  }
+  return p > 0.0 ? std::sqrt(power_watts / p) : 1.0;
 }
 
 double thermal_noise_floor_dbm(double bandwidth_hz, double noise_figure_db) {

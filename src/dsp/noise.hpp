@@ -26,11 +26,19 @@ RealSignal real_white_noise(std::size_t n, double power_watts, Rng& rng);
 /// filtered white noise (Voss–McCartney style IIR approximation).
 RealSignal flicker_noise(std::size_t n, double power_watts, Rng& rng);
 
-/// flicker_noise into a caller-owned buffer, with the white drive
-/// batch-drawn into `drive_scratch` — the zero-allocation workspace
-/// path. Identical draws and values to flicker_noise().
+/// flicker_noise into a caller-owned buffer — the zero-allocation
+/// workspace path (the white drive is drawn a stack block at a time).
+/// Identical draws and values to flicker_noise().
 void flicker_noise_into(std::size_t n, double power_watts, Rng& rng,
-                        RealSignal& out, RealSignal& drive_scratch);
+                        RealSignal& out);
+
+/// flicker_noise_into without its final scaling pass: writes the raw
+/// stage sum into `out` and returns the gain that normalizes it to
+/// `power_watts` (1 when the raw sum has no power). gain·out[i] is
+/// bit-identical to flicker_noise_into's out[i], so a consumer that
+/// sweeps the frame anyway folds the scaling into its own pass.
+double flicker_noise_unscaled(std::size_t n, double power_watts, Rng& rng,
+                              RealSignal& out);
 
 /// Thermal noise floor in dBm for a given bandwidth and noise figure:
 /// -174 dBm/Hz + 10 log10(BW) + NF.

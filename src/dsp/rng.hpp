@@ -8,10 +8,13 @@
 // splitmix64, and gaussian draws use a 128-layer ziggurat instead of
 // std::normal_distribution — the normal draw is the single hottest
 // operation in the waveform simulation (every RF and detector noise
-// sample), and engine + ziggurat together cut it from ~18 ns to a few
-// ns. Sequences are deterministic per seed, as before.
+// sample). Engine + ziggurat cut it from ~18 ns to ~4 ns per draw
+// (3.9 ns for gaussian(), 3.7–4.4 ns in simd::fill_gaussian's block
+// draw, on a 4-vCPU Xeon VM; docs/PERFORMANCE.md). Sequences are
+// deterministic per seed, as before.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -103,28 +106,31 @@ inline double uniform_open_from(Next&& next) {
 }
 
 /// The scalar ziggurat over an arbitrary 64-bit word source — the
-/// single reference implementation. Rng::gaussian() draws through it
-/// with the engine directly; the batch kernels (dsp/simd.cpp) draw
-/// through it with a word FIFO when replaying rejected candidates, so
-/// both consume identical word streams and produce identical values
-/// by construction.
+/// single implementation. Rng::gaussian() draws through it with the
+/// engine directly and simd::fill_gaussian with a register-held copy
+/// of the engine, so both consume identical word streams and produce
+/// identical values by construction.
 template <typename Next>
 inline double gaussian_from(const ZigguratTables& t, Next&& next) {
   for (;;) {
     const std::uint64_t u = next();
     const int i = static_cast<int>(u & 127u);
-    const bool neg = (u >> 7) & 1u;
+    // Word bit 7 is the sign, moved to the double's sign bit.
+    const std::uint64_t sign = (u & 128u) << 56;
+    const bool neg = sign != 0;
     const std::uint64_t u53 = u >> 11;  // top 53 bits: uniform mantissa
     // u53 < 2^53, so converting through int64 is exact and identical
     // to the unsigned conversion — but compiles to a single cvtsi2sd
     // instead of the unsigned-range fixup sequence (~2 ns/draw).
-    if (u53 < t.k[i]) {  // fully inside the layer (integer compare)
-      const double x =
-          static_cast<double>(static_cast<std::int64_t>(u53)) * t.w[i];
-      return neg ? -x : x;
-    }
     const double x =
         static_cast<double>(static_cast<std::int64_t>(u53)) * t.w[i];
+    if (u53 < t.k[i]) {  // fully inside the layer (integer compare)
+      // x >= 0, so flipping its sign bit is exactly -x. An xor instead
+      // of `neg ? -x : x`: the sign is a coin flip, and as a branch it
+      // mispredicted on every other draw (it cost more than half of the
+      // draw).
+      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^ sign);
+    }
     if (i == 0) {
       // Base layer miss: sample the tail x > r (Marsaglia).
       double xt, yt;

@@ -64,21 +64,14 @@ void square_law_mixed_scalar(const Complex* x, const double* gain,
   }
 }
 
-// The fused LNA + square-law reference. A null rng is the draw-free
-// arm: re = g·x, the same arithmetic as scale() then square_law().
+// The draw-free LNA + square-law reference (the noiseless arm):
+// re = g·x, the same arithmetic as scale() then square_law().
 void lna_square_law_scalar(const Complex* x, const double* gain,
-                           std::size_t n, double g, double sigma, double k,
-                           double* y, Rng* rng) {
+                           std::size_t n, double g, double k, double* y) {
   const double* d = reinterpret_cast<const double*>(x);
   for (std::size_t i = 0; i < n; ++i) {
-    double re = d[2 * i];
-    double im = d[2 * i + 1];
-    if (rng != nullptr) {
-      re += sigma * rng->gaussian();
-      im += sigma * rng->gaussian();
-    }
-    re *= g;
-    im *= g;
+    const double re = g * d[2 * i];
+    const double im = g * d[2 * i + 1];
     if (gain != nullptr) {
       const double g2 = gain[i] * gain[i];
       y[i] = k * g2 * (re * re + im * im);
@@ -90,11 +83,6 @@ void lna_square_law_scalar(const Complex* x, const double* gain,
 
 void scale_scalar(const double* x, std::size_t n, double g, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = g * x[i];
-}
-
-void multiply_scalar(const double* x, const double* y, std::size_t n,
-                     double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * y[i];
 }
 
 void complex_scale_table_scalar(Complex* x, const double* g, std::size_t n) {
@@ -244,6 +232,32 @@ __attribute__((target("avx2"))) void square_law_mixed_avx2(
   }
 }
 
+// Draw-free arm: four samples per step in square_law_avx2's layout,
+// each amplified by g first (scale_avx2's g·x).
+__attribute__((target("avx2"))) void lna_square_law_avx2(
+    const Complex* xc, const double* gain, std::size_t n, double g, double k,
+    double* y) {
+  const double* x = reinterpret_cast<const double*>(xc);
+  const __m256d gv = _mm256_set1_pd(g);
+  const __m256d kv = _mm256_set1_pd(k);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = _mm256_mul_pd(gv, _mm256_loadu_pd(x + 2 * i));
+    const __m256d b = _mm256_mul_pd(gv, _mm256_loadu_pd(x + 2 * i + 4));
+    const __m256d h =
+        _mm256_hadd_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b));
+    const __m256d s = _mm256_permute4x64_pd(h, 0xD8);
+    __m256d kg2 = kv;
+    if (gain != nullptr) {
+      const __m256d gm = _mm256_loadu_pd(gain + i);
+      kg2 = _mm256_mul_pd(kv, _mm256_mul_pd(gm, gm));
+    }
+    _mm256_storeu_pd(y + i, _mm256_mul_pd(kg2, s));
+  }
+  lna_square_law_scalar(xc + i, gain != nullptr ? gain + i : nullptr, n - i,
+                        g, k, y + i);
+}
+
 __attribute__((target("avx2"))) void scale_avx2(const double* x, std::size_t n,
                                                 double g, double* out) {
   const __m256d gv = _mm256_set1_pd(g);
@@ -252,17 +266,6 @@ __attribute__((target("avx2"))) void scale_avx2(const double* x, std::size_t n,
     _mm256_storeu_pd(out + i, _mm256_mul_pd(gv, _mm256_loadu_pd(x + i)));
   }
   for (; i < n; ++i) out[i] = g * x[i];
-}
-
-__attribute__((target("avx2"))) void multiply_avx2(const double* x,
-                                                   const double* y,
-                                                   std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(x + i),
-                                            _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] * y[i];
 }
 
 __attribute__((target("avx2"))) void complex_scale_table_avx2(Complex* x,
@@ -397,299 +400,6 @@ __attribute__((target("avx2"))) double sum_squares_avx2(const double* x,
 
 #endif  // SAIYAN_SIMD_AVX2
 
-// -------------------------------------------------------- gaussian fill
-// Batch ziggurat. The scalar path is literally n repeated
-// Rng::gaussian() calls. The AVX2 path draws engine words in blocks of
-// four, vectorizes the layer lookup + accept test, and on any
-// rejection replays the remaining buffered words through the scalar
-// ziggurat (a FIFO over the engine), so the consumed word sequence —
-// and therefore every produced value — is identical to the scalar
-// path.
-
-using detail::gaussian_from;  // the shared scalar ziggurat (dsp/rng.hpp)
-
-#ifdef SAIYAN_SIMD_AVX2
-
-/// Exact conversion of four sub-2^53 words to doubles (split into a
-/// 2^32-weighted high part and a 2^52-biased low part; every step is
-/// exact for this range, so the result is bit-identical to cvtsi2sd).
-__attribute__((target("avx2"), always_inline)) inline __m256d u53_to_pd(
-    __m256i x) {
-  const __m256i hi = _mm256_or_si256(
-      _mm256_srli_epi64(x, 32),
-      _mm256_castpd_si256(_mm256_set1_pd(19342813113834066795298816.)));  // 2^84
-  const __m256i lo = _mm256_blend_epi32(
-      x, _mm256_castpd_si256(_mm256_set1_pd(0x1p52)), 0xAA);
-  const __m256d f = _mm256_sub_pd(
-      _mm256_castsi256_pd(hi),
-      _mm256_set1_pd(19342813118337666422669312.));  // 2^84 + 2^52
-  return _mm256_add_pd(f, _mm256_castsi256_pd(lo));
-}
-
-/// Accept test for four buffered engine words. `*values` receives the
-/// four candidate gaussians (only the leading `accepted` lanes are
-/// valid); returns the length of the leading accepted run (4 = the
-/// whole block accepted). Table lookups are scalar loads (the
-/// ziggurat tables live in L1; vpgatherqq loses to them on most
-/// cores); the convert, multiply and sign flip are vector ops.
-__attribute__((target("avx2"), always_inline)) inline int gaussian4_avx2(
-    const detail::ZigguratTables& t, const std::uint64_t* u, __m256d* values) {
-  const int i0 = static_cast<int>(u[0] & 127u);
-  const int i1 = static_cast<int>(u[1] & 127u);
-  const int i2 = static_cast<int>(u[2] & 127u);
-  const int i3 = static_cast<int>(u[3] & 127u);
-  const __m256i uv =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(u));
-  const __m256i kv = _mm256_set_epi64x(
-      static_cast<long long>(t.k[i3]), static_cast<long long>(t.k[i2]),
-      static_cast<long long>(t.k[i1]), static_cast<long long>(t.k[i0]));
-  const __m256d wv = _mm256_set_pd(t.w[i3], t.w[i2], t.w[i1], t.w[i0]);
-  const __m256i u53 = _mm256_srli_epi64(uv, 11);
-  // Both sides are < 2^53, so the signed compare is exact.
-  const __m256i lt = _mm256_cmpgt_epi64(kv, u53);
-  const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(lt));
-  const int accepted =
-      mask == 0xF ? 4 : __builtin_ctz(static_cast<unsigned>(~mask & 0x1F));
-  const __m256d x = _mm256_mul_pd(u53_to_pd(u53), wv);
-  // The sign bit rides word bit 7: shift it to bit 63 and xor.
-  const __m256i sgn = _mm256_and_si256(
-      _mm256_slli_epi64(uv, 56), _mm256_set1_epi64x(
-                                     static_cast<long long>(0x8000000000000000ULL)));
-  *values = _mm256_xor_pd(x, _mm256_castsi256_pd(sgn));
-  return accepted;
-}
-
-// The fused draw + inject kernels share this shape: engine words are
-// drawn in blocks of four, the vector accept test handles the ~94%
-// all-accept case with a vector update, and any rejected candidate
-// (plus buffered words after it) replays through the scalar ziggurat
-// via the word FIFO — so the draw stream is exactly the scalar one.
-
-__attribute__((target("avx2"))) void fill_gaussian_avx2(Rng& rng, double* out,
-                                                        std::size_t n) {
-  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
-  std::uint64_t buf[4];
-  std::size_t pos = 0, len = 0;
-  const auto next = [&]() { return pos < len ? buf[pos++] : rng.engine()(); };
-  std::size_t i = 0;
-  while (i < n) {
-    if (pos == len && n - i >= 4) {
-      for (int l = 0; l < 4; ++l) buf[l] = rng.engine()();
-      len = 4;
-      __m256d g4;
-      const int accepted = gaussian4_avx2(t, buf, &g4);
-      if (accepted == 4) {
-        _mm256_storeu_pd(out + i, g4);
-        i += 4;
-        pos = len = 0;
-        continue;
-      }
-      alignas(32) double tmp[4];
-      _mm256_store_pd(tmp, g4);
-      for (int l = 0; l < accepted; ++l) out[i++] = tmp[l];
-      pos = static_cast<std::size_t>(accepted);
-    }
-    out[i++] = gaussian_from(t, next);
-  }
-}
-
-__attribute__((target("avx2"))) void scale_add_gaussian_avx2(
-    const double* x, std::size_t n, double a, double sigma, double* out,
-    Rng& rng) {
-  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
-  const __m256d av = _mm256_set1_pd(a);
-  const __m256d sv = _mm256_set1_pd(sigma);
-  std::uint64_t buf[4];
-  std::size_t pos = 0, len = 0;
-  const auto next = [&]() { return pos < len ? buf[pos++] : rng.engine()(); };
-  std::size_t i = 0;
-  while (i < n) {
-    if (pos == len && n - i >= 4) {
-      for (int l = 0; l < 4; ++l) buf[l] = rng.engine()();
-      len = 4;
-      __m256d g4;
-      const int accepted = gaussian4_avx2(t, buf, &g4);
-      if (accepted == 4) {
-        const __m256d u = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-        _mm256_storeu_pd(out + i, _mm256_add_pd(u, _mm256_mul_pd(sv, g4)));
-        i += 4;
-        pos = len = 0;
-        continue;
-      }
-      alignas(32) double tmp[4];
-      _mm256_store_pd(tmp, g4);
-      for (int l = 0; l < accepted; ++l) {
-        out[i] = a * x[i] + sigma * tmp[l];
-        ++i;
-      }
-      pos = static_cast<std::size_t>(accepted);
-    }
-    const double g = gaussian_from(t, next);
-    out[i] = a * x[i] + sigma * g;
-    ++i;
-  }
-}
-
-__attribute__((target("avx2"))) void gain_add_gaussian_avx2(
-    const double* x, std::size_t n, double g, double sigma, double* out,
-    Rng& rng) {
-  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
-  const __m256d gv = _mm256_set1_pd(g);
-  const __m256d sv = _mm256_set1_pd(sigma);
-  std::uint64_t buf[4];
-  std::size_t pos = 0, len = 0;
-  const auto next = [&]() { return pos < len ? buf[pos++] : rng.engine()(); };
-  std::size_t i = 0;
-  while (i < n) {
-    if (pos == len && n - i >= 4) {
-      for (int l = 0; l < 4; ++l) buf[l] = rng.engine()();
-      len = 4;
-      __m256d g4;
-      const int accepted = gaussian4_avx2(t, buf, &g4);
-      if (accepted == 4) {
-        const __m256d u = _mm256_add_pd(_mm256_loadu_pd(x + i),
-                                        _mm256_mul_pd(sv, g4));
-        _mm256_storeu_pd(out + i, _mm256_mul_pd(gv, u));
-        i += 4;
-        pos = len = 0;
-        continue;
-      }
-      alignas(32) double tmp[4];
-      _mm256_store_pd(tmp, g4);
-      for (int l = 0; l < accepted; ++l) {
-        out[i] = g * (x[i] + sigma * tmp[l]);
-        ++i;
-      }
-      pos = static_cast<std::size_t>(accepted);
-    }
-    const double gs = gaussian_from(t, next);
-    out[i] = g * (x[i] + sigma * gs);
-    ++i;
-  }
-}
-
-__attribute__((target("avx2"))) void lna_square_law_avx2(
-    const Complex* xc, const double* gain, std::size_t n, double g,
-    double sigma, double k, double* y, Rng* rng_or_null) {
-  const double* x = reinterpret_cast<const double*>(xc);
-  if (rng_or_null == nullptr) {
-    // Draw-free arm: four samples per step in square_law_avx2's layout,
-    // each amplified by g first (scale_avx2's g·x).
-    const __m256d gv = _mm256_set1_pd(g);
-    const __m256d kv = _mm256_set1_pd(k);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d a = _mm256_mul_pd(gv, _mm256_loadu_pd(x + 2 * i));
-      const __m256d b = _mm256_mul_pd(gv, _mm256_loadu_pd(x + 2 * i + 4));
-      const __m256d h =
-          _mm256_hadd_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b));
-      const __m256d s = _mm256_permute4x64_pd(h, 0xD8);
-      __m256d kg2 = kv;
-      if (gain != nullptr) {
-        const __m256d gm = _mm256_loadu_pd(gain + i);
-        kg2 = _mm256_mul_pd(kv, _mm256_mul_pd(gm, gm));
-      }
-      _mm256_storeu_pd(y + i, _mm256_mul_pd(kg2, s));
-    }
-    lna_square_law_scalar(xc + i, gain != nullptr ? gain + i : nullptr, n - i,
-                          g, sigma, k, y + i, nullptr);
-    return;
-  }
-  Rng& rng = *rng_or_null;
-  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
-  const __m256d gv = _mm256_set1_pd(g);
-  const __m256d sv = _mm256_set1_pd(sigma);
-  const __m128d kv = _mm_set1_pd(k);
-  std::uint64_t buf[4];
-  std::size_t pos = 0, len = 0;
-  const auto next = [&]() { return pos < len ? buf[pos++] : rng.engine()(); };
-  std::size_t i = 0;  // sample (complex) index
-  while (i < n) {
-    if (pos == len && n - i >= 2) {
-      for (int l = 0; l < 4; ++l) buf[l] = rng.engine()();
-      len = 4;
-      __m256d g4;
-      const int accepted = gaussian4_avx2(t, buf, &g4);
-      if (accepted == 4) {
-        const __m256d u = _mm256_add_pd(_mm256_loadu_pd(x + 2 * i),
-                                        _mm256_mul_pd(sv, g4));
-        const __m256d amp = _mm256_mul_pd(gv, u);
-        const __m256d sq = _mm256_mul_pd(amp, amp);
-        const __m256d h = _mm256_hadd_pd(sq, sq);  // [s0 s0 s1 s1]
-        const __m128d s = _mm_unpacklo_pd(_mm256_castpd256_pd128(h),
-                                          _mm256_extractf128_pd(h, 1));
-        __m128d out;
-        if (gain != nullptr) {
-          const __m128d gm = _mm_loadu_pd(gain + i);
-          const __m128d g2 = _mm_mul_pd(gm, gm);
-          out = _mm_mul_pd(_mm_mul_pd(kv, g2), s);
-        } else {
-          out = _mm_mul_pd(kv, s);
-        }
-        _mm_storeu_pd(y + i, out);
-        i += 2;
-        pos = len = 0;
-        continue;
-      }
-      // A rejected candidate: replay the whole block through the
-      // scalar ziggurat (identical values — draws are pure functions
-      // of the engine words).
-      pos = 0;
-    }
-    const double nr = sigma * gaussian_from(t, next);
-    const double ni = sigma * gaussian_from(t, next);
-    const double re = g * (x[2 * i] + nr);
-    const double im = g * (x[2 * i + 1] + ni);
-    if (gain != nullptr) {
-      const double g2 = gain[i] * gain[i];
-      y[i] = k * g2 * (re * re + im * im);
-    } else {
-      y[i] = k * (re * re + im * im);
-    }
-    ++i;
-  }
-}
-
-__attribute__((target("avx2"))) void add_dc_flicker_gaussian_avx2(
-    double* y, const double* flicker, std::size_t n, double dc, double sigma,
-    Rng& rng) {
-  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
-  const __m256d dcv = _mm256_set1_pd(dc);
-  const __m256d sv = _mm256_set1_pd(sigma);
-  std::uint64_t buf[4];
-  std::size_t pos = 0, len = 0;
-  const auto next = [&]() { return pos < len ? buf[pos++] : rng.engine()(); };
-  std::size_t i = 0;
-  while (i < n) {
-    if (pos == len && n - i >= 4) {
-      for (int l = 0; l < 4; ++l) buf[l] = rng.engine()();
-      len = 4;
-      __m256d g4;
-      const int accepted = gaussian4_avx2(t, buf, &g4);
-      if (accepted == 4) {
-        const __m256d f = _mm256_add_pd(dcv, _mm256_loadu_pd(flicker + i));
-        const __m256d rhs = _mm256_add_pd(f, _mm256_mul_pd(sv, g4));
-        _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), rhs));
-        i += 4;
-        pos = len = 0;
-        continue;
-      }
-      alignas(32) double tmp[4];
-      _mm256_store_pd(tmp, g4);
-      for (int l = 0; l < accepted; ++l) {
-        y[i] += dc + flicker[i] + sigma * tmp[l];
-        ++i;
-      }
-      pos = static_cast<std::size_t>(accepted);
-    }
-    const double g = gaussian_from(t, next);
-    y[i] += dc + flicker[i] + sigma * g;
-    ++i;
-  }
-}
-
-#endif  // SAIYAN_SIMD_AVX2
-
 }  // namespace
 
 void square_law(const Complex* x, std::size_t n, double k, double* y) {
@@ -712,13 +422,6 @@ void scale(const double* x, std::size_t n, double g, double* out) {
   if (use_avx2()) return scale_avx2(x, n, g, out);
 #endif
   scale_scalar(x, n, g, out);
-}
-
-void multiply(const double* x, const double* y, std::size_t n, double* out) {
-#ifdef SAIYAN_SIMD_AVX2
-  if (use_avx2()) return multiply_avx2(x, y, n, out);
-#endif
-  multiply_scalar(x, y, n, out);
 }
 
 void complex_scale_table(Complex* x, const double* g, std::size_t n) {
@@ -746,48 +449,73 @@ double sum_squares(const Complex* x, std::size_t n) {
   return sum_squares(reinterpret_cast<const double*>(x), 2 * n);
 }
 
+// The draw loop behind every gaussian consumer in this file (and
+// behind simd::for_each_gaussian_block): n repeated draws of the shared
+// scalar ziggurat with the engine copied into locals for the whole fill
+// and written back at the end, so the xoshiro state lives in registers
+// instead of round-tripping through the Rng. It consumes exactly the
+// words n repeated Rng::gaussian() calls consume. There is no AVX2
+// variant: with the ziggurat's sign applied as a bit flip instead of a
+// branch, this loop draws as fast as the former vectorized accept test
+// did (docs/PERFORMANCE.md, "Fused noisy front end").
 void fill_gaussian(Rng& rng, double* out, std::size_t n) {
-#ifdef SAIYAN_SIMD_AVX2
-  if (use_avx2()) return fill_gaussian_avx2(rng, out, n);
-#endif
-  for (std::size_t i = 0; i < n; ++i) out[i] = rng.gaussian();
+  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
+  Xoshiro256pp eng = rng.engine();
+  for (std::size_t i = 0; i < n; ++i) out[i] = detail::gaussian_from(t, eng);
+  rng.engine() = eng;
 }
+
+// The fused draw + inject kernels: the shared block draw, then one
+// element-wise pass over the block in the scalar expression's
+// association. Neither depends on the dispatch target (no FMA
+// contraction in the portable build).
 
 void scale_add_gaussian(const double* x, std::size_t n, double a, double sigma,
                         double* out, Rng& rng) {
-#ifdef SAIYAN_SIMD_AVX2
-  if (use_avx2()) return scale_add_gaussian_avx2(x, n, a, sigma, out, rng);
-#endif
-  for (std::size_t i = 0; i < n; ++i) out[i] = a * x[i] + sigma * rng.gaussian();
+  for_each_gaussian_block(
+      rng, n, [&](const double* g, std::size_t i0, std::size_t m) {
+        for (std::size_t j = 0; j < m; ++j) {
+          out[i0 + j] = a * x[i0 + j] + sigma * g[j];
+        }
+      });
 }
 
 void gain_add_gaussian(const double* x, std::size_t n, double g, double sigma,
                        double* out, Rng& rng) {
-#ifdef SAIYAN_SIMD_AVX2
-  if (use_avx2()) return gain_add_gaussian_avx2(x, n, g, sigma, out, rng);
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    const double gs = sigma * rng.gaussian();
-    out[i] = g * (x[i] + gs);
-  }
-}
-
-void add_dc_flicker_gaussian(double* y, const double* flicker, std::size_t n,
-                             double dc, double sigma, Rng& rng) {
-#ifdef SAIYAN_SIMD_AVX2
-  if (use_avx2()) return add_dc_flicker_gaussian_avx2(y, flicker, n, dc, sigma, rng);
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] += dc + flicker[i] + sigma * rng.gaussian();
-  }
+  for_each_gaussian_block(
+      rng, n, [&](const double* gs, std::size_t i0, std::size_t m) {
+        for (std::size_t j = 0; j < m; ++j) {
+          out[i0 + j] = g * (x[i0 + j] + sigma * gs[j]);
+        }
+      });
 }
 
 void lna_square_law(const Complex* x, const double* gain, std::size_t n,
                     double g, double sigma, double k, double* y, Rng* rng) {
+  if (rng == nullptr) {
 #ifdef SAIYAN_SIMD_AVX2
-  if (use_avx2()) return lna_square_law_avx2(x, gain, n, g, sigma, k, y, rng);
+    if (use_avx2()) return lna_square_law_avx2(x, gain, n, g, k, y);
 #endif
-  lna_square_law_scalar(x, gain, n, g, sigma, k, y, rng);
+    return lna_square_law_scalar(x, gain, n, g, k, y);
+  }
+  // Two draws per sample (re, im); kGaussianBlock is even, so every
+  // block covers whole samples.
+  const double* d = reinterpret_cast<const double*>(x);
+  for_each_gaussian_block(
+      *rng, 2 * n, [&](const double* gd, std::size_t first, std::size_t m) {
+        const std::size_t i0 = first / 2;
+        for (std::size_t j = 0; j < m / 2; ++j) {
+          const std::size_t i = i0 + j;
+          const double re = g * (d[2 * i] + sigma * gd[2 * j]);
+          const double im = g * (d[2 * i + 1] + sigma * gd[2 * j + 1]);
+          if (gain != nullptr) {
+            const double g2 = gain[i] * gain[i];
+            y[i] = k * g2 * (re * re + im * im);
+          } else {
+            y[i] = k * (re * re + im * im);
+          }
+        }
+      });
 }
 
 double dot(const double* x, const double* y, std::size_t n) {

@@ -15,10 +15,11 @@
 //     sum (lane j accumulates elements i*4+j, lanes combined as
 //     ((l0+l1)+l2)+l3, scalar tail appended last) which is precisely
 //     what the vector version computes;
-//   * the gaussian batch fill consumes the xoshiro engine in the exact
-//     order of repeated `Rng::gaussian()` calls — the AVX2 fast path
-//     only vectorizes the accept test of a 4-candidate block and
-//     replays rejected candidates through the scalar ziggurat.
+//   * the gaussian kernels draw through one block-draw loop that is
+//     the scalar ziggurat of repeated `Rng::gaussian()` calls, with the
+//     engine held in registers; it has no ISA variant, and the
+//     element-wise work after the draw is the same code at every
+//     dispatch target.
 // So nothing in *these* kernels makes a Monte-Carlo result depend on
 // the dispatch target. (The FFT butterflies keep their own, older
 // convention: their AVX2+FMA path rounds differently from the portable
@@ -63,10 +64,6 @@ void square_law_mixed(const Complex* x, const double* gain, std::size_t n,
 /// doubles).
 void scale(const double* x, std::size_t n, double g, double* out);
 
-/// out[i] = x[i] * y[i] (mixing against a precomputed LO table).
-/// In-place (out == x) is allowed.
-void multiply(const double* x, const double* y, std::size_t n, double* out);
-
 /// x[i] *= g[i] — complex waveform scaled by a real per-bin table (the
 /// SAW filter's frequency-domain gain pass).
 void complex_scale_table(Complex* x, const double* g, std::size_t n);
@@ -82,15 +79,36 @@ double sum_squares(const double* x, std::size_t n);
 /// re/im doubles.
 double sum_squares(const Complex* x, std::size_t n);
 
-/// Fill out[0..n) with standard-normal draws, consuming `rng` in the
-/// exact order of n successive rng.gaussian() calls (bit-identical
-/// stream at any dispatch target).
+/// Fill out[0..n) with standard-normal draws, consuming `rng` exactly
+/// as n successive rng.gaussian() calls do (same words, same values).
+/// The engine stays in registers for the whole fill.
 void fill_gaussian(Rng& rng, double* out, std::size_t n);
 
-// Fused draw + inject kernels: the gaussians are drawn inside the
-// pass (same stream order as per-sample draws) and never materialized
-// in a scratch buffer — one memory sweep instead of three. These are
-// the per-packet noise stages of the receive chain.
+/// Draws per stack block of for_each_gaussian_block (even, so a block
+/// of I/Q pairs always covers whole samples).
+inline constexpr std::size_t kGaussianBlock = 256;
+
+/// The shared block draw: fills a fixed stack block with up to
+/// kGaussianBlock gaussians at a time and hands each to
+/// `body(g, first, m)`, where g[0..m) are draws first..first+m-1 of n.
+/// The engine is consumed exactly as by n successive rng.gaussian()
+/// calls, so a kernel built on it keeps the per-sample stream without
+/// ever materializing more than one block of noise.
+template <typename Body>
+void for_each_gaussian_block(Rng& rng, std::size_t n, Body&& body) {
+  double g[kGaussianBlock];
+  for (std::size_t first = 0; first < n; first += kGaussianBlock) {
+    const std::size_t m =
+        n - first < kGaussianBlock ? n - first : kGaussianBlock;
+    fill_gaussian(rng, g, m);
+    body(static_cast<const double*>(g), first, m);
+  }
+}
+
+// Fused draw + inject kernels: the gaussians are drawn a stack block
+// at a time (same stream order as per-sample draws) and never
+// materialized in a frame-sized scratch buffer. These are the
+// per-packet noise stages of the channel and the LNA.
 
 /// out[i] = a * x[i] + sigma * gaussian_i — the AWGN channel pass
 /// (complex data as 2n doubles: draws alternate re/im).
@@ -100,11 +118,6 @@ void scale_add_gaussian(const double* x, std::size_t n, double a, double sigma,
 /// out[i] = g * (x[i] + sigma * gaussian_i) — the LNA pass.
 void gain_add_gaussian(const double* x, std::size_t n, double g, double sigma,
                        double* out, Rng& rng);
-
-/// y[i] += dc + flicker[i] + sigma * gaussian_i — the envelope
-/// detector's impairment pass.
-void add_dc_flicker_gaussian(double* y, const double* flicker, std::size_t n,
-                             double dc, double sigma, Rng& rng);
 
 /// Fused LNA + square-law: amplify each complex sample with
 /// input-referred noise (re' = g·(re + sigma·gaussian), likewise im —

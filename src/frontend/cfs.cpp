@@ -54,36 +54,37 @@ void CyclicFrequencyShifter::process_ws(std::span<const dsp::Complex> rf,
     scratch.clk_phase_rad = cfg_.clock.delay_line_phase_rad;
   }
 
-  // Step 2: envelope detection. |S(F)·(cos(2πΔf t)+c)|² beats the
-  // sidebands against the carrier, landing the envelope at Δf (and
-  // 2Δf); the detector's DC/flicker noise stays at baseband. The LNA
-  // rides the same kernel.
-  detector_.detect_raw_ws(rf, scratch.cfs_clk, lna, rng, out, scratch);
-
-  // Step 3: IF amplification — bandpass at Δf with gain (folded into
-  // the biquad's feed-forward coefficients).
-  dsp::Biquad bp = dsp::Biquad::bandpass(cfg_.clock.frequency_hz, fs_hz_,
-                                         cfg_.if_quality_factor);
-  bp.scale_output(dsp::db_to_amp(cfg_.if_gain_db));
-  bp.process_inplace(out);
-
-  // Step 4: output mixing with the delay-line clock copy brings the IF
-  // envelope back to baseband (amplitude × cos(Δφ)/2) and shifts the
-  // residual baseband noise up to Δf. The LO table is the same cosine
-  // dsp::mix_real generates, cached per length; the 2x mixer scale
-  // rides the low-pass coefficients below.
+  // The output-mixer LO table: the same cosine dsp::mix_real
+  // generates, cached per length (cleared above when the clock key
+  // changes).
   if (scratch.cfs_lo.size() != n) {
     dsp::Nco lo(cfg_.clock.frequency_hz, fs_hz_,
                 cfg_.clock.delay_line_phase_rad);
     scratch.cfs_lo = lo.cosine(n);
   }
-  dsp::simd::multiply(out.data(), scratch.cfs_lo.data(), out.size(),
-                      out.data());
-
-  // Step 5: low-pass away the Δf and 2Δf products.
+  // Step 3: IF amplification — bandpass at Δf with gain (folded into
+  // the biquad's feed-forward coefficients).
+  dsp::Biquad bp = dsp::Biquad::bandpass(cfg_.clock.frequency_hz, fs_hz_,
+                                         cfg_.if_quality_factor);
+  bp.scale_output(dsp::db_to_amp(cfg_.if_gain_db));
+  // Step 5's low-pass; the output mixer's 2x scale rides its
+  // coefficients.
   dsp::Biquad lpf = dsp::Biquad::lowpass(cfg_.output_lpf_cutoff_hz, fs_hz_, 0.707);
   lpf.scale_output(2.0);
-  lpf.process_inplace(out);
+
+  // Step 2: envelope detection. |S(F)·(cos(2πΔf t)+c)|² beats the
+  // sidebands against the carrier, landing the envelope at Δf (and
+  // 2Δf); the detector's DC/flicker noise stays at baseband. The LNA
+  // rides the square-law kernel, and steps 3–5 ride the detector's
+  // per-sample pass: IF bandpass, then step 4's output mixing with the
+  // delay-line clock copy (back to baseband at amplitude × cos(Δφ)/2,
+  // the residual baseband noise pushed up to Δf), then step 5's
+  // low-pass that removes the Δf and 2Δf products.
+  const double* lo = scratch.cfs_lo.data();
+  detector_.detect_into(rf, scratch.cfs_clk, lna, rng, out, scratch,
+                        [bp, lpf, lo](double v, std::size_t i) mutable {
+                          return lpf.step(bp.step(v) * lo[i]);
+                        });
 }
 
 dsp::RealSignal CyclicFrequencyShifter::process(std::span<const dsp::Complex> rf,

@@ -25,31 +25,19 @@ EnvelopeDetector::EnvelopeDetector(const EnvelopeDetectorConfig& cfg) : cfg_(cfg
   const double flicker_amp = k * dsp::dbm_to_watts(cfg.flicker_noise_dbm_equiv);
   const double white_amp = k * dsp::dbm_to_watts(cfg.white_noise_dbm_equiv);
   flicker_watts_ = flicker_amp * flicker_amp;  // variance of the additive term
-  white_watts_ = white_amp * white_amp;
+  // σ as the square root of the white power, not white_amp itself:
+  // √(a²) may differ from a in the last bit, and the goldens were
+  // produced with √(power).
+  white_sigma_ = std::sqrt(white_amp * white_amp);
 }
 
-void EnvelopeDetector::add_impairments(dsp::RealSignal& y, dsp::Rng& rng,
-                                       FrontendScratch& scratch) const {
-  if (y.empty()) return;
-  // Flicker needs its own buffer (it is normalized over the whole
-  // realization); DC and white noise fold into the fused
-  // draw-and-inject pass. Stream order matches the per-sample draws
-  // this replaces: all flicker drives first, then one white draw per
-  // sample.
-  dsp::flicker_noise_into(y.size(), flicker_watts_, rng, scratch.flicker,
-                          scratch.flicker_drive);
-  const double white_sigma = std::sqrt(white_watts_);
-  dsp::simd::add_dc_flicker_gaussian(y.data(), scratch.flicker.data(),
-                                     y.size(), dc_level_, white_sigma, rng);
-}
-
-void EnvelopeDetector::detect_raw_ws(std::span<const dsp::Complex> x,
-                                     std::span<const double> mix_gain,
-                                     std::optional<LnaStage> lna, dsp::Rng* rng,
-                                     dsp::RealSignal& out,
-                                     FrontendScratch& scratch) const {
+void EnvelopeDetector::square_law_into(std::span<const dsp::Complex> x,
+                                       std::span<const double> mix_gain,
+                                       std::optional<LnaStage> lna,
+                                       dsp::Rng* rng,
+                                       dsp::RealSignal& out) const {
   if (!mix_gain.empty() && mix_gain.size() != x.size()) {
-    throw std::invalid_argument("detect_raw_ws: gain length mismatch");
+    throw std::invalid_argument("EnvelopeDetector: gain length mismatch");
   }
   out.resize(x.size());
   // k |g·(St + Sn)|^2 — Eq. 4 self-mixing behind the LNA.
@@ -58,23 +46,23 @@ void EnvelopeDetector::detect_raw_ws(std::span<const dsp::Complex> x,
                             x.size(), stage.gain, stage.sigma,
                             cfg_.conversion_gain, out.data(),
                             lna.has_value() ? rng : nullptr);
-  if (rng != nullptr) add_impairments(out, *rng, scratch);
 }
 
 void EnvelopeDetector::detect_ws(std::span<const dsp::Complex> x,
                                  std::optional<LnaStage> lna, dsp::Rng* rng,
                                  dsp::RealSignal& out,
                                  FrontendScratch& scratch) const {
-  detect_raw_ws(x, {}, lna, rng, out, scratch);
   dsp::OnePole lpf(cfg_.lpf_cutoff_hz, cfg_.sample_rate_hz);
-  lpf.process_inplace(out);
+  detect_into(x, {}, lna, rng, out, scratch,
+              [lpf](double v, std::size_t) mutable { return lpf.step(v); });
 }
 
 dsp::RealSignal EnvelopeDetector::detect_raw(std::span<const dsp::Complex> x,
                                              dsp::Rng& rng) const {
   dsp::RealSignal y;
   FrontendScratch scratch;
-  detect_raw_ws(x, {}, std::nullopt, &rng, y, scratch);
+  detect_into(x, {}, std::nullopt, &rng, y, scratch,
+              [](double v, std::size_t) { return v; });
   return y;
 }
 

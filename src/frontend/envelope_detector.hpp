@@ -13,7 +13,9 @@
 #include <optional>
 #include <span>
 
+#include "dsp/noise.hpp"
 #include "dsp/rng.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/types.hpp"
 #include "frontend/lna.hpp"
 #include "frontend/workspace.hpp"
@@ -45,37 +47,82 @@ class EnvelopeDetector {
   /// the CFS circuit taps before its IF amplifier.
   dsp::RealSignal detect_raw(std::span<const dsp::Complex> x, dsp::Rng& rng) const;
 
-  /// Workspace entries: write into a caller-owned buffer through the
-  /// fused LNA + square-law kernel, drawing the impairment noise
-  /// through the scratch's reusable buffers. With `lna` set, `x` is
-  /// the *unamplified* waveform and the CG-LNA stage
-  /// (y = gain·(x + noise)) rides the square-law kernel. A null `rng`
-  /// is the noiseless reference: no LNA draws and no impairments.
-  /// Values and RNG consumption of detect()/detect_raw() are these
-  /// with no LNA stage.
+  /// Workspace entry: writes the smoothed detector output into a
+  /// caller-owned buffer. With `lna` set, `x` is the *unamplified*
+  /// waveform and the CG-LNA stage (y = gain·(x + noise)) rides the
+  /// square-law kernel. A null `rng` is the noiseless reference: no
+  /// LNA draws and no impairments. Values and RNG consumption of
+  /// detect() are this with no LNA stage.
   void detect_ws(std::span<const dsp::Complex> x, std::optional<LnaStage> lna,
                  dsp::Rng* rng, dsp::RealSignal& out,
                  FrontendScratch& scratch) const;
 
-  /// Unsmoothed, with `x` pre-multiplied by a real per-sample mixer
-  /// gain (empty: none): y = k·gain²·|x|² + impairments. Lets the CFS
-  /// input mixer skip materializing the mixed complex waveform.
-  void detect_raw_ws(std::span<const dsp::Complex> x,
-                     std::span<const double> mix_gain,
-                     std::optional<LnaStage> lna, dsp::Rng* rng,
-                     dsp::RealSignal& out, FrontendScratch& scratch) const;
+  /// The detector in one pass over the frame: y = k·gain²·|x|² (with
+  /// `x` pre-multiplied by a real per-sample mixer gain, empty: none)
+  /// plus impairments, each sample handed through `post(y, i)` before
+  /// it is stored in out[i]. The post-detection filters ride the same
+  /// pass instead of sweeping the frame again.
+  ///
+  /// With an `rng` the noise is drawn in the per-sample stream order —
+  /// all LNA pairs, then every flicker drive, then one white draw per
+  /// sample — in three steps: the LNA draws ride the square-law kernel
+  /// into `out`, the flicker recurrence fills scratch.flicker, and the
+  /// white draws come a stack block at a time inside the final pass,
+  /// which adds dc + flicker + σ·white and runs `post`. Every value is
+  /// computed with the operations, in the order, of the separate
+  /// passes it replaces, so the output is bit-identical to them.
+  template <typename Post>
+  void detect_into(std::span<const dsp::Complex> x,
+                   std::span<const double> mix_gain,
+                   std::optional<LnaStage> lna, dsp::Rng* rng,
+                   dsp::RealSignal& out, FrontendScratch& scratch,
+                   Post post) const;
 
   const EnvelopeDetectorConfig& config() const { return cfg_; }
 
  private:
-  /// Adds DC offset, 1/f flicker and white noise to a detector output.
-  void add_impairments(dsp::RealSignal& y, dsp::Rng& rng,
-                       FrontendScratch& scratch) const;
+  /// out = k·gain²·|g·(x + LNA noise)|², drawing the LNA noise from
+  /// `rng` when both `lna` and `rng` are set.
+  void square_law_into(std::span<const dsp::Complex> x,
+                       std::span<const double> mix_gain,
+                       std::optional<LnaStage> lna, dsp::Rng* rng,
+                       dsp::RealSignal& out) const;
 
   EnvelopeDetectorConfig cfg_;
   double dc_level_;
   double flicker_watts_;
-  double white_watts_;
+  double white_sigma_;
 };
+
+template <typename Post>
+void EnvelopeDetector::detect_into(std::span<const dsp::Complex> x,
+                                   std::span<const double> mix_gain,
+                                   std::optional<LnaStage> lna, dsp::Rng* rng,
+                                   dsp::RealSignal& out,
+                                   FrontendScratch& scratch, Post post) const {
+  square_law_into(x, mix_gain, lna, rng, out);
+  const std::size_t n = out.size();
+  double* y = out.data();
+  if (rng == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) y[i] = post(y[i], i);
+    return;
+  }
+  // DC offset, 1/f flicker and white noise. Flicker needs its own
+  // buffer (it is normalized over the whole realization); its
+  // normalizing gain, the DC level and the white draws fold into the
+  // final pass.
+  const double fl_gain =
+      dsp::flicker_noise_unscaled(n, flicker_watts_, *rng, scratch.flicker);
+  const double* fl = scratch.flicker.data();
+  const double dc = dc_level_;
+  const double sigma = white_sigma_;
+  dsp::simd::for_each_gaussian_block(
+      *rng, n, [&](const double* w, std::size_t i0, std::size_t m) {
+        for (std::size_t j = 0; j < m; ++j) {
+          const std::size_t i = i0 + j;
+          y[i] = post(y[i] + ((dc + fl_gain * fl[i]) + sigma * w[j]), i);
+        }
+      });
+}
 
 }  // namespace saiyan::frontend

@@ -23,9 +23,10 @@ struct FrontendScratch {
   double clk_fs_hz = 0.0;
   double clk_phase_rad = 0.0;
 
-  // Envelope-detector impairment buffers (refilled per packet).
+  // Envelope-detector flicker realization (refilled per packet; it is
+  // normalized over the whole frame, so it is the one impairment held
+  // in a frame-sized buffer).
   dsp::RealSignal flicker;
-  dsp::RealSignal flicker_drive;
 };
 
 }  // namespace saiyan::frontend

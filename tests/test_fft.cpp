@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <thread>
@@ -491,6 +492,27 @@ TEST(FftRealInput, SimdUntangleBitIdenticalToScalarAtAllTailLengths) {
 TEST(FftRealInput, SimdPretangleBitIdenticalToScalarAtAllTailLengths) {
   expect_real_pass_bit_identical(detail::real_pretangle_scalar,
                                  detail::real_pretangle_avx2);
+}
+
+TEST(FftPow2, SimdFirstPassBitIdenticalToScalarAtEveryPowerOfTwo) {
+  // The twiddle-free first pass runs in every natural-layout transform,
+  // the SAW's inverse included: its AVX2 variant must match the
+  // scalar one bit for bit in both directions, for odd (radix-2) and
+  // even (4-point) stage counts alike.
+  for (std::size_t n = 2; n <= (std::size_t{1} << 17); n *= 2) {
+    Rng rng(n + 3);
+    Signal x(n);
+    for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
+    for (bool inverse : {false, true}) {
+      Signal scalar = x, avx2 = x;
+      detail::pow2_first_pass_scalar(scalar.data(), n, inverse);
+      if (!detail::pow2_first_pass_avx2(avx2.data(), n, inverse)) {
+        GTEST_SKIP() << "no AVX2+FMA host";
+      }
+      ASSERT_EQ(0, std::memcmp(scalar.data(), avx2.data(), n * sizeof(Complex)))
+          << "n=" << n << " inverse=" << inverse;
+    }
+  }
 }
 
 // Every power of two from 2 to 2^17 and every 3·2^k up to 98 304: the

@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <vector>
 
+#include "dsp/iir.hpp"
 #include "dsp/nco.hpp"
+#include "dsp/noise.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/spectrum.hpp"
 #include "dsp/utils.hpp"
 #include "frontend/cfs.hpp"
@@ -255,6 +261,119 @@ TEST(Cfs, SnrGainOverPlainDetector) {
       dsp::estimate_snr_db(std::span<const double>(y_cfs), fs, 6e3, 10e3);
   // Paper: ~11 dB gain; accept anything clearly positive and sizable.
   EXPECT_GT(snr_cfs - snr_plain, 6.0);
+}
+
+// The one-pass front end against the separate passes it replaced,
+// composed here from the public kernels: lna_square_law, then
+// flicker_noise_into, then y += dc + flicker + σ·white with per-sample
+// draws, then the post-detection filters as whole-frame passes.
+
+struct IsaGuard {
+  ~IsaGuard() { dsp::simd::set_isa(dsp::simd::Isa::kAuto); }
+};
+
+/// Square law + impairments, pass by pass (null rng: square law only).
+dsp::RealSignal composed_detect_raw(const EnvelopeDetectorConfig& cfg,
+                                    const dsp::Signal& x,
+                                    const double* mix_gain, LnaStage lna,
+                                    dsp::Rng* rng) {
+  const std::size_t n = x.size();
+  dsp::RealSignal y(n);
+  dsp::simd::lna_square_law(x.data(), mix_gain, n, lna.gain, lna.sigma,
+                            cfg.conversion_gain, y.data(), rng);
+  if (rng == nullptr) return y;
+  // The detector's impairment levels (EnvelopeDetector's constructor).
+  const double k = cfg.conversion_gain;
+  const double dc = k * dsp::dbm_to_watts(cfg.dc_offset_dbm_equiv);
+  const double fl_amp = k * dsp::dbm_to_watts(cfg.flicker_noise_dbm_equiv);
+  const double white_amp = k * dsp::dbm_to_watts(cfg.white_noise_dbm_equiv);
+  const double sigma = std::sqrt(white_amp * white_amp);
+  dsp::RealSignal fl;
+  dsp::flicker_noise_into(n, fl_amp * fl_amp, *rng, fl);
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] += dc + fl[i] + sigma * rng->gaussian();
+  }
+  return y;
+}
+
+/// The CFS chain pass by pass: mixer gain into the square law, IF
+/// bandpass, LO multiply, output low-pass.
+dsp::RealSignal composed_cfs(const CfsConfig& cfg,
+                             const EnvelopeDetectorConfig& ed,
+                             const dsp::Signal& x, LnaStage lna,
+                             dsp::Rng* rng) {
+  const std::size_t n = x.size();
+  const double fs = ed.sample_rate_hz;
+  dsp::RealSignal clk = ClockGenerator(cfg.clock).clk_in(n);
+  for (double& v : clk) v += 0.25;  // the input mixer's carrier leak
+  dsp::RealSignal y = composed_detect_raw(ed, x, clk.data(), lna, rng);
+  dsp::Biquad bp =
+      dsp::Biquad::bandpass(cfg.clock.frequency_hz, fs, cfg.if_quality_factor);
+  bp.scale_output(dsp::db_to_amp(cfg.if_gain_db));
+  bp.process_inplace(y);
+  dsp::Nco nco(cfg.clock.frequency_hz, fs, cfg.clock.delay_line_phase_rad);
+  const dsp::RealSignal lo = nco.cosine(n);
+  for (std::size_t i = 0; i < n; ++i) y[i] = y[i] * lo[i];
+  dsp::Biquad lpf = dsp::Biquad::lowpass(cfg.output_lpf_cutoff_hz, fs, 0.707);
+  lpf.scale_output(2.0);
+  lpf.process_inplace(y);
+  return y;
+}
+
+bool same_bits(const dsp::RealSignal& a, const dsp::RealSignal& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(FusedFrontEnd, MatchesComposedPassesBitForBit) {
+  IsaGuard guard;
+  EnvelopeDetectorConfig ed;
+  ed.sample_rate_hz = 4e6;
+  ed.lpf_cutoff_hz = 100e3;
+  CfsConfig cfg;
+  cfg.clock.sample_rate_hz = 4e6;
+  cfg.output_lpf_cutoff_hz = 100e3;
+  const CyclicFrequencyShifter cfs(cfg, ed);
+  const EnvelopeDetector det(ed);
+  const LnaStage lna = Lna(LnaConfig{}).stage();
+  for (std::size_t n : {1u, 3u, 4u, 5u, 255u, 4097u, 45312u}) {
+    // Around -70 dBm, so the LNA, flicker and white terms all matter.
+    dsp::Rng data(n);
+    dsp::Signal x(n);
+    for (dsp::Complex& v : x) {
+      v = dsp::Complex(1e-5 * data.gaussian(), 1e-5 * data.gaussian());
+    }
+    for (dsp::simd::Isa isa : {dsp::simd::Isa::kScalar, dsp::simd::Isa::kAvx2}) {
+      dsp::simd::set_isa(isa);
+      // A null rng is the noiseless arm: no draws, no impairments.
+      for (bool noisy : {true, false}) {
+        const std::uint64_t seed = 7 * n + noisy;
+        dsp::Rng want_rng(seed), got_rng(seed);
+        dsp::Rng* want_r = noisy ? &want_rng : nullptr;
+        dsp::Rng* got_r = noisy ? &got_rng : nullptr;
+        FrontendScratch scratch;
+        dsp::RealSignal got;
+
+        // CFS arm.
+        const dsp::RealSignal want_cfs = composed_cfs(cfg, ed, x, lna, want_r);
+        cfs.process_ws(x, lna, got_r, got, scratch);
+        ASSERT_TRUE(same_bits(want_cfs, got))
+            << "cfs n=" << n << " isa=" << static_cast<int>(isa)
+            << " noisy=" << noisy;
+        ASSERT_EQ(want_rng.engine()(), got_rng.engine()()) << "cfs n=" << n;
+
+        // Vanilla arm: the detector's one-pole smoother.
+        dsp::RealSignal want_plain = composed_detect_raw(ed, x, nullptr, lna, want_r);
+        dsp::OnePole(ed.lpf_cutoff_hz, ed.sample_rate_hz).process_inplace(want_plain);
+        det.detect_ws(x, lna, got_r, got, scratch);
+        ASSERT_TRUE(same_bits(want_plain, got))
+            << "vanilla n=" << n << " isa=" << static_cast<int>(isa)
+            << " noisy=" << noisy;
+        ASSERT_EQ(want_rng.engine()(), got_rng.engine()()) << "vanilla n=" << n;
+      }
+    }
+  }
 }
 
 TEST(Cfs, RejectsMismatchedRates) {

@@ -182,18 +182,6 @@ TEST(SimdKernels, GainAddGaussianBitIdentical) {
   }
 }
 
-TEST(SimdKernels, AddDcFlickerGaussianBitIdentical) {
-  IsaGuard guard;
-  for (std::size_t n : test_lengths()) {
-    for (std::size_t off : kOffsets) {
-      expect_fused_identical(n, off, [](const double* flicker, double* y,
-                                        std::size_t m, Rng& rng) {
-        simd::add_dc_flicker_gaussian(y, flicker, m, 1e-6, 3e-7, rng);
-      });
-    }
-  }
-}
-
 TEST(SimdKernels, LnaSquareLawBitIdentical) {
   IsaGuard guard;
   for (std::size_t n : test_lengths()) {
@@ -373,27 +361,6 @@ TEST(SimdKernels, FusedKernelsMatchPerSampleDraws) {
   EXPECT_EQ(r3.engine()(), r4.engine()());
 }
 
-TEST(SimdKernels, MultiplyBitIdenticalIncludingInPlace) {
-  IsaGuard guard;
-  for (std::size_t n : test_lengths()) {
-    for (std::size_t off : kOffsets) {
-      expect_dispatch_identical(n, off,
-                                [](const double* x, const double* y, double* out,
-                                   std::size_t m) { simd::multiply(x, y, m, out); });
-    }
-  }
-  // In-place (out == x), as the CFS output mixer uses it.
-  if (!have_avx2()) GTEST_SKIP() << "no AVX2+FMA on this host";
-  const RealSignal lo = random_reals(1536, 21);
-  RealSignal xs = random_reals(1536, 22);
-  RealSignal xv = xs;
-  simd::set_isa(simd::Isa::kScalar);
-  simd::multiply(xs.data(), lo.data(), xs.size(), xs.data());
-  simd::set_isa(simd::Isa::kAvx2);
-  simd::multiply(xv.data(), lo.data(), xv.size(), xv.data());
-  EXPECT_EQ(0, std::memcmp(xs.data(), xv.data(), xs.size() * sizeof(double)));
-}
-
 TEST(SimdKernels, ComplexScaleTableBitIdentical) {
   IsaGuard guard;
   for (std::size_t n : test_lengths()) {
@@ -460,6 +427,77 @@ TEST(SimdFillGaussian, MatchesRepeatedScalarDraws) {
         << "n=" << n;
     // The engines must also end in the same state.
     EXPECT_EQ(seq.engine()(), batch.engine()());
+  }
+}
+
+/// How one ziggurat draw starts, read from its first engine word: an
+/// accepted candidate, a wedge test (a rejected candidate in layers
+/// 1..127) or a base-layer tail draw. Wedge and tail draws consume
+/// extra words.
+enum class DrawKind { kFast, kWedge, kTail };
+
+DrawKind kind_of_draw(std::uint64_t seed, std::size_t p) {
+  Rng rng(seed);
+  for (std::size_t q = 0; q < p; ++q) rng.gaussian();
+  Xoshiro256pp peek = rng.engine();
+  const std::uint64_t u = peek();
+  const detail::ZigguratTables& t = detail::ZigguratTables::instance();
+  const std::size_t layer = u & 127u;
+  if ((u >> 11) < t.k[layer]) return DrawKind::kFast;
+  return layer == 0 ? DrawKind::kTail : DrawKind::kWedge;
+}
+
+/// The first seed whose draw p (0-based) is of the given kind.
+std::uint64_t seed_with_draw(std::size_t p, DrawKind kind) {
+  std::uint64_t seed = 1;
+  while (kind_of_draw(seed, p) != kind) ++seed;
+  return seed;
+}
+
+TEST(SimdFillGaussian, WedgeAndTailDrawsAtBlockEdges) {
+  // Wedge and tail draws consume extra engine words. Seeds put one on
+  // draw 3 (the last lane of a four-draw vector block), on the last
+  // draw of the fill (draw n-1, n = 1..9) and on either side of a
+  // for_each_gaussian_block stack block. At every such edge the fill
+  // and the block loop must equal repeated rng.gaussian() — in values
+  // and in the engine's next word — under both dispatch targets.
+  IsaGuard guard;
+  const auto expect_matches = [](std::uint64_t seed, std::size_t n,
+                                 std::size_t edge) {
+    Rng seq(seed);
+    std::vector<double> want(n);
+    for (double& v : want) v = seq.gaussian();
+    const std::uint64_t want_next = seq.engine()();
+    for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+      simd::set_isa(isa);
+      Rng filled(seed);
+      std::vector<double> got(n, 0.0);
+      simd::fill_gaussian(filled, got.data(), n);
+      ASSERT_TRUE(same_bytes(want.data(), got.data(), n * sizeof(double)))
+          << "fill seed=" << seed << " n=" << n << " edge=" << edge;
+      ASSERT_EQ(want_next, filled.engine()()) << "fill seed=" << seed;
+
+      Rng blocked(seed);
+      std::vector<double> got_blocked(n, 0.0);
+      simd::for_each_gaussian_block(
+          blocked, n, [&](const double* g, std::size_t first, std::size_t m) {
+            std::memcpy(got_blocked.data() + first, g, m * sizeof(double));
+          });
+      ASSERT_TRUE(
+          same_bytes(want.data(), got_blocked.data(), n * sizeof(double)))
+          << "block seed=" << seed << " n=" << n << " edge=" << edge;
+      ASSERT_EQ(want_next, blocked.engine()()) << "block seed=" << seed;
+    }
+  };
+  for (DrawKind kind : {DrawKind::kWedge, DrawKind::kTail}) {
+    const std::uint64_t last_lane = seed_with_draw(3, kind);
+    for (std::size_t n = 0; n <= 9; ++n) {
+      expect_matches(last_lane, n, 3);
+      if (n > 0) expect_matches(seed_with_draw(n - 1, kind), n, n - 1);
+    }
+    for (std::size_t edge : {simd::kGaussianBlock - 1, simd::kGaussianBlock}) {
+      expect_matches(seed_with_draw(edge, kind), simd::kGaussianBlock + 3, edge);
+    }
   }
 }
 
