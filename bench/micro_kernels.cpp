@@ -75,27 +75,12 @@ BENCHMARK(BM_FftReal)->Arg(24576)->Arg(65536);
 // ---------------------------------------------------- per-sample kernels
 // The runtime-dispatched SIMD passes (dsp/simd.hpp). range(0) selects
 // the ISA: 0 = dispatched (native), 1 = forced scalar, so the JSON
-// records both sides of every kernel.
+// records both sides of every kernel that has an AVX2 variant. The
+// gaussian kernels have none and run /0 only.
 
 dsp::simd::Isa bench_isa(std::int64_t arg) {
   return arg == 1 ? dsp::simd::Isa::kScalar : dsp::simd::Isa::kAuto;
 }
-
-void BM_SquareLaw(benchmark::State& state) {
-  constexpr std::size_t n = 49152;
-  dsp::Rng rng(11);
-  const dsp::Signal x = dsp::complex_awgn(n, 1e-9, rng);
-  dsp::RealSignal y(n);
-  dsp::simd::set_isa(bench_isa(state.range(0)));
-  for (auto _ : state) {
-    dsp::simd::square_law(x.data(), n, 0.5, y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  dsp::simd::set_isa(dsp::simd::Isa::kAuto);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_SquareLaw)->Arg(0)->Arg(1);
 
 void BM_ScaleAddGaussian(benchmark::State& state) {
   // The AWGN channel pass over 2n doubles: fused draw + inject.
@@ -104,16 +89,14 @@ void BM_ScaleAddGaussian(benchmark::State& state) {
   dsp::RealSignal x(n), out(n);
   for (auto& v : x) v = data_rng.gaussian();
   dsp::Rng rng(121);
-  dsp::simd::set_isa(bench_isa(state.range(0)));
   for (auto _ : state) {
     dsp::simd::scale_add_gaussian(x.data(), n, 1e-4, 1e-8, out.data(), rng);
     benchmark::DoNotOptimize(out.data());
   }
-  dsp::simd::set_isa(dsp::simd::Isa::kAuto);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_ScaleAddGaussian)->Arg(0)->Arg(1);
+BENCHMARK(BM_ScaleAddGaussian)->Arg(0);
 
 void BM_SumSquares(benchmark::State& state) {
   constexpr std::size_t n = 2 * 49152;
@@ -135,16 +118,14 @@ void BM_FillGaussian(benchmark::State& state) {
   constexpr std::size_t n = 2 * 49152;
   dsp::Rng rng(15);
   dsp::RealSignal out(n);
-  dsp::simd::set_isa(bench_isa(state.range(0)));
   for (auto _ : state) {
     dsp::simd::fill_gaussian(rng, out.data(), n);
     benchmark::DoNotOptimize(out.data());
   }
-  dsp::simd::set_isa(dsp::simd::Isa::kAuto);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FillGaussian)->Arg(0)->Arg(1);
+BENCHMARK(BM_FillGaussian)->Arg(0);
 
 void BM_SawFilter(benchmark::State& state) {
   const lora::PhyParams p = phy();
@@ -184,9 +165,12 @@ void BM_EnvelopeDetector(benchmark::State& state) {
   const frontend::EnvelopeDetector ed(cfg);
   dsp::Rng rng(2);
   const dsp::Signal x = dsp::complex_awgn(1 << 14, 1e-9, rng);
+  frontend::FrontendScratch scratch;
+  dsp::RealSignal y;
   for (auto _ : state) {
-    dsp::RealSignal y = ed.detect(x, rng);
+    ed.detect_ws(x, std::nullopt, &rng, y, scratch);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_EnvelopeDetector);
@@ -227,10 +211,11 @@ void BM_SaiyanDemodPacket(benchmark::State& state) {
   const std::vector<std::uint32_t> tx(32, 2);
   const dsp::Signal rx = chan.apply(mod.modulate(tx), -55.0, rng);
   const lora::PacketLayout lay = mod.layout(tx.size());
+  core::DemodWorkspace ws;
   for (auto _ : state) {
-    core::DemodResult r =
-        demod.demodulate_aligned(rx, lay.payload_start, tx.size(), rng);
-    benchmark::DoNotOptimize(r.symbols.data());
+    demod.demodulate_aligned_ws(ws, rx, lay.payload_start, tx.size(), rng);
+    benchmark::DoNotOptimize(ws.symbols.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SaiyanDemodPacket)
@@ -242,7 +227,8 @@ void BM_BatchDecode(benchmark::State& state) {
   // The zero-allocation batch engine running the full per-packet sweep
   // loop — fresh payload, modulate, channel, aligned decode — through
   // one warm DemodWorkspace. items/sec = packets/sec; compare against
-  // BM_SaiyanDemodPacket (decode stage only, allocating API).
+  // BM_SaiyanDemodPacket (the aligned decode alone, on the same warm
+  // workspace form).
   const auto mode = static_cast<core::Mode>(state.range(0));
   const core::SaiyanConfig cfg = core::SaiyanConfig::make(phy(), mode);
   core::BatchDemodulator batch(cfg);
@@ -269,26 +255,9 @@ BENCHMARK(BM_BatchDecode)
     ->Arg(static_cast<int>(core::Mode::kFrequencyShifting))
     ->Arg(static_cast<int>(core::Mode::kSuper));
 
-void BM_CrossCorrelateReal(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t t_len = 1024;
-  dsp::Rng rng(4);
-  dsp::RealSignal x(n), tmpl(t_len);
-  for (auto& v : x) v = rng.gaussian();
-  for (auto& v : tmpl) v = rng.gaussian();
-  for (auto _ : state) {
-    dsp::RealSignal c = dsp::cross_correlate(std::span<const double>(x),
-                                             std::span<const double>(tmpl));
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_CrossCorrelateReal)->Arg(16384)->Arg(65536);
-
 void BM_PreparedTemplateCorrelate(benchmark::State& state) {
-  // Same workload as BM_CrossCorrelateReal, template prepared once —
-  // the correlation decoder / preamble matcher steady state.
+  // A 1024-sample template prepared once, correlated into a warm
+  // output buffer — the preamble matcher's steady state.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t t_len = 1024;
   dsp::Rng rng(5);
@@ -296,9 +265,11 @@ void BM_PreparedTemplateCorrelate(benchmark::State& state) {
   for (auto& v : x) v = rng.gaussian();
   for (auto& v : tmpl) v = rng.gaussian();
   const dsp::PreparedTemplate prepared((std::span<const double>(tmpl)));
+  dsp::RealSignal c;
   for (auto _ : state) {
-    dsp::RealSignal c = prepared.correlate(std::span<const double>(x));
+    prepared.correlate_signed_into(std::span<const double>(x), c);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
@@ -338,10 +309,11 @@ void BM_PreparedTemplateDecodeStream(benchmark::State& state) {
   const dsp::Signal wave = mod.modulate(tx);
   const dsp::RealSignal env = chain.reference_envelope(wave);
   const lora::PacketLayout lay = mod.layout(tx.size());
+  std::vector<std::uint32_t> symbols;
   for (auto _ : state) {
-    std::vector<std::uint32_t> symbols =
-        decoder.decode_stream(env, lay.payload_start, tx.size());
+    decoder.decode_stream_into(env, lay.payload_start, tx.size(), symbols);
     benchmark::DoNotOptimize(symbols.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(tx.size()));

@@ -43,14 +43,6 @@ std::uint32_t CorrelatorDecoder::decode_window(std::span<const double> window) c
   return best;
 }
 
-std::vector<std::uint32_t> CorrelatorDecoder::decode_stream(
-    std::span<const double> envelope, std::size_t start_index,
-    std::size_t n_symbols) const {
-  std::vector<std::uint32_t> out;
-  decode_stream_into(envelope, start_index, n_symbols, out);
-  return out;
-}
-
 void CorrelatorDecoder::decode_stream_into(std::span<const double> envelope,
                                            std::size_t start_index,
                                            std::size_t n_symbols,

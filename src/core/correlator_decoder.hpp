@@ -30,13 +30,9 @@ class CorrelatorDecoder {
   /// the simulation rate (argmax of template correlation).
   std::uint32_t decode_window(std::span<const double> window) const;
 
-  /// Decode consecutive symbols starting at `start_index`.
-  std::vector<std::uint32_t> decode_stream(std::span<const double> envelope,
-                                           std::size_t start_index,
-                                           std::size_t n_symbols) const;
-
-  /// decode_stream into a caller-owned vector (zero-allocation path
-  /// once the vector's capacity is warm).
+  /// Decode `n_symbols` consecutive symbols starting at `start_index`
+  /// into a caller-owned vector (zero-allocation path once the
+  /// vector's capacity is warm).
   void decode_stream_into(std::span<const double> envelope,
                           std::size_t start_index, std::size_t n_symbols,
                           std::vector<std::uint32_t>& out) const;

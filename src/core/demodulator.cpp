@@ -149,9 +149,11 @@ void SaiyanDemodulator::demodulate_aligned_ws(
   decode_from_envelope_ws(ws, payload_start_fs, n_payload, threshold_hint);
 }
 
-namespace {
-
-DemodResult result_from_workspace(DemodWorkspace&& ws) {
+DemodResult SaiyanDemodulator::demodulate(
+    std::span<const dsp::Complex> rf, std::size_t n_payload, dsp::Rng& rng,
+    std::optional<frontend::ThresholdPair> threshold_hint) const {
+  DemodWorkspace ws;
+  demodulate_ws(ws, rf, n_payload, rng, threshold_hint);
   DemodResult result;
   result.preamble_found = ws.preamble_found;
   result.preamble_score = ws.preamble_score;
@@ -159,26 +161,6 @@ DemodResult result_from_workspace(DemodWorkspace&& ws) {
   result.sampler_rate_hz = ws.sampler_rate_hz;
   result.thresholds = ws.thresholds;
   return result;
-}
-
-}  // namespace
-
-DemodResult SaiyanDemodulator::demodulate(
-    std::span<const dsp::Complex> rf, std::size_t n_payload, dsp::Rng& rng,
-    std::optional<frontend::ThresholdPair> threshold_hint) const {
-  DemodWorkspace ws;
-  demodulate_ws(ws, rf, n_payload, rng, threshold_hint);
-  return result_from_workspace(std::move(ws));
-}
-
-DemodResult SaiyanDemodulator::demodulate_aligned(
-    std::span<const dsp::Complex> rf, std::size_t payload_start_fs,
-    std::size_t n_payload, dsp::Rng& rng,
-    std::optional<frontend::ThresholdPair> threshold_hint) const {
-  DemodWorkspace ws;
-  demodulate_aligned_ws(ws, rf, payload_start_fs, n_payload, rng,
-                        threshold_hint);
-  return result_from_workspace(std::move(ws));
 }
 
 bool SaiyanDemodulator::detect_packet(std::span<const dsp::Complex> rf,

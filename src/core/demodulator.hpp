@@ -48,27 +48,23 @@ class SaiyanDemodulator {
                          std::optional<frontend::ThresholdPair> threshold_hint =
                              std::nullopt) const;
 
-  /// Timing-aided receive: skip preamble search and decode starting at
-  /// a known payload offset (sample index at the simulation rate).
-  /// Used by symbol-level BER sweeps where synchronization is not the
-  /// quantity under test.
-  DemodResult demodulate_aligned(std::span<const dsp::Complex> rf,
-                                 std::size_t payload_start_fs,
-                                 std::size_t n_payload, dsp::Rng& rng,
-                                 std::optional<frontend::ThresholdPair>
-                                     threshold_hint = std::nullopt) const;
-
   /// Packet detection only (the Fig. 21 metric): true when the
   /// preamble correlator fires anywhere in the waveform.
   bool detect_packet(std::span<const dsp::Complex> rf, dsp::Rng& rng) const;
 
-  /// Workspace variants (the BatchDemodulator engine): decode into the
-  /// workspace's buffers and result fields — zero allocations once the
-  /// workspace is warm, bit-identical results to the allocating API.
+  /// Workspace variant of demodulate (the BatchDemodulator engine):
+  /// decode into the workspace's buffers and result fields — zero
+  /// allocations once the workspace is warm, bit-identical results to
+  /// demodulate().
   void demodulate_ws(DemodWorkspace& ws, std::span<const dsp::Complex> rf,
                      std::size_t n_payload, dsp::Rng& rng,
                      std::optional<frontend::ThresholdPair> threshold_hint =
                          std::nullopt) const;
+
+  /// Timing-aided receive into the workspace: skip preamble search and
+  /// decode starting at a known payload offset (sample index at the
+  /// simulation rate). Used by symbol-level BER sweeps where
+  /// synchronization is not the quantity under test.
   void demodulate_aligned_ws(DemodWorkspace& ws,
                              std::span<const dsp::Complex> rf,
                              std::size_t payload_start_fs,

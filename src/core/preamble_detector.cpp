@@ -53,13 +53,6 @@ const PreambleDetector::BitsTemplate* PreambleDetector::bits_template_for(
   return &entry;
 }
 
-std::optional<PreambleTiming> PreambleDetector::detect_bits(
-    std::span<const std::uint8_t> bits, double rate_hz, double min_score) const {
-  dsp::RealSignal sig_scratch;
-  dsp::RealSignal corr_scratch;
-  return detect_bits_ws(bits, rate_hz, sig_scratch, corr_scratch, min_score);
-}
-
 std::optional<PreambleTiming> PreambleDetector::detect_bits_ws(
     std::span<const std::uint8_t> bits, double rate_hz,
     dsp::RealSignal& sig_scratch, dsp::RealSignal& corr_scratch,
@@ -103,12 +96,6 @@ std::optional<PreambleTiming> PreambleDetector::detect_bits_ws(
   }
   if (best.score < min_score) return std::nullopt;
   return best;
-}
-
-std::optional<PreambleTiming> PreambleDetector::detect_envelope(
-    std::span<const double> envelope, double min_score) const {
-  dsp::RealSignal sig_scratch;
-  return detect_envelope_ws(envelope, sig_scratch, min_score);
 }
 
 std::optional<PreambleTiming> PreambleDetector::detect_envelope_ws(

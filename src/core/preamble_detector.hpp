@@ -37,24 +37,17 @@ class PreambleDetector {
   explicit PreambleDetector(const ReceiverChain& chain);
 
   /// Locate the preamble in a comparator bit stream sampled at
-  /// `rate_hz`; returns the index of the first payload sample.
-  std::optional<PreambleTiming> detect_bits(std::span<const std::uint8_t> bits,
-                                            double rate_hz,
-                                            double min_score = 0.55) const;
-
-  /// Workspace variant of detect_bits: the bipolar stream and the
-  /// correlation output live in the caller's scratch buffers.
+  /// `rate_hz`; returns the index of the first payload sample. The
+  /// bipolar stream and the correlation output live in the caller's
+  /// scratch buffers.
   std::optional<PreambleTiming> detect_bits_ws(
       std::span<const std::uint8_t> bits, double rate_hz,
       dsp::RealSignal& sig_scratch, dsp::RealSignal& corr_scratch,
       double min_score = 0.55) const;
 
   /// Locate the preamble in the analog envelope at the simulation
-  /// rate (correlation mode).
-  std::optional<PreambleTiming> detect_envelope(std::span<const double> envelope,
-                                                double min_score = 0.35) const;
-
-  /// Workspace variant of detect_envelope.
+  /// rate (correlation mode); the mean-removed envelope lives in the
+  /// caller's scratch buffer.
   std::optional<PreambleTiming> detect_envelope_ws(
       std::span<const double> envelope, dsp::RealSignal& sig_scratch,
       double min_score = 0.35) const;

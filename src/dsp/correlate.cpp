@@ -46,27 +46,7 @@ RealSignal cross_correlate(std::span<const Complex> x, std::span<const Complex> 
   return prepared.correlate(x);
 }
 
-RealSignal cross_correlate(std::span<const double> x, std::span<const double> tmpl) {
-  if (tmpl.empty()) throw std::invalid_argument("cross_correlate: empty template");
-  if (x.size() < tmpl.size()) return {};
-  PreparedTemplate prepared(tmpl);
-  return prepared.correlate(x);
-}
-
-RealSignal cross_correlate_signed(std::span<const double> x,
-                                  std::span<const double> tmpl) {
-  if (tmpl.empty()) throw std::invalid_argument("cross_correlate: empty template");
-  if (x.size() < tmpl.size()) return {};
-  PreparedTemplate prepared(tmpl);
-  return prepared.correlate_signed(x);
-}
-
 CorrelationPeak find_peak(std::span<const Complex> x, std::span<const Complex> tmpl) {
-  PreparedTemplate prepared(tmpl);
-  return prepared.find_peak(x);
-}
-
-CorrelationPeak find_peak(std::span<const double> x, std::span<const double> tmpl) {
   PreparedTemplate prepared(tmpl);
   return prepared.find_peak(x);
 }
@@ -140,27 +120,11 @@ bool PreparedTemplate::correlate_core(std::span<const Complex> x) const {
   return true;
 }
 
-RealSignal PreparedTemplate::correlate(std::span<const double> x) const {
-  if (!correlate_core(x)) return {};
-  const std::size_t n_valid = x.size() - t_len_ + 1;
-  RealSignal out(n_valid);
-  for (std::size_t i = 0; i < n_valid; ++i) {
-    out[i] = std::abs(real_work_[i + t_len_ - 1]);
-  }
-  return out;
-}
-
 RealSignal PreparedTemplate::correlate(std::span<const Complex> x) const {
   if (!correlate_core(x)) return {};
   const std::size_t n_valid = x.size() - t_len_ + 1;
   RealSignal out(n_valid);
   for (std::size_t i = 0; i < n_valid; ++i) out[i] = std::abs(work_[i + t_len_ - 1]);
-  return out;
-}
-
-RealSignal PreparedTemplate::correlate_signed(std::span<const double> x) const {
-  RealSignal out;
-  correlate_signed_into(x, out);
   return out;
 }
 

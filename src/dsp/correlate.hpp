@@ -1,13 +1,13 @@
 // Cross-correlation — the primitive behind Saiyan's correlation
 // decoder (§3.2) and PLoRa's packet detector.
 //
-// Two interfaces:
-//   * free functions — one-shot correlation through a throwaway
-//     PreparedTemplate;
-//   * PreparedTemplate — transforms the template once and reuses its
-//     spectrum plus the FFT workspace across calls. This is the hot
-//     path for the Monte-Carlo sweeps, where the same reference
-//     template is correlated against thousands of received windows.
+// PreparedTemplate transforms the template once and reuses its
+// spectrum plus the FFT workspace across calls: the preamble search,
+// the bits detector and the SIC resolver correlate one reference
+// against every window they see. Real correlation is only reached that
+// way. The complex free functions are one-shot wrappers around a
+// throwaway PreparedTemplate for the complex-baseband models
+// (lora::CoherentDemodulator, baselines::PLoRaDetector).
 //
 // Real templates and windows run the half-length real transforms of
 // FftPlan (forward_real_half / inverse_real_raw): the spectra hold
@@ -41,19 +41,10 @@ struct CorrelationPeak {
 /// (valid lags only); empty if the template is longer than the signal.
 RealSignal cross_correlate(std::span<const Complex> x, std::span<const Complex> tmpl);
 
-/// Real-valued sliding cross-correlation (valid lags). Magnitudes.
-RealSignal cross_correlate(std::span<const double> x, std::span<const double> tmpl);
-
-/// Signed real sliding cross-correlation (valid lags) — preserves the
-/// sign so anti-correlated windows score negative.
-RealSignal cross_correlate_signed(std::span<const double> x,
-                                  std::span<const double> tmpl);
-
 /// Find the strongest normalized correlation peak of tmpl in x.
 /// `normalized` is |corr| / (||x_window|| · ||tmpl||) — 1.0 for a
 /// perfect scaled match.
 CorrelationPeak find_peak(std::span<const Complex> x, std::span<const Complex> tmpl);
-CorrelationPeak find_peak(std::span<const double> x, std::span<const double> tmpl);
 
 /// A correlation template prepared for repeated use: the conjugated,
 /// time-reversed template spectrum is computed once per FFT length and
@@ -75,17 +66,15 @@ class PreparedTemplate {
   double energy() const { return energy_; }
 
   /// |correlation| over valid lags; matches cross_correlate().
-  RealSignal correlate(std::span<const double> x) const;
   RealSignal correlate(std::span<const Complex> x) const;
 
-  /// Signed real correlation; matches cross_correlate_signed().
-  RealSignal correlate_signed(std::span<const double> x) const;
-
-  /// correlate_signed into a caller-owned buffer (zero-allocation
-  /// path); `out` is left empty when x is shorter than the template.
+  /// Signed real correlation over valid lags into a caller-owned buffer
+  /// (zero-allocation path), so anti-correlated windows score negative;
+  /// `out` is left empty when x is shorter than the template.
   void correlate_signed_into(std::span<const double> x, RealSignal& out) const;
 
-  /// Peak search with the same normalization as the free find_peak().
+  /// Strongest normalized correlation peak, normalized as the free
+  /// find_peak().
   CorrelationPeak find_peak(std::span<const double> x) const;
   CorrelationPeak find_peak(std::span<const Complex> x) const;
 

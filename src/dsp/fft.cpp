@@ -1125,21 +1125,10 @@ const FftPlan::RealPath& FftPlan::real_path() const {
   return real_;
 }
 
-void FftPlan::forward_real(std::span<const double> x, Signal& out) const {
-  forward_real(x, out, thread_scratch());
-}
-
-void FftPlan::forward_real(std::span<const double> x, Signal& out,
-                           Signal& scratch) const {
-  forward_real_half(x, out, scratch);
-  out.resize(n_);
-  for (std::size_t k = n_ / 2 + 1; k < n_; ++k) out[k] = std::conj(out[n_ - k]);
-}
-
 void FftPlan::forward_real_half(std::span<const double> x, Signal& out,
                                 Signal& scratch) const {
   if (x.size() > n_) {
-    throw std::invalid_argument("FftPlan::forward_real: input longer than plan");
+    throw std::invalid_argument("FftPlan::forward_real_half: input longer than plan");
   }
   const std::size_t h = n_ / 2;
   if (n_ % 2 != 0) {
@@ -1166,7 +1155,7 @@ void FftPlan::forward_real_half(std::span<const double> x, Signal& out,
 void FftPlan::inverse_real_raw(Signal& spec, RealSignal& out, Signal& scratch) const {
   const std::size_t h = n_ / 2;
   if (spec.size() < h + 1) {
-    throw std::invalid_argument("FftPlan::inverse_real: needs bins 0..N/2");
+    throw std::invalid_argument("FftPlan::inverse_real_raw: needs bins 0..N/2");
   }
   if (n_ % 2 != 0) {
     // Odd length: no half-length path; mirror the full spectrum.
@@ -1186,12 +1175,6 @@ void FftPlan::inverse_real_raw(Signal& spec, RealSignal& out, Signal& scratch) c
   // z[j] = n·(x[2j] + i·x[2j+1]): unpacking is the same copy backwards.
   const double* z = reinterpret_cast<const double*>(spec.data());
   out.assign(z, z + n_);
-}
-
-void FftPlan::inverse_real(Signal& spec, RealSignal& out, Signal& scratch) const {
-  inverse_real_raw(spec, out, scratch);
-  const double scale = 1.0 / static_cast<double>(n_);
-  for (double& v : out) v *= scale;
 }
 
 std::shared_ptr<const FftPlan> fft_plan(std::size_t n) {
@@ -1222,16 +1205,6 @@ void fft_inplace(Signal& x) {
 void ifft_inplace(Signal& x) {
   if (x.empty()) throw std::invalid_argument("ifft: empty input");
   fft_plan(x.size())->inverse(x);
-}
-
-Signal fft(Signal x) {
-  fft_inplace(x);
-  return x;
-}
-
-Signal ifft(Signal x) {
-  ifft_inplace(x);
-  return x;
 }
 
 double bin_frequency(std::size_t k, std::size_t n, double fs) {

@@ -109,29 +109,19 @@ class FftPlan {
   /// reversal of its offset within the third for 3·2^k, p otherwise.
   std::size_t scrambled_bin(std::size_t p) const;
 
-  /// Forward DFT of a real sequence, zero-padded to size(). Writes the
-  /// full N-bin spectrum into `out`: forward_real_half, then bins
-  /// N/2+1..N-1 as the conjugate mirror of bins 1..(N-1)/2.
-  void forward_real(std::span<const double> x, Signal& out) const;
-
-  /// forward_real with the radix-3 scratch of the half-length transform
-  /// supplied by the caller — the zero-allocation path.
-  void forward_real(std::span<const double> x, Signal& out,
-                    Signal& scratch) const;
-
-  /// Real-to-complex transform: like forward_real but writes bins
-  /// 0..N/2 only (N/2+1 values; the rest are their conjugate mirror).
+  /// Real-to-complex forward DFT of a real sequence zero-padded to
+  /// size(): writes bins 0..N/2 into `out` (N/2+1 values; the rest are
+  /// their conjugate mirror). `scratch` is the half-length transform's
+  /// radix-3 scratch.
   void forward_real_half(std::span<const double> x, Signal& out,
                          Signal& scratch) const;
 
-  /// Complex-to-real inverse DFT, normalized by 1/N: N real samples
+  /// Complex-to-real inverse DFT without the 1/N normalization: N·x
   /// from bins 0..N/2 of a Hermitian spectrum (further bins are
   /// ignored; the imaginary parts of bins 0 and N/2 are taken as 0).
-  /// `spec` is the work buffer and is overwritten.
-  void inverse_real(Signal& spec, RealSignal& out, Signal& scratch) const;
-
-  /// inverse_real without the 1/N normalization — for callers that fold
-  /// the scale into the spectrum they multiply by (PreparedTemplate).
+  /// For callers that fold the scale into the spectrum they multiply
+  /// by (PreparedTemplate). `spec` is the work buffer and is
+  /// overwritten.
   void inverse_real_raw(Signal& spec, RealSignal& out, Signal& scratch) const;
 
  private:
@@ -211,12 +201,6 @@ void fft_inplace(Signal& x);
 /// In-place inverse DFT of x (any length >= 1), normalized by 1/N.
 void ifft_inplace(Signal& x);
 
-/// Out-of-place forward DFT.
-Signal fft(Signal x);
-
-/// Out-of-place inverse DFT (1/N normalized).
-Signal ifft(Signal x);
-
 /// Smallest power of two >= n (n = 0 maps to 1). Throws
 /// std::overflow_error when the result does not fit in std::size_t.
 std::size_t next_pow2(std::size_t n);
@@ -253,15 +237,6 @@ void radix3_combine_scalar(Complex* out, const Complex* s, const Complex* tw,
 bool radix3_combine_avx2(Complex* out, const Complex* s, const Complex* tw,
                          std::size_t m, bool inverse);
 
-/// Real-path passes around the n/2-point transform (h = n/2), exposed
-/// for the same scalar/AVX2 bit-equality tests. Both work in place on
-/// z[0..h] with the twiddles tw[k] = exp(-2πik/n), k <= h/2, and treat
-/// bins k and h-k as a pair. The untangle turns the spectrum Z[0..h) of
-/// the packed sequence into bins X[0..h] of the real signal (writing
-/// z[h]); the pre-tangle maps X[0..h] back to 2·Z[0..h) (the factor 2
-/// makes the unnormalized n/2-point inverse yield n·x). The AVX2
-/// variants keep the scalar association with no FMA contraction and
-/// return false on hosts without AVX2+FMA.
 /// pow2_passes' twiddle-free first pass over x[0..n) in its natural
 /// (bit-reversed input) layout, n a power of two >= 2: one radix-2 pass
 /// over adjacent pairs for an odd number of stages, else the 4-point
@@ -272,6 +247,15 @@ bool radix3_combine_avx2(Complex* out, const Complex* s, const Complex* tw,
 void pow2_first_pass_scalar(Complex* x, std::size_t n, bool inverse);
 bool pow2_first_pass_avx2(Complex* x, std::size_t n, bool inverse);
 
+/// Real-path passes around the n/2-point transform (h = n/2), exposed
+/// for the same scalar/AVX2 bit-equality tests. Both work in place on
+/// z[0..h] with the twiddles tw[k] = exp(-2πik/n), k <= h/2, and treat
+/// bins k and h-k as a pair. The untangle turns the spectrum Z[0..h) of
+/// the packed sequence into bins X[0..h] of the real signal (writing
+/// z[h]); the pre-tangle maps X[0..h] back to 2·Z[0..h) (the factor 2
+/// makes the unnormalized n/2-point inverse yield n·x). The AVX2
+/// variants keep the scalar association with no FMA contraction and
+/// return false on hosts without AVX2+FMA.
 void real_untangle_scalar(Complex* z, const Complex* tw, std::size_t h);
 bool real_untangle_avx2(Complex* z, const Complex* tw, std::size_t h);
 void real_pretangle_scalar(Complex* z, const Complex* tw, std::size_t h);

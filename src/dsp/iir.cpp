@@ -47,16 +47,6 @@ Biquad Biquad::bandpass(double f0_hz, double fs_hz, double q) {
   return Biquad(alpha, 0.0, -alpha, 1 + alpha, -2 * cw, 1 - alpha);
 }
 
-RealSignal Biquad::process(std::span<const double> x) {
-  RealSignal out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = step(x[i]);
-  return out;
-}
-
-void Biquad::process_inplace(std::span<double> x) {
-  for (double& v : x) v = step(v);
-}
-
 void Biquad::reset() { x1_ = x2_ = y1_ = y2_ = 0.0; }
 
 void Biquad::scale_output(double g) {
@@ -82,16 +72,6 @@ OnePole::OnePole(double cutoff_hz, double fs_hz) {
   const double rc = 1.0 / (kTwoPi * cutoff_hz);
   const double dt = 1.0 / fs_hz;
   alpha_ = dt / (rc + dt);
-}
-
-RealSignal OnePole::process(std::span<const double> x) {
-  RealSignal out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = step(x[i]);
-  return out;
-}
-
-void OnePole::process_inplace(std::span<double> x) {
-  for (double& v : x) v = step(v);
 }
 
 void OnePole::reset() { y_ = 0.0; }

@@ -33,10 +33,6 @@ class Biquad {
     y1_ = y;
     return y;
   }
-  RealSignal process(std::span<const double> x);
-  /// Filter in place (x[i] overwritten with y[i]) — the
-  /// zero-allocation workspace path. Same values as process().
-  void process_inplace(std::span<double> x);
   void reset();
 
   /// Fold a constant output gain into the feed-forward coefficients
@@ -61,9 +57,6 @@ class OnePole {
     y_ += alpha_ * (x - y_);
     return y_;
   }
-  RealSignal process(std::span<const double> x);
-  /// Filter in place — same values as process().
-  void process_inplace(std::span<double> x);
   void reset();
   double alpha() const { return alpha_; }
 

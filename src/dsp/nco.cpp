@@ -7,7 +7,6 @@ namespace saiyan::dsp {
 
 Nco::Nco(double frequency_hz, double fs_hz, double initial_phase_rad)
     : freq_hz_(frequency_hz),
-      fs_hz_(fs_hz),
       phase_(initial_phase_rad),
       phase_inc_(kTwoPi * frequency_hz / fs_hz) {
   if (fs_hz <= 0.0) throw std::invalid_argument("Nco: fs must be > 0");
@@ -50,8 +49,6 @@ Complex Nco::next() {
   return v;
 }
 
-double Nco::next_real() { return next().real(); }
-
 void Nco::advance(std::size_t n) {
   phase_ += static_cast<double>(n) * phase_inc_;
   phase_ = std::remainder(phase_, kTwoPi);
@@ -73,11 +70,6 @@ RealSignal Nco::cosine(std::size_t n) {
   return out;
 }
 
-void Nco::set_frequency(double frequency_hz) {
-  freq_hz_ = frequency_hz;
-  phase_inc_ = kTwoPi * frequency_hz / fs_hz_;
-}
-
 Signal mix_complex(std::span<const Complex> x, double f_hz, double fs_hz,
                    double phase_rad) {
   Signal out(x.size());
@@ -87,24 +79,6 @@ Signal mix_complex(std::span<const Complex> x, double f_hz, double fs_hz,
                       const double xi = x[i].imag();
                       out[i] = Complex(xr * c - xi * s, xr * s + xi * c);
                     });
-  return out;
-}
-
-Signal mix_real(std::span<const Complex> x, double f_hz, double fs_hz,
-                double phase_rad) {
-  Signal out(x.size());
-  generate_rotation(x.size(), phase_rad, kTwoPi * f_hz / fs_hz,
-                    [&](std::size_t i, double c, double) {
-                      out[i] = Complex(x[i].real() * c, x[i].imag() * c);
-                    });
-  return out;
-}
-
-RealSignal mix_real(std::span<const double> x, double f_hz, double fs_hz,
-                    double phase_rad) {
-  RealSignal out(x.size());
-  generate_rotation(x.size(), phase_rad, kTwoPi * f_hz / fs_hz,
-                    [&](std::size_t i, double c, double) { out[i] = x[i] * c; });
   return out;
 }
 

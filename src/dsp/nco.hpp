@@ -18,17 +18,11 @@ class Nco {
   /// Next complex exponential sample exp(j(2π f t + φ0)).
   Complex next();
 
-  /// Next real cosine sample cos(2π f t + φ0).
-  double next_real();
-
   /// Generate n complex samples.
   Signal tone(std::size_t n);
 
   /// Generate n real cosine samples.
   RealSignal cosine(std::size_t n);
-
-  /// Retune without phase discontinuity.
-  void set_frequency(double frequency_hz);
 
   /// Advance the phase by n samples without emitting output.
   void advance(std::size_t n);
@@ -39,7 +33,6 @@ class Nco {
 
  private:
   double freq_hz_;
-  double fs_hz_;
   double phase_;       // radians
   double phase_inc_;   // radians/sample
 };
@@ -48,14 +41,5 @@ class Nco {
 /// (single-sideband frequency shift).
 Signal mix_complex(std::span<const Complex> x, double f_hz, double fs_hz,
                    double phase_rad = 0.0);
-
-/// Multiply a complex waveform by a *real* cosine — the physical mixer
-/// operation that produces both sidebands S(F−Δf) and S(F+Δf).
-Signal mix_real(std::span<const Complex> x, double f_hz, double fs_hz,
-                double phase_rad = 0.0);
-
-/// Multiply a real waveform by a real cosine.
-RealSignal mix_real(std::span<const double> x, double f_hz, double fs_hz,
-                    double phase_rad = 0.0);
 
 }  // namespace saiyan::dsp

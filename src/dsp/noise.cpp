@@ -36,18 +36,6 @@ RealSignal real_white_noise(std::size_t n, double power_watts, Rng& rng) {
   return out;
 }
 
-RealSignal flicker_noise(std::size_t n, double power_watts, Rng& rng) {
-  RealSignal out;
-  flicker_noise_into(n, power_watts, rng, out);
-  return out;
-}
-
-void flicker_noise_into(std::size_t n, double power_watts, Rng& rng,
-                        RealSignal& out) {
-  const double gain = flicker_noise_unscaled(n, power_watts, rng, out);
-  simd::scale(out.data(), n, gain, out.data());
-}
-
 double flicker_noise_unscaled(std::size_t n, double power_watts, Rng& rng,
                               RealSignal& out) {
   if (power_watts < 0.0) throw std::invalid_argument("flicker_noise: negative power");

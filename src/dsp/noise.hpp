@@ -21,22 +21,14 @@ void add_awgn(Signal& x, double power_watts, Rng& rng);
 /// `power_watts`.
 RealSignal real_white_noise(std::size_t n, double power_watts, Rng& rng);
 
-/// Generate n samples of 1/f (flicker) noise with total power
-/// `power_watts`, synthesized by summing octave-spaced one-pole
-/// filtered white noise (Voss–McCartney style IIR approximation).
-RealSignal flicker_noise(std::size_t n, double power_watts, Rng& rng);
-
-/// flicker_noise into a caller-owned buffer — the zero-allocation
-/// workspace path (the white drive is drawn a stack block at a time).
-/// Identical draws and values to flicker_noise().
-void flicker_noise_into(std::size_t n, double power_watts, Rng& rng,
-                        RealSignal& out);
-
-/// flicker_noise_into without its final scaling pass: writes the raw
+/// n samples of 1/f (flicker) noise, synthesized by summing
+/// octave-spaced one-pole filtered white noise (Voss–McCartney style
+/// IIR approximation) with one gaussian drive per sample, drawn a
+/// stack block at a time into a caller-owned buffer. Writes the raw
 /// stage sum into `out` and returns the gain that normalizes it to
-/// `power_watts` (1 when the raw sum has no power). gain·out[i] is
-/// bit-identical to flicker_noise_into's out[i], so a consumer that
-/// sweeps the frame anyway folds the scaling into its own pass.
+/// total power `power_watts` (1 when the raw sum has no power): the
+/// noise is gain·out[i]. The envelope detector folds that scaling into
+/// its own per-sample pass instead of sweeping the frame again.
 double flicker_noise_unscaled(std::size_t n, double power_watts, Rng& rng,
                               RealSignal& out);
 

@@ -44,28 +44,8 @@ bool use_avx2() { return active_isa() == Isa::kAvx2; }
 // exact association the AVX2 variants reproduce lane-wise; reductions
 // use the fixed 4-accumulator blocking described in the header.
 
-void square_law_scalar(const Complex* x, std::size_t n, double k, double* y) {
-  const double* d = reinterpret_cast<const double*>(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = d[2 * i];
-    const double im = d[2 * i + 1];
-    y[i] = k * (re * re + im * im);
-  }
-}
-
-void square_law_mixed_scalar(const Complex* x, const double* gain,
-                             std::size_t n, double k, double* y) {
-  const double* d = reinterpret_cast<const double*>(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = d[2 * i];
-    const double im = d[2 * i + 1];
-    const double g2 = gain[i] * gain[i];
-    y[i] = k * g2 * (re * re + im * im);
-  }
-}
-
 // The draw-free LNA + square-law reference (the noiseless arm):
-// re = g·x, the same arithmetic as scale() then square_law().
+// re = g·x, then k·gain²·(re² + im²).
 void lna_square_law_scalar(const Complex* x, const double* gain,
                            std::size_t n, double g, double k, double* y) {
   const double* d = reinterpret_cast<const double*>(x);
@@ -184,55 +164,7 @@ double sum_squares_scalar(const double* x, std::size_t n) {
 // the reference — FMA stays reserved for the FFT butterflies where the
 // plan's twiddle layout already defines the rounding.
 
-__attribute__((target("avx2"))) void square_law_avx2(const Complex* x,
-                                                     std::size_t n, double k,
-                                                     double* y) {
-  const double* d = reinterpret_cast<const double*>(x);
-  const __m256d kv = _mm256_set1_pd(k);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(d + 2 * i);      // re0 im0 re1 im1
-    const __m256d b = _mm256_loadu_pd(d + 2 * i + 4);  // re2 im2 re3 im3
-    const __m256d sa = _mm256_mul_pd(a, a);
-    const __m256d sb = _mm256_mul_pd(b, b);
-    // hadd yields [s0 s2 s1 s3]; permute restores element order.
-    const __m256d h = _mm256_hadd_pd(sa, sb);
-    const __m256d s = _mm256_permute4x64_pd(h, 0xD8);
-    _mm256_storeu_pd(y + i, _mm256_mul_pd(kv, s));
-  }
-  for (; i < n; ++i) {
-    const double re = d[2 * i];
-    const double im = d[2 * i + 1];
-    y[i] = k * (re * re + im * im);
-  }
-}
-
-__attribute__((target("avx2"))) void square_law_mixed_avx2(
-    const Complex* x, const double* gain, std::size_t n, double k, double* y) {
-  const double* d = reinterpret_cast<const double*>(x);
-  const __m256d kv = _mm256_set1_pd(k);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(d + 2 * i);
-    const __m256d b = _mm256_loadu_pd(d + 2 * i + 4);
-    const __m256d sa = _mm256_mul_pd(a, a);
-    const __m256d sb = _mm256_mul_pd(b, b);
-    const __m256d h = _mm256_hadd_pd(sa, sb);
-    const __m256d s = _mm256_permute4x64_pd(h, 0xD8);
-    const __m256d g = _mm256_loadu_pd(gain + i);
-    const __m256d g2 = _mm256_mul_pd(g, g);
-    const __m256d kg2 = _mm256_mul_pd(kv, g2);
-    _mm256_storeu_pd(y + i, _mm256_mul_pd(kg2, s));
-  }
-  for (; i < n; ++i) {
-    const double re = d[2 * i];
-    const double im = d[2 * i + 1];
-    const double g2 = gain[i] * gain[i];
-    y[i] = k * g2 * (re * re + im * im);
-  }
-}
-
-// Draw-free arm: four samples per step in square_law_avx2's layout,
+// Draw-free arm: four samples per step (two loads of re/im pairs),
 // each amplified by g first (scale_avx2's g·x).
 __attribute__((target("avx2"))) void lna_square_law_avx2(
     const Complex* xc, const double* gain, std::size_t n, double g, double k,
@@ -244,6 +176,7 @@ __attribute__((target("avx2"))) void lna_square_law_avx2(
   for (; i + 4 <= n; i += 4) {
     const __m256d a = _mm256_mul_pd(gv, _mm256_loadu_pd(x + 2 * i));
     const __m256d b = _mm256_mul_pd(gv, _mm256_loadu_pd(x + 2 * i + 4));
+    // hadd yields [s0 s2 s1 s3]; permute restores element order.
     const __m256d h =
         _mm256_hadd_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b));
     const __m256d s = _mm256_permute4x64_pd(h, 0xD8);
@@ -329,7 +262,7 @@ __attribute__((target("avx2"))) Complex cdot_avx2(const Complex* xc,
     const __m256d c = _mm256_loadu_pd(x + 2 * i + 4);  // x2r x2i x3r x3i
     const __m256d d = _mm256_loadu_pd(y + 2 * i + 4);
     // Real part: xr·yr + xi·yi per complex; hadd pairs then restore
-    // element order (the square_law trick).
+    // element order (as lna_square_law_avx2 does).
     const __m256d pa = _mm256_mul_pd(a, b);
     const __m256d pc = _mm256_mul_pd(c, d);
     const __m256d re4 =
@@ -402,21 +335,6 @@ __attribute__((target("avx2"))) double sum_squares_avx2(const double* x,
 
 }  // namespace
 
-void square_law(const Complex* x, std::size_t n, double k, double* y) {
-#ifdef SAIYAN_SIMD_AVX2
-  if (use_avx2()) return square_law_avx2(x, n, k, y);
-#endif
-  square_law_scalar(x, n, k, y);
-}
-
-void square_law_mixed(const Complex* x, const double* gain, std::size_t n,
-                      double k, double* y) {
-#ifdef SAIYAN_SIMD_AVX2
-  if (use_avx2()) return square_law_mixed_avx2(x, gain, n, k, y);
-#endif
-  square_law_mixed_scalar(x, gain, n, k, y);
-}
-
 void scale(const double* x, std::size_t n, double g, double* out) {
 #ifdef SAIYAN_SIMD_AVX2
   if (use_avx2()) return scale_avx2(x, n, g, out);
@@ -476,16 +394,6 @@ void scale_add_gaussian(const double* x, std::size_t n, double a, double sigma,
       rng, n, [&](const double* g, std::size_t i0, std::size_t m) {
         for (std::size_t j = 0; j < m; ++j) {
           out[i0 + j] = a * x[i0 + j] + sigma * g[j];
-        }
-      });
-}
-
-void gain_add_gaussian(const double* x, std::size_t n, double g, double sigma,
-                       double* out, Rng& rng) {
-  for_each_gaussian_block(
-      rng, n, [&](const double* gs, std::size_t i0, std::size_t m) {
-        for (std::size_t j = 0; j < m; ++j) {
-          out[i0 + j] = g * (x[i0 + j] + sigma * gs[j]);
         }
       });
 }

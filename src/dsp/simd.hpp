@@ -52,14 +52,6 @@ void set_isa(Isa isa);
 /// The ISA the kernels currently dispatch to (kScalar or kAvx2).
 Isa active_isa();
 
-/// y[i] = k * (re(x[i])^2 + im(x[i])^2) — square-law envelope (Eq. 4).
-void square_law(const Complex* x, std::size_t n, double k, double* y);
-
-/// y[i] = (k * gain[i]^2) * (re^2 + im^2) — square-law of a waveform
-/// pre-multiplied by a real mixer gain (the CFS input mixer fusion).
-void square_law_mixed(const Complex* x, const double* gain, std::size_t n,
-                      double k, double* y);
-
 /// out[i] = g * x[i] (real arrays; complex data can be passed as 2n
 /// doubles).
 void scale(const double* x, std::size_t n, double g, double* out);
@@ -115,19 +107,17 @@ void for_each_gaussian_block(Rng& rng, std::size_t n, Body&& body) {
 void scale_add_gaussian(const double* x, std::size_t n, double a, double sigma,
                         double* out, Rng& rng);
 
-/// out[i] = g * (x[i] + sigma * gaussian_i) — the LNA pass.
-void gain_add_gaussian(const double* x, std::size_t n, double g, double sigma,
-                       double* out, Rng& rng);
-
-/// Fused LNA + square-law: amplify each complex sample with
-/// input-referred noise (re' = g·(re + sigma·gaussian), likewise im —
-/// two draws per sample in re/im order) and emit
-/// y[i] = k · gain[i]² · (re'² + im'²) without materializing the
-/// amplified waveform. `gain` may be null (plain square law). Values
-/// and draw stream identical to gain_add_gaussian followed by
-/// square_law_mixed / square_law. A null `rng` is the noiseless arm:
-/// no draws, re' = g·re — identical to scale followed by
-/// square_law_mixed / square_law.
+/// Fused LNA + square-law envelope (Eq. 4), the detector's first pass.
+/// Each complex sample is amplified with input-referred noise and
+/// squared without materializing the amplified waveform:
+///   re' = g·(re + sigma·gaussian_re),  im' = g·(im + sigma·gaussian_im)
+///   y[i] = k·gain[i]²·(re'² + im'²)     (k·(re'² + im'²) if gain is null)
+/// evaluated left to right in exactly that association. The draws come
+/// two per sample, re before im, sample by sample: the stream of 2n
+/// successive rng.gaussian() calls. `gain` is the real per-sample mixer
+/// gain (the CFS input mixer). A null `rng` is the noiseless arm: no
+/// draws and re' = g·re, im' = g·im; that arm has an AVX2 variant,
+/// bit-identical to the scalar one.
 void lna_square_law(const Complex* x, const double* gain, std::size_t n,
                     double g, double sigma, double k, double* y, Rng* rng);
 

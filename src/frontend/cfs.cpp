@@ -54,9 +54,9 @@ void CyclicFrequencyShifter::process_ws(std::span<const dsp::Complex> rf,
     scratch.clk_phase_rad = cfg_.clock.delay_line_phase_rad;
   }
 
-  // The output-mixer LO table: the same cosine dsp::mix_real
-  // generates, cached per length (cleared above when the clock key
-  // changes).
+  // The output-mixer LO table: the delay-line copy of the clock,
+  // cos(2πΔf·t + Δφ) from dsp::Nco, cached per length (cleared above
+  // when the clock key changes).
   if (scratch.cfs_lo.size() != n) {
     dsp::Nco lo(cfg_.clock.frequency_hz, fs_hz_,
                 cfg_.clock.delay_line_phase_rad);
@@ -85,14 +85,6 @@ void CyclicFrequencyShifter::process_ws(std::span<const dsp::Complex> rf,
                         [bp, lpf, lo](double v, std::size_t i) mutable {
                           return lpf.step(bp.step(v) * lo[i]);
                         });
-}
-
-dsp::RealSignal CyclicFrequencyShifter::process(std::span<const dsp::Complex> rf,
-                                                dsp::Rng& rng) const {
-  dsp::RealSignal out;
-  FrontendScratch scratch;
-  process_ws(rf, std::nullopt, &rng, out, scratch);
-  return out;
 }
 
 }  // namespace saiyan::frontend

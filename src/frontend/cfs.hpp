@@ -43,10 +43,7 @@ class CyclicFrequencyShifter {
   CyclicFrequencyShifter(const CfsConfig& cfg, const EnvelopeDetectorConfig& ed_cfg);
 
   /// Run the full CFS chain on an RF complex-baseband waveform and
-  /// return the recovered baseband envelope.
-  dsp::RealSignal process(std::span<const dsp::Complex> rf, dsp::Rng& rng) const;
-
-  /// Workspace entry: writes the envelope into `out`, reusing the
+  /// write the recovered baseband envelope into `out`, reusing the
   /// scratch's cached mixer-clock tables (regenerated only when the
   /// waveform length changes) and noise buffers. `lna` and `rng` as in
   /// EnvelopeDetector::detect_ws: an optional CG-LNA stage folded into

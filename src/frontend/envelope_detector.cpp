@@ -57,21 +57,4 @@ void EnvelopeDetector::detect_ws(std::span<const dsp::Complex> x,
               [lpf](double v, std::size_t) mutable { return lpf.step(v); });
 }
 
-dsp::RealSignal EnvelopeDetector::detect_raw(std::span<const dsp::Complex> x,
-                                             dsp::Rng& rng) const {
-  dsp::RealSignal y;
-  FrontendScratch scratch;
-  detect_into(x, {}, std::nullopt, &rng, y, scratch,
-              [](double v, std::size_t) { return v; });
-  return y;
-}
-
-dsp::RealSignal EnvelopeDetector::detect(std::span<const dsp::Complex> x,
-                                         dsp::Rng& rng) const {
-  dsp::RealSignal y;
-  FrontendScratch scratch;
-  detect_ws(x, std::nullopt, &rng, y, scratch);
-  return y;
-}
-
 }  // namespace saiyan::frontend

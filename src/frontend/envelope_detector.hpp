@@ -40,19 +40,12 @@ class EnvelopeDetector {
  public:
   explicit EnvelopeDetector(const EnvelopeDetectorConfig& cfg);
 
-  /// Full detector: square-law + impairments + smoothing low-pass.
-  dsp::RealSignal detect(std::span<const dsp::Complex> x, dsp::Rng& rng) const;
-
-  /// Square-law + impairments only, no smoothing — the wideband output
-  /// the CFS circuit taps before its IF amplifier.
-  dsp::RealSignal detect_raw(std::span<const dsp::Complex> x, dsp::Rng& rng) const;
-
-  /// Workspace entry: writes the smoothed detector output into a
-  /// caller-owned buffer. With `lna` set, `x` is the *unamplified*
-  /// waveform and the CG-LNA stage (y = gain·(x + noise)) rides the
-  /// square-law kernel. A null `rng` is the noiseless reference: no
-  /// LNA draws and no impairments. Values and RNG consumption of
-  /// detect() are this with no LNA stage.
+  /// Full detector: square-law + impairments + smoothing low-pass,
+  /// written into a caller-owned buffer. With `lna` set, `x` is the
+  /// *unamplified* waveform and the CG-LNA stage (y = gain·(x + noise))
+  /// rides the square-law kernel; without it the input is detected as
+  /// given. A null `rng` is the noiseless reference: no LNA draws and
+  /// no impairments.
   void detect_ws(std::span<const dsp::Complex> x, std::optional<LnaStage> lna,
                  dsp::Rng* rng, dsp::RealSignal& out,
                  FrontendScratch& scratch) const;

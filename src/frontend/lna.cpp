@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/noise.hpp"
-#include "dsp/simd.hpp"
 #include "dsp/utils.hpp"
 
 namespace saiyan::frontend {
@@ -19,17 +17,6 @@ Lna::Lna(const LnaConfig& cfg) : cfg_(cfg) {
 
 LnaStage Lna::stage() const {
   return {dsp::db_to_amp(cfg_.gain_db), std::sqrt(input_noise_watts_ / 2.0)};
-}
-
-dsp::Signal Lna::amplify(std::span<const dsp::Complex> x, dsp::Rng& rng) const {
-  // Fused pass: y = g (x + n), the gaussians drawn inside the
-  // SIMD-dispatched kernel in the per-sample re/im order.
-  dsp::Signal out(x.size());
-  const LnaStage s = stage();
-  dsp::simd::gain_add_gaussian(reinterpret_cast<const double*>(x.data()),
-                               2 * x.size(), s.gain, s.sigma,
-                               reinterpret_cast<double*>(out.data()), rng);
-  return out;
 }
 
 }  // namespace saiyan::frontend

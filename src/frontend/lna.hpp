@@ -2,11 +2,6 @@
 // the SAW filter and the envelope detector.
 #pragma once
 
-#include <span>
-
-#include "dsp/rng.hpp"
-#include "dsp/types.hpp"
-
 namespace saiyan::frontend {
 
 struct LnaConfig {
@@ -22,14 +17,13 @@ struct LnaStage {
   double sigma = 0.0;
 };
 
-/// Amplify with input-referred thermal noise: y = g (x + n), where n
-/// has power kT·B·(F-1).
+/// Amplification with input-referred thermal noise: y = g (x + n),
+/// where n has power kT·B·(F-1). The receive chain applies it inside
+/// the envelope detector's fused LNA + square-law pass
+/// (EnvelopeDetector::detect_ws), so the class only derives the stage.
 class Lna {
  public:
   explicit Lna(const LnaConfig& cfg);
-
-  /// One fused draw-and-inject pass over the waveform.
-  dsp::Signal amplify(std::span<const dsp::Complex> x, dsp::Rng& rng) const;
 
   /// Gain and per-I/Q-component input noise sigma.
   LnaStage stage() const;

@@ -35,11 +35,6 @@ class VoltageSampler {
   void sample_into(std::span<const std::uint8_t> comparator_bits, double fs_hz,
                    SampledBits& out) const;
 
-  /// Sample the analog envelope directly (used by the correlation
-  /// decoder, which consumes amplitude samples rather than logic
-  /// levels).
-  dsp::RealSignal sample_analog(std::span<const double> envelope, double fs_hz) const;
-
   double sample_rate_hz() const { return rate_hz_; }
 
  private:

@@ -2,9 +2,11 @@
 //
 // This is the power-hungry receiver the paper contrasts against:
 // down-convert, sample at >= BW, dechirp with the conjugate base chirp
-// and FFT — argmax bin is the chip value. It serves as ground truth
-// for the Saiyan pipeline and as the access-point receiver in the MAC
-// simulations.
+// and FFT — argmax bin is the chip value. Nothing in the library calls
+// it: the MAC simulations draw the access point's reception from a
+// success probability, and the Saiyan pipeline is checked against the
+// transmitted symbols. Only the tests run it, as a check of the
+// modulator (tests/test_reference_demod.cpp).
 #pragma once
 
 #include <cstdint>

@@ -93,8 +93,10 @@ TEST_P(BatchDemodModes, AlignedDecodeMatchesLegacyApi) {
   core::BatchDemodulator batch(cfg);
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     dsp::Rng rng_a(seed), rng_b(seed);
-    const core::DemodResult want =
-        legacy.demodulate_aligned(rx, lay.payload_start, tx.size(), rng_a);
+    // A fresh workspace per packet against the batch engine's shared,
+    // warm one.
+    core::DemodWorkspace want;
+    legacy.demodulate_aligned_ws(want, rx, lay.payload_start, tx.size(), rng_a);
     const auto got =
         batch.decode_aligned(rx, lay.payload_start, tx.size(), rng_b);
     const core::DemodWorkspace& ws = batch.workspace();

@@ -84,7 +84,8 @@ TEST(PreambleDetector, FindsHeaderInReferenceEnvelope) {
   const std::vector<std::uint32_t> tx = {1, 3, 0, 2};
   const dsp::Signal wave = mod.modulate(tx);
   const dsp::RealSignal env = chain.reference_envelope(wave);
-  const auto timing = det.detect_envelope(env);
+  dsp::RealSignal sig;
+  const auto timing = det.detect_envelope_ws(env, sig);
   ASSERT_TRUE(timing.has_value());
   const lora::PacketLayout lay = mod.layout(tx.size());
   EXPECT_NEAR(static_cast<double>(timing->payload_start),
@@ -99,7 +100,8 @@ TEST(PreambleDetector, NoDetectionOnNoiseEnvelope) {
   dsp::Rng rng(3);
   dsp::RealSignal noise(60000);
   for (double& v : noise) v = std::abs(rng.gaussian());
-  EXPECT_FALSE(det.detect_envelope(noise).has_value());
+  dsp::RealSignal sig;
+  EXPECT_FALSE(det.detect_envelope_ws(noise, sig).has_value());
 }
 
 TEST(PreambleDetector, BitDomainDetection) {
@@ -114,7 +116,9 @@ TEST(PreambleDetector, BitDomainDetection) {
   frontend::DoubleThresholdComparator comp(th.u_high, th.u_low);
   frontend::VoltageSampler sampler(cfg.phy, cfg.sampling_rate_multiplier);
   const auto sampled = sampler.sample(comp.quantize(env), cfg.phy.sample_rate_hz);
-  const auto timing = det.detect_bits(sampled.bits, sampled.sample_rate_hz);
+  dsp::RealSignal sig, corr;
+  const auto timing =
+      det.detect_bits_ws(sampled.bits, sampled.sample_rate_hz, sig, corr);
   ASSERT_TRUE(timing.has_value());
   lora::PacketLayout lay = mod.layout(tx.size());
   const double expect_ticks = static_cast<double>(lay.payload_start) /
@@ -128,8 +132,9 @@ TEST(PreambleDetector, BitDomainRejectsConstantStreams) {
   const PreambleDetector det(chain);
   const dsp::BitVector zeros(2048, 0);
   const dsp::BitVector ones(2048, 1);
-  EXPECT_FALSE(det.detect_bits(zeros, 50e3).has_value());
-  EXPECT_FALSE(det.detect_bits(ones, 50e3).has_value());
+  dsp::RealSignal sig, corr;
+  EXPECT_FALSE(det.detect_bits_ws(zeros, 50e3, sig, corr).has_value());
+  EXPECT_FALSE(det.detect_bits_ws(ones, 50e3, sig, corr).has_value());
 }
 
 class CorrelatorAllSymbols : public ::testing::TestWithParam<int> {};
@@ -145,7 +150,8 @@ TEST_P(CorrelatorAllSymbols, DecodesEveryValueCleanly) {
   for (std::uint32_t v = 0; v < m; ++v) tx.push_back(v);
   const dsp::Signal wave = mod.modulate_payload(tx);
   const dsp::RealSignal env = chain.reference_envelope(wave);
-  const auto out = dec.decode_stream(env, 0, tx.size());
+  std::vector<std::uint32_t> out;
+  dec.decode_stream_into(env, 0, tx.size(), out);
   ASSERT_EQ(out.size(), tx.size());
   for (std::size_t i = 0; i < tx.size(); ++i) {
     EXPECT_EQ(out[i], tx[i]) << "value " << tx[i];

@@ -65,37 +65,12 @@ TEST(Correlate, SignedDistinguishesPolarity) {
     pos[10 + i] = tmpl[i];
     neg[10 + i] = -tmpl[i];
   }
-  const RealSignal cp = cross_correlate_signed(pos, tmpl);
-  const RealSignal cn = cross_correlate_signed(neg, tmpl);
+  const PreparedTemplate prepared((std::span<const double>(tmpl)));
+  RealSignal cp, cn;
+  prepared.correlate_signed_into(pos, cp);
+  prepared.correlate_signed_into(neg, cn);
   EXPECT_GT(cp[10], 5.9);
   EXPECT_LT(cn[10], -5.9);
-}
-
-TEST(PreparedTemplate, MatchesOneShotRealCorrelation) {
-  Rng rng(11);
-  RealSignal tmpl(100);
-  for (double& v : tmpl) v = rng.gaussian();
-  const PreparedTemplate prepared((std::span<const double>(tmpl)));
-  for (std::size_t n : {100u, 333u, 1024u}) {
-    RealSignal x(n);
-    for (double& v : x) v = rng.gaussian();
-    const RealSignal one_shot =
-        cross_correlate(std::span<const double>(x), std::span<const double>(tmpl));
-    const RealSignal reused = prepared.correlate(std::span<const double>(x));
-    ASSERT_EQ(reused.size(), one_shot.size()) << "n=" << n;
-    for (std::size_t i = 0; i < reused.size(); ++i) {
-      EXPECT_NEAR(reused[i], one_shot[i], 1e-9 * (1.0 + std::abs(one_shot[i])))
-          << "n=" << n << " lag " << i;
-    }
-    const RealSignal signed_one_shot = cross_correlate_signed(
-        std::span<const double>(x), std::span<const double>(tmpl));
-    const RealSignal signed_reused =
-        prepared.correlate_signed(std::span<const double>(x));
-    for (std::size_t i = 0; i < signed_reused.size(); ++i) {
-      EXPECT_NEAR(signed_reused[i], signed_one_shot[i],
-                  1e-9 * (1.0 + std::abs(signed_one_shot[i])));
-    }
-  }
 }
 
 TEST(PreparedTemplate, MatchesOneShotComplexCorrelation) {
@@ -121,8 +96,10 @@ TEST(PreparedTemplate, FindPeakMatchesFreeFunction) {
   RealSignal x(512, 0.0);
   for (double& v : x) v = 0.1 * rng.gaussian();
   for (std::size_t i = 0; i < tmpl.size(); ++i) x[300 + i] += 2.0 * tmpl[i];
+  // The one-shot form: a throwaway instance.
   const CorrelationPeak free_pk =
-      find_peak(std::span<const double>(x), std::span<const double>(tmpl));
+      PreparedTemplate(std::span<const double>(tmpl))
+          .find_peak(std::span<const double>(x));
   const PreparedTemplate prepared((std::span<const double>(tmpl)));
   const CorrelationPeak prep_pk = prepared.find_peak(std::span<const double>(x));
   EXPECT_EQ(prep_pk.lag, free_pk.lag);
@@ -158,10 +135,10 @@ std::vector<T> direct_correlation(const std::vector<T>& x, const std::vector<T>&
   return out;
 }
 
-// |got - want| <= 1e-9 of the largest |want|, lag by lag.
+// |got - want| <= 1e-9 of the largest |want|, lag by lag: signed for a
+// real correlation, magnitudes for a complex one.
 template <typename T>
-void expect_close(const RealSignal& got, const std::vector<T>& want, bool magnitude,
-                  std::size_t n) {
+void expect_close(const RealSignal& got, const std::vector<T>& want, std::size_t n) {
   ASSERT_EQ(got.size(), want.size()) << "n=" << n;
   double scale = 0.0;
   for (const T& v : want) scale = std::max(scale, std::abs(v));
@@ -170,7 +147,7 @@ void expect_close(const RealSignal& got, const std::vector<T>& want, bool magnit
     if constexpr (std::is_same_v<T, Complex>) {
       w = std::abs(want[i]);
     } else {
-      w = magnitude ? std::abs(want[i]) : want[i];
+      w = want[i];
     }
     ASSERT_NEAR(got[i], w, 1e-9 * scale) << "n=" << n << " lag " << i;
   }
@@ -196,13 +173,13 @@ TEST(Correlate, RealMatchesDirectSumAtTransformEdges) {
     const std::span<const double> xs(x);
     const std::span<const double> ts(tmpl);
     const RealSignal direct = direct_correlation(x, tmpl);
-    expect_close(cross_correlate(xs, ts), direct, true, n);
-    expect_close(cross_correlate_signed(xs, ts), direct, false, n);
-    expect_close(prepared.correlate(xs), direct, true, n);
-    expect_close(prepared.correlate_signed(xs), direct, false, n);
+    RealSignal corr;
+    prepared.correlate_signed_into(xs, corr);
+    expect_close(corr, direct, n);
 
     const std::size_t lag = direct_peak_lag(direct);
-    for (const CorrelationPeak& pk : {find_peak(xs, ts), prepared.find_peak(xs)}) {
+    for (const CorrelationPeak& pk :
+         {PreparedTemplate(ts).find_peak(xs), prepared.find_peak(xs)}) {
       EXPECT_EQ(pk.lag, lag) << "n=" << n;
       EXPECT_NEAR(pk.value, std::abs(direct[lag]), 1e-9 * std::abs(direct[lag]));
     }
@@ -220,8 +197,8 @@ TEST(Correlate, ComplexMatchesDirectSumAtTransformEdges) {
     const std::span<const Complex> xs(x);
     const std::span<const Complex> ts(tmpl);
     const Signal direct = direct_correlation(x, tmpl);
-    expect_close(cross_correlate(xs, ts), direct, true, n);
-    expect_close(prepared.correlate(xs), direct, true, n);
+    expect_close(cross_correlate(xs, ts), direct, n);
+    expect_close(prepared.correlate(xs), direct, n);
 
     const std::size_t lag = direct_peak_lag(direct);
     for (const CorrelationPeak& pk : {find_peak(xs, ts), prepared.find_peak(xs)}) {
@@ -247,9 +224,10 @@ TEST(PreparedTemplate, AlternatingLengthsMatchFreshInstances) {
     RealSignal x(n);
     for (double& v : x) v = rng.gaussian();
     const PreparedTemplate fresh((std::span<const double>(tmpl)));
-    EXPECT_EQ(shared.correlate_signed(std::span<const double>(x)),
-              fresh.correlate_signed(std::span<const double>(x)))
-        << "n=" << n;
+    RealSignal shared_out, fresh_out;
+    shared.correlate_signed_into(std::span<const double>(x), shared_out);
+    fresh.correlate_signed_into(std::span<const double>(x), fresh_out);
+    EXPECT_EQ(shared_out, fresh_out) << "n=" << n;
 
     Signal cx(n);
     for (Complex& v : cx) v = Complex(rng.gaussian(), rng.gaussian());
@@ -267,9 +245,10 @@ TEST(PreparedTemplate, InputKindMustMatchTemplateKind) {
   const PreparedTemplate complex_prepared((std::span<const Complex>(ctmpl)));
   const RealSignal x(32, 1.0);
   const Signal cx(32, Complex(1.0, 0.0));
+  RealSignal out;
   EXPECT_THROW(real_prepared.correlate(std::span<const Complex>(cx)),
                std::invalid_argument);
-  EXPECT_THROW(complex_prepared.correlate(std::span<const double>(x)),
+  EXPECT_THROW(complex_prepared.correlate_signed_into(std::span<const double>(x), out),
                std::invalid_argument);
 }
 
@@ -277,7 +256,9 @@ TEST(PreparedTemplate, ShortSignalAndEmptyTemplate) {
   RealSignal tmpl(30, 1.0);
   const PreparedTemplate prepared((std::span<const double>(tmpl)));
   RealSignal x(10, 1.0);
-  EXPECT_TRUE(prepared.correlate(std::span<const double>(x)).empty());
+  RealSignal out(4, 1.0);
+  prepared.correlate_signed_into(std::span<const double>(x), out);
+  EXPECT_TRUE(out.empty());
   EXPECT_THROW(PreparedTemplate{std::span<const double>{}}, std::invalid_argument);
 }
 

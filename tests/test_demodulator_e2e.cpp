@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "channel/awgn_channel.hpp"
+#include "core/batch_demod.hpp"
 #include "core/demodulator.hpp"
 #include "lora/frame.hpp"
 #include "dsp/utils.hpp"
@@ -50,7 +51,8 @@ TEST_P(ModeLoopback, CleanChannelAlignedDecode) {
   const auto tx = random_payload(rng, cfg.phy, 32);
   const dsp::Signal rx = chan.apply(mod.modulate(tx), -50.0, rng);
   const lora::PacketLayout lay = mod.layout(tx.size());
-  const DemodResult r = demod.demodulate_aligned(rx, lay.payload_start, tx.size(), rng);
+  DemodWorkspace r;
+  demod.demodulate_aligned_ws(r, rx, lay.payload_start, tx.size(), rng);
   EXPECT_EQ(count_errors(tx, r.symbols), 0u);
 }
 
@@ -98,7 +100,8 @@ TEST_P(KSweepLoopback, SuperDecodesAllRates) {
   const auto tx = random_payload(rng, cfg.phy, 24);
   const dsp::Signal rx = chan.apply(mod.modulate(tx), -50.0, rng);
   const lora::PacketLayout lay = mod.layout(tx.size());
-  const DemodResult r = demod.demodulate_aligned(rx, lay.payload_start, tx.size(), rng);
+  DemodWorkspace r;
+  demod.demodulate_aligned_ws(r, rx, lay.payload_start, tx.size(), rng);
   EXPECT_EQ(count_errors(tx, r.symbols), 0u);
 }
 
@@ -119,8 +122,8 @@ TEST(SensitivityOrdering, SuperBeatsCfsBeatsVanilla) {
       const auto tx = random_payload(rng, cfg.phy, 32);
       const dsp::Signal rx = chan.apply(mod.modulate(tx), rss, rng);
       const lora::PacketLayout lay = mod.layout(tx.size());
-      const DemodResult r =
-          demod.demodulate_aligned(rx, lay.payload_start, tx.size(), rng);
+      DemodWorkspace r;
+      demod.demodulate_aligned_ws(r, rx, lay.payload_start, tx.size(), rng);
       errs += count_errors(tx, r.symbols);
     }
     return errs;
@@ -181,8 +184,8 @@ TEST(Demodulator, ThresholdHintOverridesAuto) {
   const dsp::Signal rx = chan.apply(mod.modulate(tx), -50.0, rng);
   const lora::PacketLayout lay = mod.layout(tx.size());
   const frontend::ThresholdPair hint{1e-7, 5e-8};
-  const DemodResult r =
-      demod.demodulate_aligned(rx, lay.payload_start, tx.size(), rng, hint);
+  DemodWorkspace r;
+  demod.demodulate_aligned_ws(r, rx, lay.payload_start, tx.size(), rng, hint);
   EXPECT_EQ(r.thresholds.u_high, hint.u_high);
   EXPECT_EQ(r.thresholds.u_low, hint.u_low);
 }

@@ -56,7 +56,9 @@ TEST_P(FftRoundTrip, IfftOfFftIsIdentity) {
   Rng rng(n);
   Signal x(n);
   for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-  const Signal y = ifft(fft(x));
+  Signal y = x;
+  fft_inplace(y);
+  ifft_inplace(y);
   ASSERT_EQ(y.size(), x.size());
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-8) << "index " << i;
@@ -70,7 +72,8 @@ TEST_P(FftRoundTrip, ParsevalHolds) {
   for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
   double time_energy = 0.0;
   for (const Complex& v : x) time_energy += std::norm(v);
-  const Signal X = fft(x);
+  Signal X = x;
+  fft_inplace(X);
   double freq_energy = 0.0;
   for (const Complex& v : X) freq_energy += std::norm(v);
   EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy,
@@ -90,7 +93,8 @@ TEST(FftTone, LocalizesComplexExponential) {
     const double ph = kTwoPi * static_cast<double>(k0 * i) / static_cast<double>(n);
     x[i] = Complex(std::cos(ph), std::sin(ph));
   }
-  const Signal X = fft(x);
+  Signal X = x;
+  fft_inplace(X);
   std::size_t best = 0;
   double best_mag = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -111,9 +115,12 @@ TEST(FftLinearity, FftOfSumIsSumOfFfts) {
     b[i] = Complex(rng.gaussian(), rng.gaussian());
     s[i] = a[i] + b[i];
   }
-  const Signal fa = fft(a);
-  const Signal fb = fft(b);
-  const Signal fs = fft(s);
+  Signal fa = a;
+  fft_inplace(fa);
+  Signal fb = b;
+  fft_inplace(fb);
+  Signal fs = s;
+  fft_inplace(fs);
   for (std::size_t i = 0; i < s.size(); ++i) {
     EXPECT_NEAR(std::abs(fs[i] - (fa[i] + fb[i])), 0.0, 1e-8);
   }
@@ -147,7 +154,8 @@ TEST(FftPrecision, MatchesNaiveDftAt1536) {
   Rng rng(42);
   Signal x(n);
   for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-  const Signal X = fft(x);
+  Signal X = x;
+  fft_inplace(X);
   double rms = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     rms += std::norm(X[k] - naive_dft_bin(x, k));
@@ -161,7 +169,8 @@ TEST(FftPrecision, MatchesNaiveDftAt65536SampledBins) {
   Rng rng(43);
   Signal x(n);
   for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-  const Signal X = fft(x);
+  Signal X = x;
+  fft_inplace(X);
   // A spread of bins including DC, Nyquist and awkward odd indices.
   const std::size_t bins[] = {0, 1, 2, 3, 777, 4097, 21211, 32768, 50001, 65535};
   for (std::size_t k : bins) {
@@ -190,13 +199,26 @@ TEST(FftPlanCache, SharedPlanMatchesFreshPlan) {
   }
 }
 
+// The full N-bin spectrum of a real signal: forward_real_half, then
+// bins N/2+1..N-1 as the conjugate mirror of bins 1..(N-1)/2.
+Signal forward_real_full(const FftPlan& plan, std::span<const double> x,
+                         Signal& scratch) {
+  Signal out;
+  plan.forward_real_half(x, out, scratch);
+  const std::size_t n = plan.size();
+  out.resize(n);
+  for (std::size_t k = n / 2 + 1; k < n; ++k) out[k] = std::conj(out[n - k]);
+  return out;
+}
+
 TEST(FftRealInput, PackedRealTransformMatchesComplex) {
   for (std::size_t n : {4u, 64u, 1024u}) {
     Rng rng(n + 5);
     RealSignal x(n - 3);  // shorter than the plan: zero-padded
     for (double& v : x) v = rng.gaussian();
-    Signal via_real;
-    fft_plan(n)->forward_real(std::span<const double>(x), via_real);
+    Signal scratch;
+    const Signal via_real =
+        forward_real_full(*fft_plan(n), std::span<const double>(x), scratch);
     Signal via_complex(n, Complex{});
     for (std::size_t i = 0; i < x.size(); ++i) via_complex[i] = Complex(x[i], 0.0);
     fft_plan(n)->forward(via_complex);
@@ -231,7 +253,8 @@ TEST(FftRadix3, MatchesNaiveDftAtSmallSizes) {
     Rng rng(n + 17);
     Signal x(n);
     for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-    const Signal X = fft(x);
+    Signal X = x;
+    fft_inplace(X);
     for (std::size_t k = 0; k < n; ++k) {
       EXPECT_NEAR(std::abs(X[k] - naive_dft_bin(x, k)), 0.0, 1e-9)
           << "n=" << n << " bin " << k;
@@ -326,21 +349,6 @@ TEST(FftRadix3, SimdCombineBitIdenticalToScalarAtAllTailLengths) {
   }
 }
 
-TEST(FftRealInput, ScratchOverloadMatchesAllocatingPath) {
-  Rng rng(21);
-  RealSignal x(1000);
-  for (double& v : x) v = rng.gaussian();
-  const auto plan = fft_plan(2048);
-  Signal a, b, scratch;
-  plan->forward_real(x, a);
-  plan->forward_real(x, b, scratch);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real()) << "bin " << i;
-    EXPECT_EQ(a[i].imag(), b[i].imag()) << "bin " << i;
-  }
-}
-
 // Real-path lengths: tiny even lengths (n/2 of 1, 2, 3), 2^k, and 3·2^k
 // (whose n/2-point transform is itself a radix-3 split), up to the
 // scanner's 24576 and the SIC rescan's 65536.
@@ -371,8 +379,8 @@ TEST(FftRealInput, ForwardRealMatchesComplexTransformAtHalfPathLengths) {
       double scale = 0.0;
       for (const Complex& v : want) scale = std::max(scale, std::abs(v));
 
-      Signal full, half, scratch;
-      fft_plan(n)->forward_real(x, full, scratch);
+      Signal half, scratch;
+      const Signal full = forward_real_full(*fft_plan(n), x, scratch);
       fft_plan(n)->forward_real_half(x, half, scratch);
       ASSERT_EQ(full.size(), n);
       ASSERT_EQ(half.size(), n / 2 + 1);
@@ -399,32 +407,16 @@ TEST(FftRealInput, InverseRealOfForwardRealReturnsTheSignal) {
       for (double v : x) scale = std::max(scale, std::abs(v));
       Signal spec, scratch;
       RealSignal back;
-      fft_plan(n)->forward_real(x, spec, scratch);
-      fft_plan(n)->inverse_real(spec, back, scratch);
+      fft_plan(n)->forward_real_half(x, spec, scratch);
+      fft_plan(n)->inverse_real_raw(spec, back, scratch);
+      const double norm = 1.0 / static_cast<double>(n);
+      for (double& v : back) v *= norm;
       ASSERT_EQ(back.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const double want = i < len ? x[i] : 0.0;
         ASSERT_LE(std::abs(back[i] - want), 1e-12 * std::max(scale, 1.0))
             << "n=" << n << " len=" << len << " sample " << i;
       }
-    }
-  }
-}
-
-TEST(FftRealInput, ScratchAndNoScratchOverloadsAreBitIdentical) {
-  // The packing buffer of the half-length path and the radix-3 scratch
-  // of its n/2-point transform must be distinct buffers; sharing them
-  // corrupts the spectrum when n/2 is a 3·2^k length (384 -> 192).
-  for (std::size_t n : {std::size_t{384}, std::size_t{1536}, std::size_t{2048},
-                        std::size_t{24576}}) {
-    const RealSignal x = gaussian_real(n - 5, n);
-    Signal a, b, scratch;
-    fft_plan(n)->forward_real(x, a);
-    fft_plan(n)->forward_real(x, b, scratch);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].real(), b[k].real()) << "n=" << n << " bin " << k;
-      EXPECT_EQ(a[k].imag(), b[k].imag()) << "n=" << n << " bin " << k;
     }
   }
 }
@@ -436,7 +428,7 @@ TEST(FftRealInput, ConcurrentFirstUseBuildsTheRealPathOnce) {
   const std::size_t n = 1536;
   const RealSignal x = gaussian_real(n, 77);
   Signal want, scratch;
-  FftPlan(n).forward_real(x, want, scratch);
+  FftPlan(n).forward_real_half(x, want, scratch);
   for (int round = 0; round < 20; ++round) {
     const FftPlan plan(n);
     std::vector<Signal> got(4);
@@ -444,7 +436,7 @@ TEST(FftRealInput, ConcurrentFirstUseBuildsTheRealPathOnce) {
     for (std::size_t t = 0; t < got.size(); ++t) {
       pool.emplace_back([&, t] {
         Signal own_scratch;
-        plan.forward_real(x, got[t], own_scratch);
+        plan.forward_real_half(x, got[t], own_scratch);
       });
     }
     for (std::thread& th : pool) th.join();
@@ -670,7 +662,8 @@ TEST(FftBluestein, MatchesRadix2OnPaddableSignal) {
   Rng rng(9);
   Signal x(30);
   for (Complex& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-  const Signal X = fft(x);
+  Signal X = x;
+  fft_inplace(X);
   for (std::size_t k = 0; k < x.size(); ++k) {
     Complex acc{};
     for (std::size_t i = 0; i < x.size(); ++i) {

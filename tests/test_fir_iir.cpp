@@ -135,7 +135,8 @@ TEST(OnePole, CutoffAttenuation) {
   OnePole lp(fc, fs);
   Nco nco(fc, fs);
   RealSignal x = nco.cosine(8192);
-  RealSignal y = lp.process(std::span<const double>(x));
+  RealSignal y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = lp.step(x[i]);
   double px = 0.0;
   double py = 0.0;
   for (std::size_t i = 2048; i < 8192; ++i) {

@@ -34,8 +34,13 @@ TEST(Lna, AppliesGain) {
     x[i] = dsp::Complex(std::cos(0.2 * i), std::sin(0.2 * i));
   }
   dsp::set_power_dbm(x, -50.0);
-  const dsp::Signal y = lna.amplify(x, rng);
-  EXPECT_NEAR(dsp::signal_power_dbm(y), -30.0, 0.2);
+  // The LNA rides the square-law kernel: with k = 1 its output is the
+  // amplified waveform's instantaneous power.
+  const LnaStage s = lna.stage();
+  dsp::RealSignal y(x.size());
+  dsp::simd::lna_square_law(x.data(), nullptr, x.size(), s.gain, s.sigma, 1.0,
+                            y.data(), &rng);
+  EXPECT_NEAR(dsp::watts_to_dbm(dsp::mean(y)), -30.0, 0.2);
 }
 
 TEST(Lna, AddsNoiseForWeakSignals) {
@@ -45,8 +50,11 @@ TEST(Lna, AddsNoiseForWeakSignals) {
   const Lna lna(cfg);
   dsp::Rng rng(2);
   dsp::Signal x(1 << 14, dsp::Complex{});  // silence in
-  const dsp::Signal y = lna.amplify(x, rng);
-  EXPECT_GT(dsp::signal_power(y), 0.0);  // noise out
+  const LnaStage s = lna.stage();
+  dsp::RealSignal y(x.size());
+  dsp::simd::lna_square_law(x.data(), nullptr, x.size(), s.gain, s.sigma, 1.0,
+                            y.data(), &rng);
+  EXPECT_GT(dsp::mean(y), 0.0);  // noise out
 }
 
 TEST(EnvelopeDetector, SquareLawOnCleanTone) {
@@ -68,7 +76,11 @@ TEST(EnvelopeDetector, ImpairmentsAddNoiseFloor) {
   const EnvelopeDetector ed(cfg);
   dsp::Rng rng(4);
   dsp::Signal silence(1 << 14, dsp::Complex{});
-  const dsp::RealSignal y = ed.detect_raw(silence, rng);
+  // Square law + impairments only: the detector pass with no smoothing.
+  dsp::RealSignal y;
+  FrontendScratch scratch;
+  ed.detect_into(silence, {}, std::nullopt, &rng, y, scratch,
+                 [](double v, std::size_t) { return v; });
   // DC offset shows up as a non-zero mean; flicker+white as variance.
   EXPECT_GT(dsp::mean(y), 0.0);
   EXPECT_GT(dsp::variance(y), 0.0);
@@ -253,8 +265,10 @@ TEST(Cfs, SnrGainOverPlainDetector) {
     x[i] = dsp::Complex(amp, 0.0);
   }
   dsp::set_power_dbm(x, -68.0);  // weak enough that flicker dominates
-  const dsp::RealSignal y_plain = plain.detect(x, rng_a);
-  const dsp::RealSignal y_cfs = cfs.process(x, rng_b);
+  dsp::RealSignal y_plain, y_cfs;
+  FrontendScratch scratch_a, scratch_b;
+  plain.detect_ws(x, std::nullopt, &rng_a, y_plain, scratch_a);
+  cfs.process_ws(x, std::nullopt, &rng_b, y_cfs, scratch_b);
   const double snr_plain =
       dsp::estimate_snr_db(std::span<const double>(y_plain), fs, 6e3, 10e3);
   const double snr_cfs =
@@ -264,32 +278,55 @@ TEST(Cfs, SnrGainOverPlainDetector) {
 }
 
 // The one-pass front end against the separate passes it replaced,
-// composed here from the public kernels: lna_square_law, then
-// flicker_noise_into, then y += dc + flicker + σ·white with per-sample
-// draws, then the post-detection filters as whole-frame passes.
+// written out here as plain scalar loops: the LNA with one draw per
+// I/Q component, then the square law, then the flicker noise scaled by
+// its normalizing gain, then y += dc + flicker + σ·white with
+// per-sample draws, then the post-detection filters as whole-frame
+// passes.
 
 struct IsaGuard {
   ~IsaGuard() { dsp::simd::set_isa(dsp::simd::Isa::kAuto); }
 };
 
-/// Square law + impairments, pass by pass (null rng: square law only).
+/// Square law + impairments, pass by pass (null rng: no LNA draws and
+/// square law only).
 dsp::RealSignal composed_detect_raw(const EnvelopeDetectorConfig& cfg,
                                     const dsp::Signal& x,
                                     const double* mix_gain, LnaStage lna,
                                     dsp::Rng* rng) {
   const std::size_t n = x.size();
+  const double k = cfg.conversion_gain;
+  dsp::Signal amp(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng == nullptr) {
+      amp[i] = dsp::Complex(lna.gain * x[i].real(), lna.gain * x[i].imag());
+    } else {
+      const double re = lna.gain * (x[i].real() + lna.sigma * rng->gaussian());
+      const double im = lna.gain * (x[i].imag() + lna.sigma * rng->gaussian());
+      amp[i] = dsp::Complex(re, im);
+    }
+  }
   dsp::RealSignal y(n);
-  dsp::simd::lna_square_law(x.data(), mix_gain, n, lna.gain, lna.sigma,
-                            cfg.conversion_gain, y.data(), rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double re = amp[i].real();
+    const double im = amp[i].imag();
+    if (mix_gain != nullptr) {
+      const double g2 = mix_gain[i] * mix_gain[i];
+      y[i] = k * g2 * (re * re + im * im);
+    } else {
+      y[i] = k * (re * re + im * im);
+    }
+  }
   if (rng == nullptr) return y;
   // The detector's impairment levels (EnvelopeDetector's constructor).
-  const double k = cfg.conversion_gain;
   const double dc = k * dsp::dbm_to_watts(cfg.dc_offset_dbm_equiv);
   const double fl_amp = k * dsp::dbm_to_watts(cfg.flicker_noise_dbm_equiv);
   const double white_amp = k * dsp::dbm_to_watts(cfg.white_noise_dbm_equiv);
   const double sigma = std::sqrt(white_amp * white_amp);
   dsp::RealSignal fl;
-  dsp::flicker_noise_into(n, fl_amp * fl_amp, *rng, fl);
+  const double fl_gain =
+      dsp::flicker_noise_unscaled(n, fl_amp * fl_amp, *rng, fl);
+  for (double& v : fl) v = fl_gain * v;
   for (std::size_t i = 0; i < n; ++i) {
     y[i] += dc + fl[i] + sigma * rng->gaussian();
   }
@@ -310,13 +347,13 @@ dsp::RealSignal composed_cfs(const CfsConfig& cfg,
   dsp::Biquad bp =
       dsp::Biquad::bandpass(cfg.clock.frequency_hz, fs, cfg.if_quality_factor);
   bp.scale_output(dsp::db_to_amp(cfg.if_gain_db));
-  bp.process_inplace(y);
+  for (double& v : y) v = bp.step(v);
   dsp::Nco nco(cfg.clock.frequency_hz, fs, cfg.clock.delay_line_phase_rad);
   const dsp::RealSignal lo = nco.cosine(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = y[i] * lo[i];
   dsp::Biquad lpf = dsp::Biquad::lowpass(cfg.output_lpf_cutoff_hz, fs, 0.707);
   lpf.scale_output(2.0);
-  lpf.process_inplace(y);
+  for (double& v : y) v = lpf.step(v);
   return y;
 }
 
@@ -365,7 +402,8 @@ TEST(FusedFrontEnd, MatchesComposedPassesBitForBit) {
 
         // Vanilla arm: the detector's one-pole smoother.
         dsp::RealSignal want_plain = composed_detect_raw(ed, x, nullptr, lna, want_r);
-        dsp::OnePole(ed.lpf_cutoff_hz, ed.sample_rate_hz).process_inplace(want_plain);
+        dsp::OnePole smoother(ed.lpf_cutoff_hz, ed.sample_rate_hz);
+        for (double& v : want_plain) v = smoother.step(v);
         det.detect_ws(x, lna, got_r, got, scratch);
         ASSERT_TRUE(same_bits(want_plain, got))
             << "vanilla n=" << n << " isa=" << static_cast<int>(isa)

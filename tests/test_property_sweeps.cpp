@@ -7,6 +7,7 @@
 
 #include "channel/awgn_channel.hpp"
 #include "channel/jammer.hpp"
+#include "core/batch_demod.hpp"
 #include "core/demodulator.hpp"
 #include "core/threshold_table.hpp"
 #include "lora/modulator.hpp"
@@ -39,8 +40,8 @@ std::size_t run_errors(const core::SaiyanConfig& cfg, double rss,
   dsp::Signal rx = chan.apply(mod.modulate(tx), rss, rng);
   if (jam != nullptr) channel::add_jammer(rx, *jam, rng);
   const lora::PacketLayout lay = mod.layout(tx.size());
-  const core::DemodResult r =
-      demod.demodulate_aligned(rx, lay.payload_start, tx.size(), rng);
+  core::DemodWorkspace r;
+  demod.demodulate_aligned_ws(r, rx, lay.payload_start, tx.size(), rng);
   std::size_t errors = 0;
   for (std::size_t i = 0; i < tx.size(); ++i) {
     errors += (i >= r.symbols.size() || r.symbols[i] != tx[i]) ? 1 : 0;
@@ -124,8 +125,9 @@ TEST(ThresholdTableMode, MatchesAutoOnCalibratedLink) {
   const double d = 20.0;
   const dsp::Signal rx = chan.apply(mod.modulate(tx), link.rss_dbm(d), rng);
   const lora::PacketLayout lay = mod.layout(tx.size());
-  const core::DemodResult with_table = demod.demodulate_aligned(
-      rx, lay.payload_start, tx.size(), rng, table.lookup(d));
+  core::DemodWorkspace with_table;
+  demod.demodulate_aligned_ws(with_table, rx, lay.payload_start, tx.size(),
+                              rng, table.lookup(d));
   std::size_t errors = 0;
   for (std::size_t i = 0; i < tx.size(); ++i) {
     errors += with_table.symbols[i] != tx[i];

@@ -91,41 +91,6 @@ TEST(SimdDispatch, ActiveIsaFollowsOverride) {
   }
 }
 
-TEST(SimdKernels, SquareLawBitIdentical) {
-  IsaGuard guard;
-  for (std::size_t n : test_lengths()) {
-    for (std::size_t off : kOffsets) {
-      if (!have_avx2()) GTEST_SKIP() << "no AVX2+FMA on this host";
-      const Signal x = random_complex(n + off, 3 * n + off + 1);
-      RealSignal ys(n, 0.0), yv(n, 0.0);
-      simd::set_isa(simd::Isa::kScalar);
-      simd::square_law(x.data() + off, n, 0.37, ys.data());
-      simd::set_isa(simd::Isa::kAvx2);
-      simd::square_law(x.data() + off, n, 0.37, yv.data());
-      ASSERT_TRUE(same_bytes(ys.data(), yv.data(), n * sizeof(double)))
-          << "n=" << n << " off=" << off;
-    }
-  }
-}
-
-TEST(SimdKernels, SquareLawMixedBitIdentical) {
-  IsaGuard guard;
-  for (std::size_t n : test_lengths()) {
-    for (std::size_t off : kOffsets) {
-      if (!have_avx2()) GTEST_SKIP() << "no AVX2+FMA on this host";
-      const Signal x = random_complex(n + off, 5 * n + off + 1);
-      const RealSignal g = random_reals(n + off, 7 * n + off + 2);
-      RealSignal ys(n, 0.0), yv(n, 0.0);
-      simd::set_isa(simd::Isa::kScalar);
-      simd::square_law_mixed(x.data() + off, g.data() + off, n, 1.7, ys.data());
-      simd::set_isa(simd::Isa::kAvx2);
-      simd::square_law_mixed(x.data() + off, g.data() + off, n, 1.7, yv.data());
-      ASSERT_TRUE(same_bytes(ys.data(), yv.data(), n * sizeof(double)))
-          << "n=" << n << " off=" << off;
-    }
-  }
-}
-
 TEST(SimdKernels, ScaleBitIdentical) {
   IsaGuard guard;
   for (std::size_t n : test_lengths()) {
@@ -165,18 +130,6 @@ TEST(SimdKernels, ScaleAddGaussianBitIdentical) {
       expect_fused_identical(n, off, [](const double* x, double* out,
                                         std::size_t m, Rng& rng) {
         simd::scale_add_gaussian(x, m, 1.3e-4, 2.7e-8, out, rng);
-      });
-    }
-  }
-}
-
-TEST(SimdKernels, GainAddGaussianBitIdentical) {
-  IsaGuard guard;
-  for (std::size_t n : test_lengths()) {
-    for (std::size_t off : kOffsets) {
-      expect_fused_identical(n, off, [](const double* x, double* out,
-                                        std::size_t m, Rng& rng) {
-        simd::gain_add_gaussian(x, m, 10.0, 3.3e-9, out, rng);
       });
     }
   }
@@ -234,18 +187,23 @@ TEST(SimdKernels, LnaSquareLawMatchesTwoPassChain) {
   EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
   EXPECT_EQ(r1.engine()(), r2.engine()());
 
-  // The draw-free arm (null Rng) is scale then square_law(_mixed), on
-  // both dispatch targets, with and without a mixer gain.
+  // The draw-free arm (null Rng) is scale, then a plain square-law
+  // pass, on both dispatch targets, with and without a mixer gain.
   Signal amp(n);
   simd::scale(reinterpret_cast<const double*>(x.data()), 2 * n, g,
               reinterpret_cast<double*>(amp.data()));
   for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
     simd::set_isa(isa);
     for (bool mixed : {false, true}) {
-      if (mixed) {
-        simd::square_law_mixed(amp.data(), gm.data(), n, k, want.data());
-      } else {
-        simd::square_law(amp.data(), n, k, want.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const double re = amp[i].real();
+        const double im = amp[i].imag();
+        if (mixed) {
+          const double g2 = gm[i] * gm[i];
+          want[i] = k * g2 * (re * re + im * im);
+        } else {
+          want[i] = k * (re * re + im * im);
+        }
       }
       simd::lna_square_law(x.data(), mixed ? gm.data() : nullptr, n, g, sigma,
                            k, got.data(), nullptr);
@@ -351,13 +309,19 @@ TEST(SimdKernels, FusedKernelsMatchPerSampleDraws) {
   EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
   EXPECT_EQ(r1.engine()(), r2.engine()());
 
+  // The LNA's draws ride the square-law kernel: x read as n/2 complex
+  // samples, each component amplified with its own per-sample draw.
+  const std::size_t nc = n / 2;
+  const double k = 0.8;
   Rng r3(11), r4(11);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double nr = 2e-8 * r3.gaussian();
-    want[i] = 10.0 * (x[i] + nr);
+  for (std::size_t i = 0; i < nc; ++i) {
+    const double re = 10.0 * (x[2 * i] + 2e-8 * r3.gaussian());
+    const double im = 10.0 * (x[2 * i + 1] + 2e-8 * r3.gaussian());
+    want[i] = k * (re * re + im * im);
   }
-  simd::gain_add_gaussian(x.data(), n, 10.0, 2e-8, got.data(), r4);
-  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
+  simd::lna_square_law(reinterpret_cast<const Complex*>(x.data()), nullptr, nc,
+                       10.0, 2e-8, k, got.data(), &r4);
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), nc * sizeof(double)));
   EXPECT_EQ(r3.engine()(), r4.engine()());
 }
 

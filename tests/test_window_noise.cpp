@@ -71,9 +71,18 @@ TEST(Noise, RealWhitePower) {
   EXPECT_NEAR(signal_power(std::span<const double>(n)), 4.0, 0.1);
 }
 
+// n samples of flicker noise at `power_watts`: the raw stage sum times
+// its normalizing gain.
+RealSignal scaled_flicker(std::size_t n, double power_watts, Rng& rng) {
+  RealSignal out;
+  const double gain = flicker_noise_unscaled(n, power_watts, rng, out);
+  for (double& v : out) v = gain * v;
+  return out;
+}
+
 TEST(Noise, FlickerPowerNormalized) {
   Rng rng(4);
-  const RealSignal n = flicker_noise(200000, 1.0, rng);
+  const RealSignal n = scaled_flicker(200000, 1.0, rng);
   EXPECT_NEAR(signal_power(std::span<const double>(n)), 1.0, 0.05);
 }
 
@@ -83,7 +92,7 @@ TEST(Noise, FlickerIsLowFrequencyDominated) {
   // escape it (paper §3.1).
   Rng rng(5);
   const double fs = 4e6;
-  const RealSignal n = flicker_noise(1 << 18, 1.0, rng);
+  const RealSignal n = scaled_flicker(1 << 18, 1.0, rng);
   const Psd psd = welch_psd(std::span<const double>(n), fs, 4096);
   double low = 0.0;
   double mid = 0.0;
@@ -107,7 +116,7 @@ TEST(Noise, NegativePowerRejected) {
   Rng rng(6);
   EXPECT_THROW(complex_awgn(10, -1.0, rng), std::invalid_argument);
   EXPECT_THROW(real_white_noise(10, -1.0, rng), std::invalid_argument);
-  EXPECT_THROW(flicker_noise(10, -1.0, rng), std::invalid_argument);
+  EXPECT_THROW(scaled_flicker(10, -1.0, rng), std::invalid_argument);
 }
 
 TEST(Rng, DeterministicWithSameSeed) {
